@@ -31,7 +31,6 @@
 #include "graph/partition/partitioner.h"
 #include "graph/reorder.h"
 #include "kernels/aggregation.h"
-#include "kernels/shard_exec.h"
 #include "gnn/gnn_layer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -116,7 +115,7 @@ main(int argc, char **argv)
     features.fillUniform(-1.0f, 1.0f, 11);
     DenseMatrix aggOut(numVertices, data.hiddenFeatures);
     const double aggSeconds = timeMedian(reps, [&] {
-        aggregateBasic(graph, features, aggOut, spec);
+        aggregate(graph, features, aggOut, spec);
     });
     // Per output element: one self-term multiply plus a multiply-add per
     // incoming edge.
@@ -149,7 +148,7 @@ main(int argc, char **argv)
     Bf16Matrix featuresBf16(numVertices, data.hiddenFeatures);
     featuresBf16.fromDense(features);
     const double aggBf16Seconds = timeMedian(reps, [&] {
-        aggregateBf16(graph, featuresBf16, aggOut, spec);
+        aggregate(graph, featuresBf16, aggOut, spec);
     });
     const double aggBf16Gflops = aggFlops / aggBf16Seconds * 1e-9;
 
@@ -171,9 +170,9 @@ main(int argc, char **argv)
     registry.setEnabled(true);
     obs::Counter &gatherBytes = registry.counter("agg.bytes_gathered");
     const std::uint64_t bytesBase = gatherBytes.value();
-    aggregateBasic(graph, features, aggOut, spec);
+    aggregate(graph, features, aggOut, spec);
     const std::uint64_t bytesFp32 = gatherBytes.value() - bytesBase;
-    aggregateBf16(graph, featuresBf16, aggOut, spec);
+    aggregate(graph, featuresBf16, aggOut, spec);
     const std::uint64_t bytesBf16 =
         gatherBytes.value() - bytesBase - bytesFp32;
     registry.setEnabled(metricsWereEnabled);
@@ -304,9 +303,10 @@ main(int argc, char **argv)
     obs::Counter &partHaloBytes = registry.counter("partition.halo_bytes");
     const std::uint64_t partBytesBase = partBytes.value();
     const std::uint64_t partHaloBase = partHaloBytes.value();
-    aggregateSharded(greedyPlan, features, aggOut, spec, false);
+    aggregate(graph, features, aggOut, spec, Schedule::sharded(greedyPlan));
     const std::uint64_t bytesExact = partBytes.value() - partBytesBase;
-    aggregateSharded(greedyPlan, features, aggOut, spec, true);
+    aggregate(graph, features, aggOut, spec,
+              Schedule::sharded(greedyPlan, true));
     const std::uint64_t bytesDelayed =
         partBytes.value() - partBytesBase - bytesExact;
     const std::uint64_t haloBytes = partHaloBytes.value() - partHaloBase;

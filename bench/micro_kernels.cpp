@@ -59,7 +59,7 @@ BM_AggregateBasic(benchmark::State &state)
 {
     AggFixture fx(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        aggregateBasic(fx.graph, fx.features, fx.output, fx.spec);
+        aggregate(fx.graph, fx.features, fx.output, fx.spec);
         benchmark::DoNotOptimize(fx.output.data());
     }
     state.SetBytesProcessed(
@@ -91,7 +91,7 @@ BM_AggregateCompressed(benchmark::State &state)
     CompressedMatrix packed(fx.graph.numVertices(), 256);
     packed.compressFrom(fx.features);
     for (auto _ : state) {
-        aggregateCompressed(fx.graph, packed, fx.output, fx.spec);
+        aggregate(fx.graph, packed, fx.output, fx.spec);
         benchmark::DoNotOptimize(fx.output.data());
     }
 }
@@ -103,8 +103,7 @@ BM_AggregateLocalityOrder(benchmark::State &state)
     AggFixture fx(256);
     ProcessingOrder order = localityOrder(fx.graph);
     for (auto _ : state) {
-        aggregateBasic(fx.graph, fx.features, fx.output, fx.spec,
-                       order);
+        aggregate(fx.graph, fx.features, fx.output, fx.spec, order);
         benchmark::DoNotOptimize(fx.output.data());
     }
 }
@@ -120,7 +119,7 @@ BM_FusedLayerInference(benchmark::State &state)
     const UpdateOp update{&weights, bias, true};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInference(fx.graph, fx.features, fx.spec, update, out);
+        fusedLayer(fx.graph, fx.features, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -174,7 +173,7 @@ BM_BackwardUnfused(benchmark::State &state)
     DenseMatrix dAgg(bw.fx.graph.numVertices(), 256);
     for (auto _ : state) {
         gemm(GemmMode::NT, bw.fx.features, bw.planNT, dAgg);
-        aggregateBasic(bw.transposed, dAgg, bw.gradIn, bw.tSpec);
+        aggregate(bw.transposed, dAgg, bw.gradIn, bw.tSpec);
         benchmark::DoNotOptimize(bw.gradIn.data());
     }
     state.SetBytesProcessed(
@@ -410,7 +409,7 @@ BM_AggregateBf16(benchmark::State &state)
     Bf16Matrix packed(fx.graph.numVertices(), 256);
     packed.fromDense(fx.features);
     for (auto _ : state) {
-        aggregateBf16(fx.graph, packed, fx.output, fx.spec);
+        aggregate(fx.graph, packed, fx.output, fx.spec);
         benchmark::DoNotOptimize(fx.output.data());
     }
     // Half the gathered bytes of the fp32 kernel.
@@ -441,7 +440,7 @@ BM_AggregateMaxReduction(benchmark::State &state)
     AggFixture fx(256);
     AggregationSpec spec = maxSpec();
     for (auto _ : state) {
-        aggregateBasic(fx.graph, fx.features, fx.output, spec);
+        aggregate(fx.graph, fx.features, fx.output, spec);
         benchmark::DoNotOptimize(fx.output.data());
     }
     state.SetBytesProcessed(
@@ -463,8 +462,7 @@ BM_FusedLayerCompressed(benchmark::State &state)
     const UpdateOp update{&weights, bias, true};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInferenceCompressed(fx.graph, packed, fx.spec, update,
-                                      out);
+        fusedLayer(fx.graph, packed, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -492,7 +490,7 @@ BM_FusedLayerInferenceBf16(benchmark::State &state)
     const UpdateOp update{&weights, bias, true, &plan, Precision::Bf16};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInferenceBf16(fx.graph, packed, fx.spec, update, out);
+        fusedLayer(fx.graph, packed, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetBytesProcessed(

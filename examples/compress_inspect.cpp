@@ -45,8 +45,8 @@ main()
         // packed form and compare against the dense kernel.
         DenseMatrix fromDense(graph.numVertices(), 256);
         DenseMatrix fromPacked(graph.numVertices(), 256);
-        aggregateBasic(graph, h, fromDense, spec);
-        aggregateCompressed(graph, packed, fromPacked, spec);
+        aggregate(graph, h, fromDense, spec);
+        aggregate(graph, packed, fromPacked, spec);
 
         const double dense =
             static_cast<double>(packed.denseTrafficBytes());

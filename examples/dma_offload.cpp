@@ -66,7 +66,7 @@ main()
 
     DenseMatrix aggSw(graph.numVertices(), 256);
     DenseMatrix outSw(graph.numVertices(), 256);
-    fusedLayerTraining(graph, h, spec, update, aggSw, outSw);
+    fusedLayer(graph, h, spec, update, outSw, {&aggSw});
 
     DenseMatrix aggHw(graph.numVertices(), 256);
     DenseMatrix outHw(graph.numVertices(), 256);

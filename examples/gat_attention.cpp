@@ -47,7 +47,7 @@ main()
 
     // Step 3a: aggregate with the standard AVX-512 kernel.
     DenseMatrix viaCore(graph.numVertices(), 64);
-    aggregateBasic(graph, z, viaCore, attention);
+    aggregate(graph, z, viaCore, attention);
 
     // Step 3b: the identical math through the DMA engine — the host
     // supplies the data-dependent factors via the descriptor's FACTOR

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "kernels/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -138,17 +139,8 @@ updateVertex(const UpdateOp &update, const GemmPlan &weightPlan,
 {
     gemmBlockSerial(aggOut.row(v), 1, aggOut.rowStride(), weightPlan,
                     out.row(v), out.rowStride(), aggOut.cols());
-    Feature *row = out.row(v);
-    if (!update.bias.empty()) {
-        #pragma omp simd
-        for (std::size_t c = 0; c < out.cols(); ++c)
-            row[c] += update.bias[c];
-    }
-    if (update.relu) {
-        #pragma omp simd
-        for (std::size_t c = 0; c < out.cols(); ++c)
-            row[c] = std::max(row[c], 0.0f);
-    }
+    finishUpdateBlock(out.row(v), 1, out.rowStride(), out.cols(),
+                      update.bias, update.relu);
 }
 
 PipelineCounters

@@ -131,7 +131,7 @@ GatLayer::forward(const CsrGraph &graph, const DenseMatrix &h) const
     DenseMatrix z = project(h);
     const AggregationSpec attention = attentionSpec(graph, z);
     DenseMatrix out(graph.numVertices(), outFeatures_);
-    aggregateBasic(graph, z, out, attention);
+    aggregate(graph, z, out, attention);
     parallelFor(0, out.rows(), 256,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t r = begin; r < end; ++r) {

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "obs/trace.h"
 #include "kernels/fused_layer.h"
-#include "kernels/shard_exec.h"
 #include "parallel/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
@@ -82,6 +81,61 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
     return packedNT_[slot];
 }
 
+namespace {
+
+/** Shard-major over a plan of >= 2 shards, else flat over @p order. */
+Schedule
+layerSchedule(const CsrGraph &graph, std::span<const VertexId> order,
+              const PartitionPlan *plan, const TechniqueConfig &tech)
+{
+    if (plan == nullptr || plan->numShards() < 2)
+        return order;
+    GRAPHITE_ASSERT(plan->graph == &graph,
+                    "partition plan built for another graph");
+    return Schedule::sharded(*plan, tech.delayedHalo);
+}
+
+} // namespace
+
+void
+GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
+                  const DenseMatrix &dense,
+                  const CompressedMatrix *inCompressed,
+                  const Bf16Matrix *inBf16, DenseMatrix *agg,
+                  DenseMatrix &out, CompressedMatrix *outCompressed,
+                  Bf16Matrix *outBf16, std::span<const VertexId> order,
+                  const PartitionPlan *plan,
+                  const TechniqueConfig &tech) const
+{
+    GRAPHITE_TRACE_SPAN("layer.forward");
+    FeatureRows in = dense;
+    if (tech.compression && inCompressed != nullptr)
+        in = *inCompressed;
+    else if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
+        in = *inBf16;
+    const Schedule schedule = layerSchedule(graph, order, plan, tech);
+    const UpdateOp update{&weights_, bias_, relu_,
+                          &packedWeights(tech.precision), tech.precision};
+    // Fusion has no delayed-halo variant (the replica phase breaks the
+    // per-block pipeline); delayed runs take the unfused path below.
+    if (tech.fusion && !schedule.delayedHalo) {
+        fusedLayer(graph, in, spec, update, out,
+                   {agg, outCompressed, outBf16}, schedule, tech.fused);
+        return;
+    }
+    // Unfused path: aggregation materialises a^k, then one big GEMM.
+    DenseMatrix local;
+    if (agg == nullptr) {
+        local = DenseMatrix(graph.numVertices(), inFeatures_);
+        agg = &local;
+    }
+    unfusedLayer(graph, in, spec, update, *agg, out, schedule, tech.agg);
+    if (outCompressed)
+        outCompressed->compressFrom(out);
+    if (outBf16)
+        outBf16->fromDense(out);
+}
+
 void
 GnnLayer::forwardInference(const CsrGraph &graph,
                            const AggregationSpec &spec,
@@ -94,80 +148,8 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const PartitionPlan *plan,
                            const TechniqueConfig &tech) const
 {
-    GRAPHITE_TRACE_SPAN("layer.forward");
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        // Compressed gathers have no sharded kernel: run the global
-        // kernels over the shard-major order (locality still applies).
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
-    // Fusion has no delayed-halo variant (the replica phase breaks the
-    // per-block pipeline); delayed runs take the unfused path below.
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerInferenceCompressed(graph, *inCompressed, spec,
-                                          update, out, outCompressed,
-                                          order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerInferenceShardedBf16(*plan, *inBf16, spec,
-                                               update, out, tech.fused,
-                                               outBf16);
-            else
-                fusedLayerInferenceSharded(*plan, in, spec, update, out,
-                                           tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-            if (outCompressed)
-                outCompressed->compressFrom(out);
-            return;
-        } else if (bf16In) {
-            fusedLayerInferenceBf16(graph, *inBf16, spec, update, out,
-                                    order, tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-        } else {
-            fusedLayerInference(graph, in, spec, update, out, order,
-                                tech.fused, outBf16);
-            outBf16 = nullptr;
-        }
-        if (outCompressed)
-            outCompressed->compressFrom(out);
-        if (outBf16)
-            outBf16->fromDense(out);
-        return;
-    }
-    // Unfused path: aggregation materialises a^k, then one big GEMM.
-    DenseMatrix agg(graph.numVertices(), inFeatures_);
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, agg, spec, delayed, tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, agg, packedWeights(tech.precision), out);
-    if (!bias_.empty())
-        addBias(out, bias_);
-    if (relu_)
-        reluForward(out);
-    if (outCompressed)
-        outCompressed->compressFrom(out);
-    if (outBf16)
-        outBf16->fromDense(out);
+    forward(graph, spec, in, inCompressed, inBf16, nullptr, out,
+            outCompressed, outBf16, order, plan, tech);
 }
 
 void
@@ -179,7 +161,6 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                           const PartitionPlan *plan,
                           const TechniqueConfig &tech) const
 {
-    GRAPHITE_TRACE_SPAN("layer.forward");
     const VertexId n = graph.numVertices();
     if (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_)
         ctx.agg.resize(n, inFeatures_);
@@ -194,70 +175,8 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
         }
         outCompressed = &ctx.outputCompressed;
     }
-
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerTrainingCompressed(graph, *inCompressed, spec,
-                                         update, ctx.agg, ctx.output,
-                                         outCompressed, order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerTrainingShardedBf16(*plan, *inBf16, spec,
-                                              update, ctx.agg, ctx.output,
-                                              tech.fused);
-            else
-                fusedLayerTrainingSharded(*plan, in, spec, update,
-                                          ctx.agg, ctx.output,
-                                          tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else if (bf16In) {
-            fusedLayerTrainingBf16(graph, *inBf16, spec, update, ctx.agg,
-                                   ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else {
-            fusedLayerTraining(graph, in, spec, update, ctx.agg,
-                               ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        }
-        return;
-    }
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, ctx.agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, ctx.agg, spec, delayed,
-                             tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, ctx.agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, ctx.agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, ctx.agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, ctx.agg, packedWeights(tech.precision), ctx.output);
-    if (!bias_.empty())
-        addBias(ctx.output, bias_);
-    if (relu_)
-        reluForward(ctx.output);
-    if (outCompressed)
-        outCompressed->compressFrom(ctx.output);
+    forward(graph, spec, in, inCompressed, inBf16, &ctx.agg, ctx.output,
+            outCompressed, nullptr, order, plan, tech);
 }
 
 void
@@ -286,44 +205,25 @@ GnnLayer::backward(const CsrGraph &transposed,
 
     if (!gradIn)
         return;
-    const bool sharded = transposedPlan != nullptr &&
-                         transposedPlan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(transposedPlan->graph == &transposed,
-                        "partition plan built for another graph");
-    }
-    const bool delayed = sharded && tech.delayedHalo;
+    const Schedule schedule =
+        layerSchedule(transposed, order, transposedPlan, tech);
     // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
     gradIn->reshape(gradOut.rows(), inFeatures_);
-    if (tech.fusion && !delayed) {
+    if (tech.fusion && !schedule.delayedHalo) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
         // kernels/fused_layer.h on the commuted fusion direction).
+        FeatureRows dz = gradOut;
         if (tech.precision == Precision::Bf16) {
             // Round dz once; the fused kernel then gathers it at half
             // width over the transposed graph — gradients themselves
             // keep accumulating in fp32.
             dzBf16Scratch_.reshape(gradOut.rows(), outFeatures_);
             dzBf16Scratch_.fromDense(gradOut);
-            if (sharded)
-                fusedLayerBackwardShardedBf16(
-                    *transposedPlan, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    tech.fused);
-            else
-                fusedLayerBackwardBf16(
-                    transposed, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    order, tech.fused);
-        } else if (sharded) {
-            fusedLayerBackwardSharded(*transposedPlan, gradOut,
-                                      transposedSpec,
-                                      packedWeightsTransposed(), *gradIn,
-                                      tech.fused);
-        } else {
-            fusedLayerBackward(transposed, gradOut, transposedSpec,
-                               packedWeightsTransposed(), *gradIn, order,
-                               tech.fused);
+            dz = dzBf16Scratch_;
         }
+        fusedLayerBackward(transposed, dz, transposedSpec,
+                           packedWeightsTransposed(tech.precision), *gradIn,
+                           schedule, tech.fused);
         return;
     }
     dAggScratch_.reshape(gradOut.rows(), inFeatures_);
@@ -331,12 +231,8 @@ GnnLayer::backward(const CsrGraph &transposed,
          dAggScratch_);
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
-    if (sharded)
-        aggregateSharded(*transposedPlan, dAggScratch_, *gradIn,
-                         transposedSpec, delayed, tech.agg);
-    else
-        aggregateBasic(transposed, dAggScratch_, *gradIn, transposedSpec,
-                       order, tech.agg);
+    aggregate(transposed, dAggScratch_, *gradIn, transposedSpec, schedule,
+              tech.agg);
 }
 
 void

@@ -111,20 +111,17 @@ class GnnLayer
     /**
      * Inference forward: writes h^k into @p out; a^k is only
      * materialised when fusion is off (the unfused path needs it as a
-     * GEMM input). When compression is on and @p inCompressed is
-     * non-null, gathers read packed features; when @p outCompressed is
-     * non-null the produced features are also packed for the next layer.
-     * When tech.precision is Bf16 and @p inBf16 is non-null, gathers
-     * read half-width features instead (compression wins when both are
-     * supplied); a non-null @p outBf16 additionally rounds the produced
-     * rows to bf16 for the next layer.
+     * GEMM input). The gather source is @p inCompressed when
+     * compression is on and it is non-null, else @p inBf16 when
+     * tech.precision is Bf16 and it is non-null, else @p in. A non-null
+     * @p outCompressed / @p outBf16 additionally receives the produced
+     * rows packed / rounded to bf16 for the next layer (written while
+     * cache-resident on the fused path).
      *
-     * A non-null @p plan with >= 2 shards switches to shard-major
-     * execution: dense/bf16 paths run the sharded kernels (exact mode
-     * bit-identical; tech.delayedHalo selects the replica mode and, with
-     * fusion, falls back to unfused delayed aggregation + one GEMM);
-     * compressed gathers have no sharded kernel and instead run the
-     * global kernels over the plan's shard-major order.
+     * A non-null @p plan with >= 2 shards switches every source to
+     * shard-major execution (bit-identical to flat); tech.delayedHalo
+     * then selects the replica mode, which has no fused form and runs
+     * as delayed-halo aggregation + one GEMM.
      */
     void forwardInference(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
@@ -155,11 +152,11 @@ class GnnLayer
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills
      * weight/bias gradients, and when @p gradIn is non-null computes
      * dL/dh^{k-1} via the transposed aggregation — fused with the
-     * da = dz·Wᵀ GEMM when tech.fusion is on (fusedLayerBackward), so
-     * dAgg is only materialised on the unfused path (into a persistent
-     * per-layer scratch). The bias gradient uses the parallel
-     * deterministic columnSum. Allocation-free once scratch has grown
-     * to the steady-state shape.
+     * da = dz·Wᵀ GEMM (fusedLayerBackward) when tech.fusion is on and
+     * the schedule is not delayed halo, so dAgg is only materialised on
+     * the unfused path (into a persistent per-layer scratch). The bias
+     * gradient uses the parallel deterministic columnSum.
+     * Allocation-free once scratch has grown to the steady-state shape.
      *
      * @param transposed     transposed graph.
      * @param transposedSpec factors remapped by transposeSpec().
@@ -183,6 +180,20 @@ class GnnLayer
     std::span<const Feature> biasGrad() const { return biasGrad_; }
 
   private:
+    /**
+     * The body both forwards share: picks the gather source and the
+     * schedule once, then runs fused or unfused; @p agg (training) keeps
+     * a^k for backprop.
+     */
+    void forward(const CsrGraph &graph, const AggregationSpec &spec,
+                 const DenseMatrix &dense,
+                 const CompressedMatrix *inCompressed,
+                 const Bf16Matrix *inBf16, DenseMatrix *agg,
+                 DenseMatrix &out, CompressedMatrix *outCompressed,
+                 Bf16Matrix *outBf16, std::span<const VertexId> order,
+                 const PartitionPlan *plan,
+                 const TechniqueConfig &tech) const;
+
     std::size_t inFeatures_;
     std::size_t outFeatures_;
     bool relu_;

@@ -1,20 +1,15 @@
 #include "kernels/aggregation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "common/assert.h"
+#include "kernels/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-
-#if defined(__AVX512F__)
-#define GRAPHITE_AGG_AVX512 1
-#include <immintrin.h>
-#else
-#define GRAPHITE_AGG_AVX512 0
-#endif
 
 namespace graphite {
 
@@ -89,9 +84,9 @@ validateSpec(const AggregationSpec &spec, const CsrGraph &graph)
     return nullptr;
 }
 
-namespace {
-
 #if GRAPHITE_AGG_AVX512
+
+namespace {
 
 /**
  * Register-resident aggregation for feature vectors of Groups x 16
@@ -133,108 +128,22 @@ using VertexKernel = void (*)(const CsrGraph &, const DenseMatrix &,
                               VertexId, const AggregationSpec &, Feature *);
 
 /** Kernel tables indexed by Groups - 1; the JIT-dispatch analogue. */
-constexpr VertexKernel kZmmSumKernels[] = {
-    aggregateVertexZmm<1, ReduceOp::Sum>,
-    aggregateVertexZmm<2, ReduceOp::Sum>,
-    aggregateVertexZmm<3, ReduceOp::Sum>,
-    aggregateVertexZmm<4, ReduceOp::Sum>,
-    aggregateVertexZmm<5, ReduceOp::Sum>,
-    aggregateVertexZmm<6, ReduceOp::Sum>,
-    aggregateVertexZmm<7, ReduceOp::Sum>,
-    aggregateVertexZmm<8, ReduceOp::Sum>,
-    aggregateVertexZmm<9, ReduceOp::Sum>,
-    aggregateVertexZmm<10, ReduceOp::Sum>,
-    aggregateVertexZmm<11, ReduceOp::Sum>,
-    aggregateVertexZmm<12, ReduceOp::Sum>,
-    aggregateVertexZmm<13, ReduceOp::Sum>,
-    aggregateVertexZmm<14, ReduceOp::Sum>,
-    aggregateVertexZmm<15, ReduceOp::Sum>,
-    aggregateVertexZmm<16, ReduceOp::Sum>,
-};
-constexpr VertexKernel kZmmMaxKernels[] = {
-    aggregateVertexZmm<1, ReduceOp::Max>,
-    aggregateVertexZmm<2, ReduceOp::Max>,
-    aggregateVertexZmm<3, ReduceOp::Max>,
-    aggregateVertexZmm<4, ReduceOp::Max>,
-    aggregateVertexZmm<5, ReduceOp::Max>,
-    aggregateVertexZmm<6, ReduceOp::Max>,
-    aggregateVertexZmm<7, ReduceOp::Max>,
-    aggregateVertexZmm<8, ReduceOp::Max>,
-    aggregateVertexZmm<9, ReduceOp::Max>,
-    aggregateVertexZmm<10, ReduceOp::Max>,
-    aggregateVertexZmm<11, ReduceOp::Max>,
-    aggregateVertexZmm<12, ReduceOp::Max>,
-    aggregateVertexZmm<13, ReduceOp::Max>,
-    aggregateVertexZmm<14, ReduceOp::Max>,
-    aggregateVertexZmm<15, ReduceOp::Max>,
-    aggregateVertexZmm<16, ReduceOp::Max>,
-};
-constexpr std::size_t kMaxZmmGroups =
-    sizeof(kZmmSumKernels) / sizeof(kZmmSumKernels[0]);
-
-#endif // GRAPHITE_AGG_AVX512
-
-/** Generic (any width) scalar-vectorisable fallback. */
-void
-aggregateVertexGeneric(const CsrGraph &graph, const DenseMatrix &in,
-                       VertexId v, const AggregationSpec &spec, Feature *dst)
+template <ReduceOp Op, int... G>
+constexpr std::array<VertexKernel, sizeof...(G)>
+zmmKernels(std::integer_sequence<int, G...>)
 {
-    const std::size_t f = in.cols();
-    const Feature *self = in.row(v);
-    const Feature sw = spec.selfFactor(v);
-    #pragma omp simd
-    for (std::size_t c = 0; c < f; ++c)
-        dst[c] = sw * self[c];
-    const EdgeId rowEnd = graph.rowEnd(v);
-    for (EdgeId e = graph.rowBegin(v); e < rowEnd; ++e) {
-        const Feature *src = in.row(graph.colIdx()[e]);
-        const Feature ew = spec.edgeFactor(e);
-        if (spec.reduce == ReduceOp::Sum) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < f; ++c)
-                dst[c] += ew * src[c];
-        } else {
-            #pragma omp simd
-            for (std::size_t c = 0; c < f; ++c)
-                dst[c] = std::max(dst[c], ew * src[c]);
-        }
-    }
+    return {aggregateVertexZmm<G + 1, Op>...};
 }
 
-/**
- * Rows gathered by the vertices at order positions [begin, end): one
- * per neighbour plus the self row. Only walked when the metrics
- * registry is enabled (the aggregation loop itself stays untouched).
- */
-std::uint64_t
-rowsGathered(const CsrGraph &graph, std::span<const VertexId> order,
-             std::size_t begin, std::size_t end)
-{
-    std::uint64_t rows = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        const VertexId v =
-            order.empty() ? static_cast<VertexId>(i) : order[i];
-        rows += graph.rowEnd(v) - graph.rowBegin(v) + 1;
-    }
-    return rows;
-}
-
-/**
- * Prefetch the first @p lines cache lines of the feature vectors vertex
- * @p v's aggregation will gather (Algorithm 1 lines 8-9).
- */
-inline void
-prefetchVertexInputs(const CsrGraph &graph, const DenseMatrix &in,
-                     VertexId v, std::size_t lines)
-{
-    for (VertexId u : graph.neighbors(v)) {
-        const char *base = reinterpret_cast<const char *>(in.row(u));
-        for (std::size_t l = 0; l < lines; ++l)
-            __builtin_prefetch(base + l * kCacheLineBytes, 0, 3);
-    }
-}
+constexpr std::size_t kMaxZmmGroups = 16;
+constexpr auto kZmmSumKernels = zmmKernels<ReduceOp::Sum>(
+    std::make_integer_sequence<int, kMaxZmmGroups>());
+constexpr auto kZmmMaxKernels = zmmKernels<ReduceOp::Max>(
+    std::make_integer_sequence<int, kMaxZmmGroups>());
 
 } // namespace
+
+#endif // GRAPHITE_AGG_AVX512
 
 void
 aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
@@ -244,13 +153,171 @@ aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
     const std::size_t stride = in.rowStride();
     const std::size_t groups = stride / 16;
     if (groups >= 1 && groups <= kMaxZmmGroups && stride % 16 == 0) {
-        const VertexKernel *table = spec.reduce == ReduceOp::Sum
+        const auto &table = spec.reduce == ReduceOp::Sum
             ? kZmmSumKernels : kZmmMaxKernels;
         table[groups - 1](graph, in, v, spec, dst);
         return;
     }
 #endif
-    aggregateVertexGeneric(graph, in, v, spec, dst);
+    // Generic (any width) scalar-vectorisable fallback.
+    foldVertex(DenseRows{graph, in, spec}, v, dst);
+}
+
+namespace {
+
+/**
+ * The aggregate driver's gather accounting, in one place for every
+ * source and schedule: @p rowsPulled gathered rows of @p rowBytes
+ * stored bytes each feed agg.bytes_gathered — and, under a sharded
+ * schedule, partition.bytes_gathered (delayed-halo replica fills:
+ * partition.halo_bytes too) — and @p rowsFolded row folds of @p cols
+ * multiply-adds feed agg.flops.
+ */
+void
+countGather(std::uint64_t rowsPulled, std::uint64_t rowBytes,
+            std::uint64_t rowsFolded, std::size_t cols, bool sharded,
+            bool halo = false)
+{
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    static obs::Counter &bytes = metrics.counter("agg.bytes_gathered");
+    static obs::Counter &flops = metrics.counter("agg.flops");
+    static obs::Counter &shardBytes =
+        metrics.counter("partition.bytes_gathered");
+    static obs::Counter &haloBytes = metrics.counter("partition.halo_bytes");
+    bytes.add(rowsPulled * rowBytes);
+    flops.add(2 * rowsFolded * cols);
+    if (sharded)
+        shardBytes.add(rowsPulled * rowBytes);
+    if (halo)
+        haloBytes.add(rowsPulled * rowBytes);
+}
+
+/**
+ * Delayed-halo aggregation. Phase A folds self + intra-shard terms
+ * from the local CSR (shard-aligned tasks); phase B gathers each halo
+ * row once into a shard-local replica and folds the cut-edge terms
+ * from the cache-resident replica. Owned rows are written only by
+ * their own shard in both phases, so no synchronisation is needed.
+ */
+template <typename Rows>
+void
+aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
+                     DenseMatrix &out, const AggregationSpec &spec,
+                     const AggregationConfig &config)
+{
+    const obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    const std::size_t width = rows.width();
+
+    forEachTask(Schedule::sharded(plan), plan.graph->numVertices(),
+                config.taskSize, "agg.block",
+                [&](std::size_t begin, std::size_t end) {
+        const ShardId s = plan.shardOf[plan.shardMajorOrder[begin]];
+        const Shard &shard = plan.shards[s];
+        std::uint64_t rowsPulled = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const VertexId v = plan.shardMajorOrder[i];
+            const VertexId local =
+                static_cast<VertexId>(i - plan.ownedStart[s]);
+            Feature *dst = out.row(v);
+            seedSelf(rows, v, dst);
+            const EdgeId intraBegin = shard.localCsr.rowBegin(local);
+            const EdgeId intraEnd = shard.cutStart[local];
+            for (EdgeId idx = intraBegin; idx < intraEnd; ++idx) {
+                rows.accumulate(shard.vertices[shard.localCsr.colIdx()[idx]],
+                                spec.edgeFactor(shard.globalEdge[idx]), dst,
+                                spec.reduce);
+            }
+            rowsPulled += 1 + (intraEnd - intraBegin);
+        }
+        if (metrics.enabled())
+            countGather(rowsPulled, rows.rowBytes(), rowsPulled,
+                        rows.in.cols(), true);
+    });
+
+    parallelFor(0, plan.numShards(), 1,
+                [&](std::size_t shardBegin, std::size_t shardEnd,
+                    std::size_t) {
+        for (std::size_t s = shardBegin; s < shardEnd; ++s) {
+            const Shard &shard = plan.shards[s];
+            const VertexId numHalo = shard.numHalo();
+            if (numHalo == 0)
+                continue;
+            GRAPHITE_TRACE_SPAN("partition.shard");
+            Feature *replica = blockScratch<2>(numHalo * width);
+            for (VertexId h = 0; h < numHalo; ++h)
+                rows.expand(shard.vertices[shard.numOwned + h],
+                            replica + h * width);
+            for (VertexId r = 0; r < shard.numOwned; ++r) {
+                const EdgeId rowEnd = shard.localCsr.rowEnd(r);
+                Feature *dst = out.row(shard.vertices[r]);
+                for (EdgeId idx = shard.cutStart[r]; idx < rowEnd; ++idx) {
+                    const VertexId h =
+                        shard.localCsr.colIdx()[idx] - shard.numOwned;
+                    combineRow(dst, replica + h * width,
+                               spec.edgeFactor(shard.globalEdge[idx]),
+                               width, spec.reduce);
+                }
+            }
+            if (metrics.enabled())
+                countGather(numHalo, rows.rowBytes(), shard.cutEdges,
+                            rows.in.cols(), true, true);
+        }
+    });
+}
+
+/**
+ * The aggregate driver: Algorithm 1 over @p schedule with rows read
+ * through @p rows. Gather accounting happens here, once per task, for
+ * every source and schedule.
+ */
+template <typename Rows>
+void
+aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
+              const AggregationSpec &spec, const Schedule &schedule,
+              const AggregationConfig &config)
+{
+    GRAPHITE_TRACE_SPAN(schedule.plan != nullptr ? "agg.sharded"
+                                                 : Rows::kAggSpan);
+    GRAPHITE_ASSERT(out.rows() == graph.numVertices() &&
+                        out.cols() == rows.in.cols(),
+                    "out shape mismatch");
+    if (schedule.delayedHalo) {
+        aggregateDelayedHalo(*schedule.plan, rows, out, spec, config);
+        return;
+    }
+    const std::span<const VertexId> order = visitOrder(schedule);
+
+    forEachTask(schedule, graph.numVertices(), config.taskSize, "agg.block",
+                [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const VertexId v = vertexAt(order, i);
+            rows.aggregate(v, out.row(v));
+            if (config.prefetchDistance > 0 &&
+                i + config.prefetchDistance < end) {
+                rows.prefetch(vertexAt(order, i + config.prefetchDistance),
+                              config.prefetchLines);
+            }
+        }
+        if (obs::MetricsRegistry::global().enabled()) {
+            const std::uint64_t pulled =
+                rowsGathered(graph, order, begin, end);
+            countGather(pulled, rows.rowBytes(), pulled, rows.in.cols(),
+                        schedule.plan != nullptr);
+        }
+    });
+}
+
+} // namespace
+
+void
+aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
+          const AggregationSpec &spec, const Schedule &schedule,
+          const AggregationConfig &config)
+{
+    withRowSource(graph, in, spec, schedule, "aggregate",
+                  [&](const auto &rows) {
+        aggregateRows(graph, rows, out, spec, schedule, config);
+    });
 }
 
 void
@@ -259,215 +326,7 @@ aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                std::span<const VertexId> order,
                const AggregationConfig &config)
 {
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBasic: %s", error);
-    GRAPHITE_DCHECK(reinterpret_cast<std::uintptr_t>(in.data()) %
-                            kFeatureAlignment == 0,
-                    "input features must be cache-line aligned");
-
-    GRAPHITE_TRACE_SPAN("agg.basic");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("agg.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertex(graph, in, v, spec, out.row(v));
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                prefetchVertexInputs(graph, in, next,
-                                     config.prefetchLines);
-            }
-        }
-        if (metrics.enabled()) {
-            const std::uint64_t rows =
-                rowsGathered(graph, order, begin, end);
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
-        }
-    });
-}
-
-void
-aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
-                    DenseMatrix &out, const AggregationSpec &spec,
-                    std::span<const VertexId> order,
-                    const AggregationConfig &config)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "compressed aggregation supports sum reduction");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateCompressed: %s", error);
-    const std::size_t stride = out.rowStride();
-
-    GRAPHITE_TRACE_SPAN("agg.compressed");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        if (metrics.enabled())
-            flops.add(2 * rowsGathered(graph, order, begin, end) *
-                      in.cols());
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            Feature *dst = out.row(v);
-            // Self term: expand row v scaled by its self factor. Start
-            // from zero then accumulate so the expanded zeros do not
-            // clobber anything.
-            std::fill(dst, dst + stride, 0.0f);
-            in.accumulateRow(v, spec.selfFactor(v), dst);
-            for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-                in.accumulateRow(graph.colIdx()[e], spec.edgeFactor(e),
-                                 dst);
-            }
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next)) {
-                    __builtin_prefetch(in.values(u), 0, 3);
-                    __builtin_prefetch(in.mask(u), 0, 3);
-                }
-            }
-        }
-    });
-}
-
-namespace {
-
-/**
- * dst[0..f) ⊕= factor * bf16row (expanded to fp32). AVX-512 path
- * expands 16 bf16 lanes per step by a 16-bit shift into the float's
- * high half; accumulation is full fp32.
- */
-void
-combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
-               Feature *dst, ReduceOp reduce)
-{
-#if GRAPHITE_AGG_AVX512
-    if (f % 16 == 0) {
-        const __m512 factorVec = _mm512_set1_ps(factor);
-        for (std::size_t g = 0; g < f; g += 16) {
-            const __m256i raw = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(src + g));
-            const __m512 values = _mm512_castsi512_ps(
-                _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
-            const __m512 acc = _mm512_loadu_ps(dst + g);
-            if (reduce == ReduceOp::Sum) {
-                _mm512_storeu_ps(dst + g,
-                                 _mm512_fmadd_ps(values, factorVec,
-                                                 acc));
-            } else {
-                _mm512_storeu_ps(
-                    dst + g,
-                    _mm512_max_ps(acc,
-                                  _mm512_mul_ps(values, factorVec)));
-            }
-        }
-        return;
-    }
-#endif
-    for (std::size_t c = 0; c < f; ++c) {
-        const std::uint32_t bits = static_cast<std::uint32_t>(src[c])
-                                   << 16;
-        Feature value;
-        std::memcpy(&value, &bits, sizeof(value));
-        value *= factor;
-        dst[c] = reduce == ReduceOp::Sum ? dst[c] + value
-                                         : std::max(dst[c], value);
-    }
-}
-
-} // namespace
-
-void
-aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                    VertexId v, const AggregationSpec &spec, Feature *dst,
-                    std::size_t width)
-{
-    // Seed the accumulator with the self term (Sum-combining into zeros
-    // yields selfFactor * h_v for either reduce op).
-    std::fill(dst, dst + width, 0.0f);
-    combineBf16Row(in.row(v), width, spec.selfFactor(v), dst,
-                   ReduceOp::Sum);
-    for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-        combineBf16Row(in.row(graph.colIdx()[e]), width,
-                       spec.edgeFactor(e), dst, spec.reduce);
-    }
-}
-
-void
-aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
-              DenseMatrix &out, const AggregationSpec &spec,
-              std::span<const VertexId> order,
-              const AggregationConfig &config)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBf16: %s", error);
-    const std::size_t stride = out.rowStride();
-
-    GRAPHITE_TRACE_SPAN("agg.bf16");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("agg.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertexBf16(graph, in, v, spec, out.row(v), stride);
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead =
-                    i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next))
-                    __builtin_prefetch(in.row(u), 0, 3);
-            }
-        }
-        if (metrics.enabled()) {
-            const std::uint64_t rows =
-                rowsGathered(graph, order, begin, end);
-            // in.rowBytes() is 2 bytes per element: the traffic halving
-            // the bytes-gathered comparison against fp32 runs measures.
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
-        }
-    });
+    aggregate(graph, in, out, spec, order, config);
 }
 
 void

@@ -17,10 +17,12 @@
 
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "compress/compressed_matrix.h"
 #include "graph/csr_graph.h"
+#include "graph/partition/partition_plan.h"
 #include "graph/reorder.h"
 #include "tensor/bf16_matrix.h"
 #include "tensor/dense_matrix.h"
@@ -114,56 +116,94 @@ struct AggregationConfig
 };
 
 /**
- * Algorithm 1: out[v, :] = selfFactor(v)·in[v, :] +
- * Σ_{u ∈ N(v)} edgeFactor(v,u)·in[u, :], processed in @p order.
- *
- * @param order processing order (Section 4.4), or empty for identity.
+ * The feature rows a kernel gathers, in one of their stored forms: fp32
+ * rows, bf16 rows widened to fp32 in registers (half the traffic at
+ * reduced precision, see tensor/bf16_matrix.h), or mask-compressed rows
+ * expanded on the fly (Section 4.3; sum reduction only). Built
+ * implicitly from any of the three matrices. A kernel entry switches on
+ * the form once per call, so every form runs its own compiled
+ * per-vertex loop; accumulation is fp32 throughout.
  */
+struct FeatureRows
+{
+    FeatureRows(const DenseMatrix &in) : matrix(&in) {}
+    FeatureRows(const Bf16Matrix &in) : matrix(&in) {}
+    FeatureRows(const CompressedMatrix &in) : matrix(&in) {}
+
+    std::variant<const DenseMatrix *, const Bf16Matrix *,
+                 const CompressedMatrix *>
+        matrix;
+};
+
+/**
+ * The order a kernel visits vertices in and how that order is cut into
+ * thread-pool tasks.
+ *
+ *  - **Flat** (implicit from an order): @p order, or identity when
+ *    empty, in dynamically scheduled chunks of the kernel's task size.
+ *  - **Sharded** (Schedule::sharded): a PartitionPlan's shard-major
+ *    order, with tasks that never span a shard boundary, so while a
+ *    shard is in flight its slice of the feature matrix stays
+ *    cache-resident. Every vertex still aggregates from the global CSR
+ *    with the same per-vertex code, so results are bit-identical to
+ *    flat for any shard count; the win is locality, not gathered bytes.
+ *  - **Delayed halo** (sharded, aggregation only; DistGNN-style): each
+ *    shard first folds its self + intra-shard terms from the local
+ *    CSR, then gathers every halo row exactly once into a shard-local
+ *    replica and folds the cut-edge terms from it. Cross-shard hub rows
+ *    are pulled once per shard instead of once per cut edge, so
+ *    gathered bytes drop; the changed summation order makes Sum results
+ *    fp-tolerant rather than bit-equal (Max stays exact).
+ *
+ * Sharded tasks run under "partition.shard" trace spans and also feed
+ * partition.bytes_gathered (delayed halo: partition.halo_bytes too).
+ */
+struct Schedule
+{
+    Schedule() = default;
+    Schedule(std::span<const VertexId> visit) : order(visit) {}
+    Schedule(const ProcessingOrder &visit) : order(visit) {}
+
+    static Schedule
+    sharded(const PartitionPlan &partition, bool delayed = false)
+    {
+        Schedule schedule;
+        schedule.plan = &partition;
+        schedule.delayedHalo = delayed;
+        return schedule;
+    }
+
+    /** Flat processing order (Section 4.4), or empty for identity. */
+    std::span<const VertexId> order;
+    /** Shard-major execution over this plan when non-null. */
+    const PartitionPlan *plan = nullptr;
+    /** Two-phase replica mode (needs a plan; aggregation only). */
+    bool delayedHalo = false;
+};
+
+/**
+ * Algorithm 1: out[v, :] = selfFactor(v)·in[v, :] +
+ * Σ_{u ∈ N(v)} edgeFactor(v,u)·in[u, :] for every vertex, gathering
+ * from @p in's stored form in @p schedule's order. Feeds
+ * agg.bytes_gathered (rows gathered × stored row bytes) and agg.flops.
+ */
+void aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
+               const AggregationSpec &spec, const Schedule &schedule = {},
+               const AggregationConfig &config = {});
+
+/** aggregate() over fp32 rows in a flat order (the `basic` kernel). */
 void aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, const AggregationSpec &spec,
                     std::span<const VertexId> order = {},
                     const AggregationConfig &config = {});
 
 /**
- * Aggregation reading mask-compressed input features (Section 4.3):
- * identical math to aggregateBasic, with each gathered row expanded
- * on the fly from its packed form.
- */
-void aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
-                         DenseMatrix &out, const AggregationSpec &spec,
-                         std::span<const VertexId> order = {},
-                         const AggregationConfig &config = {});
-
-/**
- * Aggregation reading bf16 input features: each gathered row is
- * expanded to fp32 on the fly, halving feature traffic at reduced
- * precision — the dense-feature counterpart of mask compression (see
- * tensor/bf16_matrix.h). Accumulation stays in fp32.
- */
-void aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                   DenseMatrix &out, const AggregationSpec &spec,
-                   std::span<const VertexId> order = {},
-                   const AggregationConfig &config = {});
-
-/**
- * Serial single-vertex aggregation into @p dst (rowStride-padded):
- * the AGGREGATE building block shared by the fused kernels and the DMA
- * functional model.
+ * Serial single-vertex aggregation from fp32 rows into @p dst
+ * (rowStride-padded): the AGGREGATE building block of the engine's
+ * fp32 row source, also used by the mini-batch trainer.
  */
 void aggregateVertex(const CsrGraph &graph, const DenseMatrix &in,
                      VertexId v, const AggregationSpec &spec, Feature *dst);
-
-/**
- * Serial single-vertex aggregation from bf16 features: gathered rows
- * are widened to fp32 in registers and accumulated into @p dst[0,
- * @p width) — the bf16 counterpart of aggregateVertex, shared by
- * aggregateBf16 and the fused bf16 kernels. @p width must be a
- * multiple of the fp32 row padding (it is never wider than the bf16
- * row stride, so over-reading the source padding is safe).
- */
-void aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                         VertexId v, const AggregationSpec &spec,
-                         Feature *dst, std::size_t width);
 
 /** Reference scalar implementation used as the test oracle. */
 void aggregateReference(const CsrGraph &graph, const DenseMatrix &in,

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "common/assert.h"
+#include "kernels/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
 
@@ -15,98 +14,31 @@ namespace graphite {
 
 namespace {
 
-/** Apply bias and ReLU to @p rows block rows in place. */
-void
-finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
-                  std::size_t cols, std::span<const Feature> bias,
-                  bool relu)
-{
-    for (std::size_t r = 0; r < numRows; ++r) {
-        Feature *row = rows + r * stride;
-        if (!bias.empty()) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] += bias[c];
-        }
-        if (relu) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] = std::max(row[c], 0.0f);
-        }
-        // Re-zero the padding tail: the scratch row may carry stale
-        // values from an earlier, wider layer, and the block is
-        // memcpy'd (and possibly compressed) at full stride.
-        for (std::size_t c = cols; c < stride; ++c)
-            row[c] = 0.0f;
-    }
-}
-
 /**
- * Per-worker grow-only block buffers (Figure 5c's single reusable
- * buffer). Pool workers persist across layer calls and epochs, so
- * after warm-up these never allocate — part of the allocation-free
- * steady-state contract of the training loop. Two distinct functions
- * because a driver invocation needs both buffers live at once.
- * @{
+ * The fused driver, forward (aggregate→GEMM) and backward (where the
+ * commuted form restores the same shape; see fusedLayerBackward): per
+ * block of the schedule's tasks, @p rows fills the cache-resident
+ * aggregation block, @p weightPlan (shared read-only by every task's
+ * micro-kernel) multiplies it, and the finished rows are written to
+ * @p out and the optional @p extra outputs.
  */
-Feature *
-aggScratch(std::size_t count)
-{
-    thread_local AlignedBuffer<Feature> buf;
-    if (buf.size() < count)
-        buf.resize(count);
-    return buf.data();
-}
-
-Feature *
-updScratch(std::size_t count)
-{
-    thread_local AlignedBuffer<Feature> buf;
-    if (buf.size() < count)
-        buf.resize(count);
-    return buf.data();
-}
-/** @} */
-
-/** Single-vertex aggregation from compressed input into @p dst. */
+template <typename Rows>
 void
-aggregateVertexCompressed(const CsrGraph &graph, const CompressedMatrix &in,
-                          VertexId v, const AggregationSpec &spec,
-                          Feature *dst, std::size_t stride)
+fusedRows(const CsrGraph &graph, const Rows &rows,
+          const GemmPlan &weightPlan, std::span<const Feature> bias,
+          bool relu, DenseMatrix &out, const FusedOutputs &extra,
+          const Schedule &schedule, const FusedConfig &config)
 {
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "compressed aggregation supports sum reduction");
-    std::fill(dst, dst + stride, 0.0f);
-    in.accumulateRow(v, spec.selfFactor(v), dst);
-    for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e)
-        in.accumulateRow(graph.colIdx()[e], spec.edgeFactor(e), dst);
-}
-
-/**
- * Shared driver for all fused variants — forward (aggregate→GEMM) and
- * backward (where the commuted form restores the same shape; see
- * fusedLayerBackward). @p aggregateOne fills one block row;
- * @p weightPlan is the prepacked operand of the per-block micro-GEMM;
- * @p aggOut (optional) persists the aggregation rows for backprop.
- */
-template <typename AggregateFn, typename PrefetchFn>
-void
-fusedDriver(const CsrGraph &graph, std::size_t inCols,
-            std::size_t inRowBytes, const GemmPlan &weightPlan,
-            std::span<const Feature> bias, bool relu, DenseMatrix &out,
-            std::span<const VertexId> order, const FusedConfig &config,
-            AggregateFn &&aggregateOne, PrefetchFn &&prefetchFor,
-            DenseMatrix *aggOut, CompressedMatrix *outCompressed,
-            Bf16Matrix *outBf16)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    // The same packed operand multiplies every vertex block (packed
-    // once per layer invocation or reused from the layer's cached
-    // plan) and is shared read-only by every task's micro-kernel.
+    const std::size_t inCols = rows.in.cols();
     if (const char *error = weightPlan.validateFor(inCols, out.cols()))
         panic("fused layer weight plan: %s", error);
+    GRAPHITE_ASSERT(out.rows() == graph.numVertices(), "out row mismatch");
+    GRAPHITE_ASSERT(extra.agg == nullptr ||
+                        (extra.agg->rows() == out.rows() &&
+                         extra.agg->cols() == inCols),
+                    "aggOut shape mismatch");
+    GRAPHITE_ASSERT(!schedule.delayedHalo,
+                    "fused kernels have no delayed-halo schedule");
 
     const std::size_t blockSize = std::max<std::size_t>(1,
                                                         config.blockSize);
@@ -114,152 +46,111 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
         blockSize * std::max<std::size_t>(1, config.blocksPerTask);
     // Padded strides of the block-local buffers match the matrices so
     // rows can be memcpy'd wholesale.
-    const std::size_t aggStride =
-        (inCols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
+    const std::size_t aggStride = rows.width();
     const std::size_t outStride = out.rowStride();
+    const std::span<const VertexId> order = visitOrder(schedule);
 
-    // Per-block accounting (paper Fig. 13's per-phase byte/FLOP story):
+    // Per-task accounting (paper Fig. 13's per-phase byte/FLOP story):
     // rows gathered feed the bytes counter, aggregation + micro-GEMM
     // FLOPs feed the other. Near-no-op when the registry is disabled.
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     static obs::Counter &bytesGathered =
         metrics.counter("fused.bytes_gathered");
+    static obs::Counter &shardBytes =
+        metrics.counter("partition.bytes_gathered");
     static obs::Counter &flops = metrics.counter("fused.flops");
     static obs::Histogram &blockMicros =
         metrics.histogram("fused.block_us");
 
-    parallelFor(0, n, taskVertices,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("fused.block");
+    forEachTask(schedule, graph.numVertices(), taskVertices, "fused.block",
+                [&](std::size_t begin, std::size_t end) {
         const bool metricsOn = metrics.enabled();
         const obs::TraceNs taskStart =
             metricsOn ? obs::TraceRecorder::now() : 0;
-        std::uint64_t rowsPulled = 0;
-        Feature *agg = aggScratch(blockSize * aggStride);
-        Feature *upd = updScratch(blockSize * outStride);
+        Feature *agg = blockScratch<0>(blockSize * aggStride);
+        Feature *upd = blockScratch<1>(blockSize * outStride);
         for (std::size_t j = begin; j < end; j += blockSize) {
-            const std::size_t blockEnd = std::min(j + blockSize, end);
-            const std::size_t rows = blockEnd - j;
+            const std::size_t blockRows = std::min(j + blockSize, end) - j;
             // Aggregation phase of the block (Algorithm 2 lines 3-7).
-            for (std::size_t m = 0; m < rows; ++m) {
+            for (std::size_t m = 0; m < blockRows; ++m) {
                 const std::size_t i = j + m;
-                const VertexId v =
-                    order.empty() ? static_cast<VertexId>(i) : order[i];
-                aggregateOne(v, agg + m * aggStride);
-                if (metricsOn)
-                    rowsPulled += graph.rowEnd(v) - graph.rowBegin(v) + 1;
+                const VertexId v = vertexAt(order, i);
+                rows.aggregate(v, agg + m * aggStride);
+                // Training keeps the whole a^k for back-propagation
+                // (Figure 5b): write the row out, indexed by vertex.
+                if (extra.agg) {
+                    std::memcpy(extra.agg->row(v), agg + m * aggStride,
+                                aggStride * sizeof(Feature));
+                }
                 if (config.agg.prefetchDistance > 0 &&
                     i + config.agg.prefetchDistance < end) {
-                    const std::size_t ahead =
-                        i + config.agg.prefetchDistance;
-                    prefetchFor(order.empty()
-                                    ? static_cast<VertexId>(ahead)
-                                    : order[ahead]);
-                }
-            }
-            if (aggOut) {
-                // Training keeps the whole a^k for back-propagation
-                // (Figure 5b): write the block out, indexed by vertex.
-                for (std::size_t m = 0; m < rows; ++m) {
-                    const std::size_t i = j + m;
-                    const VertexId v = order.empty()
-                        ? static_cast<VertexId>(i) : order[i];
-                    std::memcpy(aggOut->row(v), agg + m * aggStride,
-                                aggStride * sizeof(Feature));
+                    rows.prefetch(
+                        vertexAt(order, i + config.agg.prefetchDistance),
+                        config.agg.prefetchLines);
                 }
             }
             // Update phase of the block (Algorithm 2 lines 8-10).
-            gemmBlockSerial(agg, rows, aggStride, weightPlan, upd,
+            gemmBlockSerial(agg, blockRows, aggStride, weightPlan, upd,
                             outStride, inCols);
-            finishUpdateBlock(upd, rows, outStride, out.cols(), bias,
+            finishUpdateBlock(upd, blockRows, outStride, out.cols(), bias,
                               relu);
-            for (std::size_t m = 0; m < rows; ++m) {
-                const std::size_t i = j + m;
-                const VertexId v =
-                    order.empty() ? static_cast<VertexId>(i) : order[i];
-                std::memcpy(out.row(v), upd + m * outStride,
-                            outStride * sizeof(Feature));
-                if (outCompressed)
-                    outCompressed->compressRowFrom(v, upd + m * outStride);
-                if (outBf16)
-                    convertRowToBf16(upd + m * outStride, outBf16->cols(),
-                                     outBf16->row(v));
+            for (std::size_t m = 0; m < blockRows; ++m) {
+                const VertexId v = vertexAt(order, j + m);
+                const Feature *row = upd + m * outStride;
+                std::memcpy(out.row(v), row, outStride * sizeof(Feature));
+                if (extra.compressed)
+                    extra.compressed->compressRowFrom(v, row);
+                if (extra.bf16)
+                    convertRowToBf16(row, extra.bf16->cols(),
+                                     extra.bf16->row(v));
             }
         }
         if (metricsOn) {
-            const std::uint64_t taskRows = end - begin;
-            // inRowBytes is the stored size of one gathered row (4 B/elem
-            // for fp32, 2 for bf16, the mean packed size for compressed),
-            // so the counter reflects actual traffic rather than assuming
-            // every input is fp32.
-            bytesGathered.add(rowsPulled * inRowBytes);
+            const std::uint64_t pulled =
+                rowsGathered(graph, order, begin, end);
+            bytesGathered.add(pulled * rows.rowBytes());
+            if (schedule.plan != nullptr)
+                shardBytes.add(pulled * rows.rowBytes());
             // Aggregation multiply-adds plus the per-block micro-GEMM.
-            flops.add(2 * rowsPulled * inCols +
-                      2 * taskRows * inCols * out.cols());
+            flops.add(2 * pulled * inCols +
+                      2 * (end - begin) * inCols * out.cols());
             blockMicros.observe(
                 (obs::TraceRecorder::now() - taskStart) / 1000);
         }
     });
 }
 
-/**
- * Resolve the forward UpdateOp to a packed NN plan — the caller's
- * cached plan when present, else a local pack of W — and shape-check
- * the weights against the layer widths.
- */
-const GemmPlan &
-resolveForwardPlan(const UpdateOp &update, std::size_t inCols,
-                   std::size_t outCols, GemmPlan &localPlan)
-{
-    GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
-    GRAPHITE_ASSERT(update.weights->rows() == inCols,
-                    "weight rows must equal input feature width");
-    GRAPHITE_ASSERT(update.weights->cols() == outCols,
-                    "weight cols must equal output feature width");
-    if (update.packedWeights != nullptr) {
-        GRAPHITE_ASSERT(update.packedWeights->precision() ==
-                            update.precision,
-                        "cached weight plan precision mismatch");
-        return *update.packedWeights;
-    }
-    localPlan.pack(GemmMode::NN, *update.weights, update.precision);
-    return localPlan;
-}
-
 } // namespace
 
 void
-fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
-                   const AggregationSpec &spec, const UpdateOp &update,
-                   DenseMatrix &aggOut, DenseMatrix &out,
-                   std::span<const VertexId> order,
-                   const FusedConfig &config)
+fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
+           const UpdateOp &update, DenseMatrix &out,
+           const FusedOutputs &extra, const Schedule &schedule,
+           const FusedConfig &config)
 {
     GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTraining: %s", error);
+    GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
+    // The same packed operand multiplies every vertex block: the
+    // caller's cached plan (weight shapes are checked against the layer
+    // widths by the driver's validateFor), else one local pack of W.
     GemmPlan localPlan;
+    if (update.packedWeights == nullptr)
+        localPlan.pack(GemmMode::NN, *update.weights, update.precision);
     const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        &aggOut, nullptr, nullptr);
+        update.packedWeights ? *update.packedWeights : localPlan;
+    GRAPHITE_ASSERT(plan.precision() == update.precision,
+                    "cached weight plan precision mismatch");
+    const auto fitsOut = [&](const auto *side) {
+        return !side || (side->rows() == out.rows() &&
+                         side->cols() == out.cols());
+    };
+    GRAPHITE_ASSERT(fitsOut(extra.compressed) && fitsOut(extra.bf16),
+                    "outCompressed/outBf16 shape mismatch");
+    withRowSource(graph, in, spec, schedule, "fusedLayer",
+                  [&](const auto &rows) {
+        fusedRows(graph, rows, plan, update.bias, update.relu, out, extra,
+                  schedule, config);
+    });
 }
 
 void
@@ -268,260 +159,36 @@ fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, std::span<const VertexId> order,
                     const FusedConfig &config, Bf16Matrix *outBf16)
 {
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInference: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, nullptr, outBf16);
+    fusedLayer(graph, in, spec, update, out, {.bf16 = outBf16}, order,
+               config);
 }
 
 void
-fusedLayerTrainingBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                       const AggregationSpec &spec, const UpdateOp &update,
-                       DenseMatrix &aggOut, DenseMatrix &out,
-                       std::span<const VertexId> order,
-                       const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    // Width of one fp32 block row; never exceeds the wider-padded bf16
-    // source rows (see aggregateVertexBf16).
-    const std::size_t aggWidth =
-        (in.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        &aggOut, nullptr, nullptr);
-}
-
-void
-fusedLayerInferenceBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                        const AggregationSpec &spec, const UpdateOp &update,
-                        DenseMatrix &out, std::span<const VertexId> order,
-                        const FusedConfig &config, Bf16Matrix *outBf16)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t aggWidth =
-        (in.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        nullptr, nullptr, outBf16);
-}
-
-void
-fusedLayerTrainingCompressed(const CsrGraph &graph,
-                             const CompressedMatrix &in,
-                             const AggregationSpec &spec,
-                             const UpdateOp &update, DenseMatrix &aggOut,
-                             DenseMatrix &out,
-                             CompressedMatrix *outCompressed,
-                             std::span<const VertexId> order,
-                             const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingCompressed: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t stride = in.rowStride();
-    // Mean stored bytes of one packed row (values + mask) — gathered
-    // traffic depends on each row's sparsity, so the counter uses the
-    // matrix-wide average.
-    const std::size_t rowBytes =
-        in.rows() > 0 ? in.compressedTrafficBytes() / in.rows() : 0;
-    fusedDriver(
-        graph, in.cols(), rowBytes, plan, update.bias, update.relu, out,
-        order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexCompressed(graph, in, v, spec, dst, stride);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.values(u), 0, 3);
-                __builtin_prefetch(in.mask(u), 0, 3);
-            }
-        },
-        &aggOut, outCompressed, nullptr);
-}
-
-void
-fusedLayerInferenceCompressed(const CsrGraph &graph,
-                              const CompressedMatrix &in,
-                              const AggregationSpec &spec,
-                              const UpdateOp &update, DenseMatrix &out,
-                              CompressedMatrix *outCompressed,
-                              std::span<const VertexId> order,
-                              const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceCompressed: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t stride = in.rowStride();
-    const std::size_t rowBytes =
-        in.rows() > 0 ? in.compressedTrafficBytes() / in.rows() : 0;
-    fusedDriver(
-        graph, in.cols(), rowBytes, plan, update.bias, update.relu, out,
-        order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexCompressed(graph, in, v, spec, dst, stride);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.values(u), 0, 3);
-                __builtin_prefetch(in.mask(u), 0, 3);
-            }
-        },
-        nullptr, outCompressed, nullptr);
-}
-
-void
-fusedLayerBackward(const CsrGraph &transposed, const DenseMatrix &dz,
+fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                    const AggregationSpec &transposedSpec,
                    const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                   std::span<const VertexId> order,
-                   const FusedConfig &config)
+                   const Schedule &schedule, const FusedConfig &config)
 {
     GRAPHITE_TRACE_SPAN("fused.backward");
-    GRAPHITE_ASSERT(dz.rows() == transposed.numVertices(),
-                    "row mismatch");
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    // The commutation below is only valid for a linear aggregation;
-    // Max-reduce backward needs argmax state the forward never saves.
+    // The commutation is only valid for a linear aggregation; Max-reduce
+    // backward needs argmax state the forward never saves.
     GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
                     "fused backward requires a sum-reduce aggregation");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackward: %s", error);
-    // dh_prev = Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ: aggregation mixes rows and
-    // the weight GEMM mixes columns, so they commute. The commuted form
-    // turns the reversed fusion direction (GEMM→scatter-aggregate, which
-    // would need synchronised writes) back into the forward kernel's
-    // pull-shape: aggregate a block of dz rows over the transposed CSR
-    // into the L2-resident block buffer, then micro-GEMM it through the
-    // prepacked NT plan straight into gradIn. dAgg = dz·Wᵀ never exists.
-    fusedDriver(
-        transposed, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(transposed, dz, v, transposedSpec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next)) {
-                __builtin_prefetch(dz.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       dz.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, nullptr, nullptr);
+    withRowSource(transposed, dz, transposedSpec, schedule,
+                  "fusedLayerBackward", [&](const auto &rows) {
+        fusedRows(transposed, rows, weightsNT, {}, false, gradIn, {},
+                  schedule, config);
+    });
 }
 
 void
-fusedLayerBackwardBf16(const CsrGraph &transposed, const Bf16Matrix &dz,
-                       const AggregationSpec &transposedSpec,
-                       const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                       std::span<const VertexId> order,
-                       const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.backward");
-    GRAPHITE_ASSERT(dz.rows() == transposed.numVertices(),
-                    "row mismatch");
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
-    GRAPHITE_ASSERT(weightsNT.precision() == Precision::Bf16,
-                    "bf16 fused backward needs a bf16 NT plan");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackwardBf16: %s", error);
-    const std::size_t aggWidth =
-        (dz.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    // Same commuted pull-shape as fusedLayerBackward; only the gathered
-    // dz rows and the packed W operands are bf16-rounded.
-    fusedDriver(
-        transposed, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(transposed, dz, v, transposedSpec, dst,
-                                aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next))
-                __builtin_prefetch(dz.row(u), 0, 3);
-        },
-        nullptr, nullptr, nullptr);
-}
-
-void
-unfusedLayer(const CsrGraph &graph, const DenseMatrix &in,
+unfusedLayer(const CsrGraph &graph, FeatureRows in,
              const AggregationSpec &spec, const UpdateOp &update,
              DenseMatrix &aggOut, DenseMatrix &out,
-             std::span<const VertexId> order,
-             const AggregationConfig &config)
+             const Schedule &schedule, const AggregationConfig &config)
 {
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
-    aggregateBasic(graph, in, aggOut, spec, order, config);
+    aggregate(graph, in, aggOut, spec, schedule, config);
     if (update.packedWeights)
         gemm(GemmMode::NN, aggOut, *update.packedWeights, out);
     else

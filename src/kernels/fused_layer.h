@@ -61,85 +61,44 @@ struct FusedConfig
 };
 
 /**
- * Fused aggregation + update for training (Figure 5b): the aggregation
- * block is consumed by the update while cache-resident, but the whole
- * a^k matrix is still written out because back-propagation needs it.
- *
- * @param aggOut   full |V| x F_in aggregation matrix (kept for backprop).
- * @param out      |V| x F_out output features h^k.
- * @param order    processing order or empty for identity.
+ * Optional outputs of the fused forward besides h^k, all written while
+ * the block is cache-resident.
  */
-void fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
-                        const AggregationSpec &spec, const UpdateOp &update,
-                        DenseMatrix &aggOut, DenseMatrix &out,
-                        std::span<const VertexId> order = {},
-                        const FusedConfig &config = {});
+struct FusedOutputs
+{
+    /**
+     * Training (Figure 5b): the |V| x F_in a^k backprop needs. Null for
+     * inference (Figure 5c): a^k then lives only in a per-thread buffer.
+     */
+    DenseMatrix *agg = nullptr;
+    /** h^k compressed for the next layer's packed gathers. */
+    CompressedMatrix *compressed = nullptr;
+    /** h^k rounded to bf16 for the next layer's bf16 gathers. */
+    Bf16Matrix *bf16 = nullptr;
+};
 
 /**
- * Fused aggregation + update for inference (Figure 5c): a^k lives only
- * in a per-thread reusable block buffer and is never written to memory.
- *
- * @param outBf16 when non-null, each produced h^k row is also rounded
- *                to bf16 while cache-resident — the write-side
- *                conversion that feeds the next layer's bf16 gathers
- *                without an extra pass over DRAM. Must be |V| x F_out.
+ * Fused aggregation + update (Algorithm 2): per block of B vertices,
+ * aggregate the block from @p in's stored form into a cache-resident
+ * buffer, then run the update's micro-GEMM at its precision, bias and
+ * ReLU straight into @p out (|V| x F_out). Blocks are carved from
+ * @p schedule's tasks (flat or shard-major; not delayed halo). Results
+ * are bit-identical across schedules: gemmBlockSerial results do not
+ * depend on how rows are grouped into blocks.
  */
+void fusedLayer(const CsrGraph &graph, FeatureRows in,
+                const AggregationSpec &spec, const UpdateOp &update,
+                DenseMatrix &out, const FusedOutputs &extra = {},
+                const Schedule &schedule = {},
+                const FusedConfig &config = {});
+
+/** fusedLayer() inference over fp32 rows in a flat order. */
 void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                          const AggregationSpec &spec, const UpdateOp &update,
                          DenseMatrix &out,
                          std::span<const VertexId> order = {},
                          const FusedConfig &config = {},
                          Bf16Matrix *outBf16 = nullptr);
-
-/**
- * Bf16-input fused variants (the precision analogue of the compressed
- * pair): gathered rows are widened from bf16 to fp32 in registers
- * during aggregation, so half-width features never round-trip through
- * a DRAM scratch, and the per-block micro-GEMM runs at the update op's
- * precision. @p aggOut still persists fp32 aggregation rows (backprop
- * consumes them at full precision).
- * @{
- */
-void fusedLayerTrainingBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                            const AggregationSpec &spec,
-                            const UpdateOp &update, DenseMatrix &aggOut,
-                            DenseMatrix &out,
-                            std::span<const VertexId> order = {},
-                            const FusedConfig &config = {});
-
-void fusedLayerInferenceBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                             const AggregationSpec &spec,
-                             const UpdateOp &update, DenseMatrix &out,
-                             std::span<const VertexId> order = {},
-                             const FusedConfig &config = {},
-                             Bf16Matrix *outBf16 = nullptr);
-/** @} */
-
-/**
- * Compressed-input variants (Section 4.3 combined with fusion): gathered
- * rows are expanded on the fly from @p in's packed form. When
- * @p outCompressed is non-null the produced h^k rows are also compressed
- * so the *next* layer reads packed data — that write-side compression is
- * where training's ReLU/dropout sparsity pays off.
- * @{
- */
-void fusedLayerTrainingCompressed(const CsrGraph &graph,
-                                  const CompressedMatrix &in,
-                                  const AggregationSpec &spec,
-                                  const UpdateOp &update,
-                                  DenseMatrix &aggOut, DenseMatrix &out,
-                                  CompressedMatrix *outCompressed = nullptr,
-                                  std::span<const VertexId> order = {},
-                                  const FusedConfig &config = {});
-
-void fusedLayerInferenceCompressed(const CsrGraph &graph,
-                                   const CompressedMatrix &in,
-                                   const AggregationSpec &spec,
-                                   const UpdateOp &update, DenseMatrix &out,
-                                   CompressedMatrix *outCompressed = nullptr,
-                                   std::span<const VertexId> order = {},
-                                   const FusedConfig &config = {});
-/** @} */
 
 /**
  * Fused backward kernel — Algorithm 2's counterpart for training's
@@ -153,47 +112,39 @@ void fusedLayerInferenceCompressed(const CsrGraph &graph,
  * Instead this kernel exploits that the two operators commute —
  * aggregation is a row-mixing (sparse-left) multiply, the weight GEMM a
  * column-mixing (dense-right) multiply, so Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ
- * — which restores the forward kernel's pull-shape: per block of B
- * vertices, aggregate dz rows over the transposed CSR into a
- * cache-resident block buffer, then run the `·Wᵀ` micro-GEMM (via the
- * prepacked NT @p weightsNT plan, gemmBlockSerial) from that buffer
- * straight into @p gradIn. The F_out-wide dz block stays L2-resident
- * between the two phases and dAgg is never materialised.
+ * — which restores the forward kernel's pull-shape: the same fused
+ * driver, per block of B vertices, aggregates dz rows over the
+ * transposed CSR into a cache-resident block buffer, then runs the
+ * `·Wᵀ` micro-GEMM (via the prepacked NT @p weightsNT plan,
+ * gemmBlockSerial) from that buffer straight into @p gradIn, with no
+ * bias or ReLU. The F_out-wide dz block stays L2-resident between the
+ * two phases and dAgg is never materialised. dz may be stored in any
+ * FeatureRows form (bf16 dz is gathered at half width); gradients
+ * accumulate in fp32 throughout.
  *
  * @param transposed     transposed graph.
  * @param dz             dL/d(pre-activation), |V| x F_out.
  * @param transposedSpec factors remapped by transposeSpec(); Sum only.
  * @param weightsNT      W packed in NT mode (K=F_out, N=F_in).
  * @param gradIn         dL/dh_prev output, |V| x F_in.
- * @param order          processing order for the transposed graph.
+ * @param schedule       visit order over the transposed graph (a
+ *                       sharded schedule needs a plan of it).
  */
-void fusedLayerBackward(const CsrGraph &transposed, const DenseMatrix &dz,
+void fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                         const AggregationSpec &transposedSpec,
                         const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                        std::span<const VertexId> order = {},
+                        const Schedule &schedule = {},
                         const FusedConfig &config = {});
 
 /**
- * Bf16 fused backward: dz is gathered at half width (widened to fp32
- * in registers) and the `·Wᵀ` micro-GEMM consumes the bf16 NT plan.
- * Gradients accumulate in fp32 throughout; only the gathered operands
- * are rounded.
+ * Unfused reference layer: aggregation over the full graph into
+ * @p aggOut, then a whole-matrix GEMM update. The `basic` configuration
+ * of Figure 11, and the unfused path of GnnLayer.
  */
-void fusedLayerBackwardBf16(const CsrGraph &transposed,
-                            const Bf16Matrix &dz,
-                            const AggregationSpec &transposedSpec,
-                            const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                            std::span<const VertexId> order = {},
-                            const FusedConfig &config = {});
-
-/**
- * Unfused reference layer: aggregateBasic over the full graph, then a
- * whole-matrix GEMM update. The `basic` configuration of Figure 11.
- */
-void unfusedLayer(const CsrGraph &graph, const DenseMatrix &in,
+void unfusedLayer(const CsrGraph &graph, FeatureRows in,
                   const AggregationSpec &spec, const UpdateOp &update,
                   DenseMatrix &aggOut, DenseMatrix &out,
-                  std::span<const VertexId> order = {},
+                  const Schedule &schedule = {},
                   const AggregationConfig &config = {});
 
 } // namespace graphite

@@ -65,7 +65,7 @@ TEST_P(AggregationMatrix, VectorKernelMatchesReference)
 
     DenseMatrix out(g.numVertices(), h.cols());
     DenseMatrix expected(g.numVertices(), h.cols());
-    aggregateBasic(g, h, out, spec);
+    aggregate(g, h, out, spec);
     aggregateReference(g, h, expected, spec);
     EXPECT_LT(out.maxAbsDiff(expected), 1e-4);
 }
@@ -86,11 +86,11 @@ TEST(Aggregation, ProcessingOrderDoesNotChangeResults)
     DenseMatrix identity(g.numVertices(), 64);
     DenseMatrix locality(g.numVertices(), 64);
     DenseMatrix random(g.numVertices(), 64);
-    aggregateBasic(g, h, identity, spec);
+    aggregate(g, h, identity, spec);
     ProcessingOrder loc = localityOrder(g);
-    aggregateBasic(g, h, locality, spec, loc);
+    aggregate(g, h, locality, spec, loc);
     ProcessingOrder rnd = randomOrder(g, 33);
-    aggregateBasic(g, h, random, spec, rnd);
+    aggregate(g, h, random, spec, rnd);
     EXPECT_DOUBLE_EQ(identity.maxAbsDiff(locality), 0.0);
     EXPECT_DOUBLE_EQ(identity.maxAbsDiff(random), 0.0);
 }
@@ -105,13 +105,13 @@ TEST(Aggregation, PrefetchConfigDoesNotChangeResults)
     DenseMatrix base(g.numVertices(), 128);
     AggregationConfig noPrefetch;
     noPrefetch.prefetchDistance = 0;
-    aggregateBasic(g, h, base, spec, {}, noPrefetch);
+    aggregate(g, h, base, spec, {}, noPrefetch);
 
     DenseMatrix deep(g.numVertices(), 128);
     AggregationConfig deepPrefetch;
     deepPrefetch.prefetchDistance = 16;
     deepPrefetch.prefetchLines = 4;
-    aggregateBasic(g, h, deep, spec, {}, deepPrefetch);
+    aggregate(g, h, deep, spec, {}, deepPrefetch);
     EXPECT_DOUBLE_EQ(base.maxAbsDiff(deep), 0.0);
 }
 
@@ -123,7 +123,7 @@ TEST(Aggregation, IsolatedVertexAggregatesOnlyItself)
     DenseMatrix h(3, 16);
     h.at(2, 3) = 5.0f;
     DenseMatrix out(3, 16);
-    aggregateBasic(g, h, out, sumSpec());
+    aggregate(g, h, out, sumSpec());
     EXPECT_FLOAT_EQ(out.at(2, 3), 5.0f);
     for (std::size_t c = 0; c < 16; ++c) {
         if (c != 3) {
@@ -161,7 +161,7 @@ TEST(Aggregation, SageSpecAveragesNeighborhood)
     h.at(1, 0) = 6.0f;
     h.at(2, 0) = 9.0f;
     DenseMatrix out(3, 16);
-    aggregateBasic(g, h, out, spec);
+    aggregate(g, h, out, spec);
     EXPECT_NEAR(out.at(0, 0), (3.0f + 6.0f + 9.0f) / 3.0f, 1e-5);
 }
 
@@ -181,8 +181,8 @@ TEST_P(CompressedAggregation, MatchesDenseAggregation)
 
     DenseMatrix dense(g.numVertices(), 128);
     DenseMatrix fromPacked(g.numVertices(), 128);
-    aggregateBasic(g, h, dense, spec);
-    aggregateCompressed(g, packed, fromPacked, spec);
+    aggregate(g, h, dense, spec);
+    aggregate(g, packed, fromPacked, spec);
     EXPECT_LT(dense.maxAbsDiff(fromPacked), 1e-4);
 }
 
@@ -196,7 +196,7 @@ TEST(Aggregation, SingleVertexKernelMatchesRowOfFullKernel)
     h.fillUniform(-1.0f, 1.0f, 26);
     AggregationSpec spec = sageSpec(g);
     DenseMatrix full(g.numVertices(), 256);
-    aggregateBasic(g, h, full, spec);
+    aggregate(g, h, full, spec);
 
     DenseMatrix single(1, 256);
     aggregateVertex(g, h, 17, spec, single.row(0));
@@ -216,8 +216,8 @@ TEST(Aggregation, TransposeOfSymmetricGraphAggregatesIdentically)
 
     DenseMatrix fwd(g.numVertices(), 32);
     DenseMatrix bwd(g.numVertices(), 32);
-    aggregateBasic(g, h, fwd, sumSpec());
-    aggregateBasic(t, h, bwd, sumSpec());
+    aggregate(g, h, fwd, sumSpec());
+    aggregate(t, h, bwd, sumSpec());
     EXPECT_DOUBLE_EQ(fwd.maxAbsDiff(bwd), 0.0);
 }
 

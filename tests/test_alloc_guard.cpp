@@ -2,8 +2,9 @@
  * @file
  * ScopedAllocGuard unit tests plus the dynamic half of the
  * allocation-free steady-state contract: after warm-up, a full Trainer
- * epoch (fused fp32 and bf16) and a GnnModel::inference call (flat and
- * sharded) must perform zero heap allocations. graphite_lint enforces
+ * epoch (fused fp32 and bf16, sharded with compression) and a
+ * GnnModel::inference call (flat and sharded) must perform zero heap
+ * allocations. graphite_lint enforces
  * the same property statically inside the kernel hot loops; these
  * tests prove it end to end across kernels, pool dispatch and the
  * model's persistent workspaces.
@@ -181,6 +182,13 @@ TEST(SteadyStateAllocFree, CombinedLocalityTraining)
 {
     expectEpochAllocationFree(TechniqueConfig::combinedLocality(),
                               "combined-locality-epoch");
+}
+
+TEST(SteadyStateAllocFree, ShardedCompressedTraining)
+{
+    TechniqueConfig tech = TechniqueConfig::combined();
+    tech.shards = 4;
+    expectEpochAllocationFree(tech, "sharded-compressed-epoch");
 }
 
 void

@@ -64,7 +64,7 @@ TEST(FusedBackwardKernel, MatchesUnfusedAndScatterOracle)
     DenseMatrix dAgg(g.numVertices(), fIn);
     gemm(GemmMode::NT, dz, planNT, dAgg);
     DenseMatrix unfused(g.numVertices(), fIn);
-    aggregateBasic(t, dAgg, unfused, tSpec);
+    aggregate(t, dAgg, unfused, tSpec);
 
     // Scatter oracle: push dAgg rows along the forward CSR.
     DenseMatrix oracle(g.numVertices(), fIn);

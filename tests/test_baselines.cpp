@@ -89,7 +89,7 @@ TEST(Baselines, AllThreeAgreeOnSageSpec)
     DenseMatrix c(fx.graph.numVertices(), 64);
     distgnnAggregate(fx.graph, fx.input, a, sage);
     spmm(fx.graph, fx.input, b, sage.edgeFactors, sage.selfFactors);
-    aggregateBasic(fx.graph, fx.input, c, sage);
+    aggregate(fx.graph, fx.input, c, sage);
     EXPECT_LT(a.maxAbsDiff(b), 1e-4);
     EXPECT_LT(a.maxAbsDiff(c), 1e-4);
 }

@@ -25,6 +25,7 @@
 
 #include "gnn/gnn_model.h"
 #include "graph/generators.h"
+#include "graph/partition/partitioner.h"
 #include "kernels/aggregation.h"
 #include "kernels/fused_layer.h"
 #include "obs/metrics.h"
@@ -364,9 +365,9 @@ TEST(Bf16Aggregation, MatchesFp32OnRoundedInput)
     packed.toDense(rounded);
 
     DenseMatrix ref(g.numVertices(), 43);
-    aggregateBasic(g, rounded, ref, spec);
+    aggregate(g, rounded, ref, spec);
     DenseMatrix got(g.numVertices(), 43);
-    aggregateBf16(g, packed, got, spec);
+    aggregate(g, packed, got, spec);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 43; ++c)
             EXPECT_EQ(floatBits(got.at(v, c)), floatBits(ref.at(v, c)))
@@ -386,10 +387,10 @@ TEST(Bf16Aggregation, MaxReduceAndProcessingOrder)
     packed.toDense(rounded);
 
     DenseMatrix ref(g.numVertices(), 24);
-    aggregateBasic(g, rounded, ref, spec);
+    aggregate(g, rounded, ref, spec);
     const ProcessingOrder order = localityOrder(g);
     DenseMatrix got(g.numVertices(), 24);
-    aggregateBf16(g, packed, got, spec, order);
+    aggregate(g, packed, got, spec, order);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 24; ++c)
             EXPECT_EQ(floatBits(got.at(v, c)), floatBits(ref.at(v, c)))
@@ -417,7 +418,7 @@ TEST(Bf16FusedLayer, InferenceMatchesUnfusedComposition)
 
     // Unfused composition at the same precision.
     DenseMatrix agg(g.numVertices(), fIn);
-    aggregateBf16(g, packed, agg, spec);
+    aggregate(g, packed, agg, spec);
     DenseMatrix ref(g.numVertices(), fOut);
     gemm(GemmMode::NN, agg, plan, ref);
     addBias(ref, bias);
@@ -425,8 +426,7 @@ TEST(Bf16FusedLayer, InferenceMatchesUnfusedComposition)
 
     Bf16Matrix outBf16(g.numVertices(), fOut);
     DenseMatrix out(g.numVertices(), fOut);
-    fusedLayerInferenceBf16(g, packed, spec, update, out, {}, {},
-                            &outBf16);
+    fusedLayer(g, packed, spec, update, out, {.bf16 = &outBf16});
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < fOut; ++c) {
             EXPECT_NEAR(out.at(v, c), ref.at(v, c),
@@ -457,11 +457,11 @@ TEST(Bf16FusedLayer, TrainingKeepsFp32AggForBackprop)
     const UpdateOp update{&weights, bias, true, &plan, Precision::Bf16};
 
     DenseMatrix refAgg(g.numVertices(), 32);
-    aggregateBf16(g, packed, refAgg, spec);
+    aggregate(g, packed, refAgg, spec);
 
     DenseMatrix aggOut(g.numVertices(), 32);
     DenseMatrix out(g.numVertices(), 16);
-    fusedLayerTrainingBf16(g, packed, spec, update, aggOut, out);
+    fusedLayer(g, packed, spec, update, out, {&aggOut});
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 32; ++c)
             EXPECT_EQ(floatBits(aggOut.at(v, c)),
@@ -496,12 +496,12 @@ TEST(Bf16FusedLayer, BackwardMatchesUnfusedComposition)
     // rounded values, its GEMM rounds the aggregated rows again at the
     // A pack, so match the composition exactly rather than fp32.)
     DenseMatrix aggT(g.numVertices(), fOut);
-    aggregateBasic(t, dzRounded, aggT, tSpec);
+    aggregate(t, dzRounded, aggT, tSpec);
     DenseMatrix ref(g.numVertices(), fIn);
     gemm(GemmMode::NT, aggT, planNT, ref);
 
     DenseMatrix got(g.numVertices(), fIn);
-    fusedLayerBackwardBf16(t, dzBf16, tSpec, planNT, got);
+    fusedLayerBackward(t, dzBf16, tSpec, planNT, got);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < fIn; ++c) {
             EXPECT_NEAR(got.at(v, c), ref.at(v, c),
@@ -524,26 +524,57 @@ TEST(Bf16Traffic, GatherBytesHalveAtFullPrecisionWidths)
     features.fillUniform(-1.0f, 1.0f, 91);
     Bf16Matrix packed(g.numVertices(), f);
     packed.fromDense(features);
+    DenseMatrix sparse = features;
+    sparse.sparsify(0.6, 94);
+    CompressedMatrix compressed(g.numVertices(), f);
+    compressed.compressFrom(sparse);
     DenseMatrix out(g.numVertices(), f);
+    PartitionConfig partition;
+    partition.numShards = 4;
+    const PartitionPlan plan = makePartitionPlan(g, partition);
 
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
     const bool wasEnabled = registry.enabled();
     registry.setEnabled(true);
     obs::Counter &bytes = registry.counter("agg.bytes_gathered");
-    const std::uint64_t base = bytes.value();
-    aggregateBasic(g, features, out, spec);
-    const std::uint64_t fp32Bytes = bytes.value() - base;
-    aggregateBf16(g, packed, out, spec);
-    const std::uint64_t bf16Bytes = bytes.value() - base - fp32Bytes;
+    obs::Counter &shardBytes = registry.counter("partition.bytes_gathered");
+    // Bytes one aggregate() call adds to agg.bytes_gathered; a sharded
+    // schedule must add the same amount to partition.bytes_gathered.
+    auto gathered = [&](FeatureRows in, const Schedule &schedule) {
+        const std::uint64_t base = bytes.value();
+        const std::uint64_t shardBase = shardBytes.value();
+        aggregate(g, in, out, spec, schedule);
+        const std::uint64_t added = bytes.value() - base;
+        EXPECT_EQ(shardBytes.value() - shardBase,
+                  schedule.plan != nullptr ? added : 0u);
+        return added;
+    };
+    // One padded row per self term plus one per edge, at each source's
+    // stored row size (the mean packed row for compressed).
+    const std::uint64_t rows = g.numVertices() + g.numEdges();
+    const struct
+    {
+        const char *name;
+        FeatureRows in;
+        std::uint64_t rowBytes;
+    } sources[] = {
+        {"fp32", features, features.rowBytes()},
+        {"bf16", packed, packed.rowBytes()},
+        {"compressed", compressed,
+         compressed.compressedTrafficBytes() / g.numVertices()},
+    };
+    std::uint64_t flat[3] = {};
+    for (std::size_t i = 0; i < 3; ++i) {
+        flat[i] = gathered(sources[i].in, {});
+        EXPECT_EQ(flat[i], rows * sources[i].rowBytes) << sources[i].name;
+        EXPECT_EQ(gathered(sources[i].in, Schedule::sharded(plan)), flat[i])
+            << sources[i].name;
+    }
     registry.setEnabled(wasEnabled);
 
-    ASSERT_GT(fp32Bytes, 0u);
-    EXPECT_EQ(bf16Bytes * 2, fp32Bytes);
-    // And the absolute scale is right: one padded row per self term
-    // plus one per edge.
-    const std::uint64_t rows = g.numVertices() + g.numEdges();
-    EXPECT_EQ(fp32Bytes, rows * features.rowBytes());
-    EXPECT_EQ(bf16Bytes, rows * packed.rowBytes());
+    ASSERT_GT(flat[0], 0u);
+    EXPECT_EQ(flat[1] * 2, flat[0]);
+    EXPECT_LT(flat[2], flat[0]);
 }
 
 TEST(Bf16Traffic, FusedGatherBytesHalveToo)
@@ -570,9 +601,9 @@ TEST(Bf16Traffic, FusedGatherBytesHalveToo)
     registry.setEnabled(true);
     obs::Counter &bytes = registry.counter("fused.bytes_gathered");
     const std::uint64_t base = bytes.value();
-    fusedLayerInference(g, features, spec, fp32Update, out);
+    fusedLayer(g, features, spec, fp32Update, out);
     const std::uint64_t fp32Bytes = bytes.value() - base;
-    fusedLayerInferenceBf16(g, packed, spec, bf16Update, out);
+    fusedLayer(g, packed, spec, bf16Update, out);
     const std::uint64_t bf16Bytes = bytes.value() - base - fp32Bytes;
     registry.setEnabled(wasEnabled);
 

@@ -31,7 +31,7 @@ TEST(MaxAggregation, MatchesReferenceOnRandomGraph)
     AggregationSpec spec = maxSpec();
     DenseMatrix fast(g.numVertices(), 128);
     DenseMatrix expected(g.numVertices(), 128);
-    aggregateBasic(g, h, fast, spec);
+    aggregate(g, h, fast, spec);
     aggregateReference(g, h, expected, spec);
     EXPECT_DOUBLE_EQ(fast.maxAbsDiff(expected), 0.0);
 }
@@ -48,7 +48,7 @@ TEST(MaxAggregation, ComputesElementwiseNeighborhoodMax)
     h.at(2, 0) = 3.0f;
     h.at(0, 1) = 7.0f;
     DenseMatrix out(3, 16);
-    aggregateBasic(g, h, out, maxSpec());
+    aggregate(g, h, out, maxSpec());
     EXPECT_FLOAT_EQ(out.at(0, 0), 5.0f); // max(-1, 5, 3)
     EXPECT_FLOAT_EQ(out.at(0, 1), 7.0f); // self dominates
 }
@@ -70,7 +70,7 @@ TEST(MaxAggregation, WorksThroughFusedLayer)
 
     DenseMatrix agg(g.numVertices(), 64);
     DenseMatrix out(g.numVertices(), 32);
-    fusedLayerTraining(g, h, spec, update, agg, out);
+    fusedLayer(g, h, spec, update, out, {&agg});
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
 
@@ -133,8 +133,8 @@ TEST(Bf16, AggregationTracksFp32WithinPrecision)
 
     DenseMatrix full(g.numVertices(), 128);
     DenseMatrix half(g.numVertices(), 128);
-    aggregateBasic(g, h, full, spec);
-    aggregateBf16(g, packed, half, spec);
+    aggregate(g, h, full, spec);
+    aggregate(g, packed, half, spec);
     // Each input carries <2^-8 relative error; the normalised sums
     // stay well within 1% for unit-scale features.
     EXPECT_LT(full.maxAbsDiff(half), 0.02);
@@ -163,7 +163,7 @@ TEST(Bf16, MaxReductionAggregationsWork)
     DenseMatrix expected(g.numVertices(), 32);
     DenseMatrix actual(g.numVertices(), 32);
     aggregateReference(g, restored, expected, spec);
-    aggregateBf16(g, packed, actual, spec);
+    aggregate(g, packed, actual, spec);
     EXPECT_LT(expected.maxAbsDiff(actual), 1e-6);
 }
 
@@ -179,7 +179,7 @@ TEST(Gin, SpecSumsNeighborsWithWeightedSelf)
     h.at(1, 0) = 3.0f;
     h.at(2, 0) = 4.0f;
     DenseMatrix out(3, 16);
-    aggregateBasic(g, h, out, spec);
+    aggregate(g, h, out, spec);
     // (1 + 0.5) * 2 + 3 + 4 = 10.
     EXPECT_FLOAT_EQ(out.at(0, 0), 10.0f);
 }
@@ -371,7 +371,7 @@ TEST(Gat, AttentionFactorsFlowThroughDmaFactorArray)
 
     DenseMatrix viaCore(g.numVertices(), 16);
     DenseMatrix viaDma(g.numVertices(), 16);
-    aggregateBasic(g, z, viaCore, attention);
+    aggregate(g, z, viaCore, attention);
     dma::dmaAggregate(g, z, attention, viaDma);
     EXPECT_LT(viaCore.maxAbsDiff(viaDma), 1e-5);
 }

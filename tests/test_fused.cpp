@@ -75,8 +75,8 @@ TEST_P(FusedBlockShapes, TrainingVariantMatchesUnfused)
     config.blocksPerTask = static_cast<std::size_t>(blocksPerTask);
     DenseMatrix agg(fx.graph.numVertices(), 96);
     DenseMatrix out(fx.graph.numVertices(), 64);
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), agg, out,
-                       {}, config);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out, {&agg}, {},
+               config);
     EXPECT_LT(agg.maxAbsDiff(refAgg), 1e-4);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
@@ -90,7 +90,7 @@ TEST(FusedLayer, InferenceVariantMatchesUnfused)
     LayerFixture fx(128, 128);
     auto [refAgg, refOut] = fx.reference();
     DenseMatrix out(fx.graph.numVertices(), 128);
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), out);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
 
@@ -101,8 +101,7 @@ TEST(FusedLayer, RespectsProcessingOrder)
     ProcessingOrder order = localityOrder(fx.graph);
     DenseMatrix agg(fx.graph.numVertices(), 64);
     DenseMatrix out(fx.graph.numVertices(), 32);
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), agg, out,
-                       order);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out, {&agg}, order);
     EXPECT_LT(agg.maxAbsDiff(refAgg), 1e-4);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
@@ -116,8 +115,7 @@ TEST(FusedLayer, CompressedInputMatchesDense)
 
     DenseMatrix agg(fx.graph.numVertices(), 128);
     DenseMatrix out(fx.graph.numVertices(), 96);
-    fusedLayerTrainingCompressed(fx.graph, packed, fx.spec, fx.update(),
-                                 agg, out);
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), out, {&agg});
     EXPECT_LT(agg.maxAbsDiff(refAgg), 1e-4);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
@@ -127,13 +125,13 @@ TEST(FusedLayer, CompressedOutputRoundTrips)
     LayerFixture fx(64, 64, 0.5);
     DenseMatrix out(fx.graph.numVertices(), 64);
     CompressedMatrix outPacked(fx.graph.numVertices(), 64);
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), out);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out);
 
     CompressedMatrix inPacked(fx.graph.numVertices(), 64);
     inPacked.compressFrom(fx.input);
     DenseMatrix out2(fx.graph.numVertices(), 64);
-    fusedLayerInferenceCompressed(fx.graph, inPacked, fx.spec, fx.update(),
-                                  out2, &outPacked);
+    fusedLayer(fx.graph, inPacked, fx.spec, fx.update(), out2,
+               {.compressed = &outPacked});
     EXPECT_LT(out.maxAbsDiff(out2), 1e-4);
 
     // The packed output must decompress to the dense output (ReLU makes
@@ -151,7 +149,7 @@ TEST(FusedLayer, NoReluPassesNegativesThrough)
     update.relu = false;
     DenseMatrix agg(fx.graph.numVertices(), 32);
     DenseMatrix out(fx.graph.numVertices(), 32);
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, update, agg, out);
+    fusedLayer(fx.graph, fx.input, fx.spec, update, out, {&agg});
     bool sawNegative = false;
     for (VertexId v = 0; v < fx.graph.numVertices() && !sawNegative; ++v) {
         for (std::size_t c = 0; c < 32; ++c) {
@@ -172,8 +170,8 @@ TEST(FusedLayer, BlockLargerThanGraphStillCorrect)
     config.blockSize = fx.graph.numVertices() * 2;
     DenseMatrix agg(fx.graph.numVertices(), 48);
     DenseMatrix out(fx.graph.numVertices(), 24);
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), agg, out,
-                       {}, config);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out, {&agg}, {},
+               config);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
 

@@ -68,8 +68,8 @@ TEST(TransposeSpec, TransposedAggregationIsAdjointOfForward)
 
     DenseMatrix ax(g.numVertices(), 8);
     DenseMatrix aty(g.numVertices(), 8);
-    aggregateBasic(g, x, ax, spec);
-    aggregateBasic(t, y, aty, tSpec);
+    aggregate(g, x, ax, spec);
+    aggregate(t, y, aty, tSpec);
 
     double lhs = 0.0;
     double rhs = 0.0;

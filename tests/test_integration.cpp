@@ -97,7 +97,7 @@ TEST(Integration, DmaLayerInsideTrainingForwardMatchesSoftware)
 
     DenseMatrix aggSw(g.numVertices(), 64);
     DenseMatrix outSw(g.numVertices(), 32);
-    fusedLayerTraining(g, input, spec, update, aggSw, outSw);
+    fusedLayer(g, input, spec, update, outSw, {&aggSw});
 
     DenseMatrix aggHw(g.numVertices(), 64);
     DenseMatrix outHw(g.numVertices(), 32);

@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <tuple>
 
@@ -22,7 +23,7 @@
 #include "graph/graph_builder.h"
 #include "graph/partition/partition_stats.h"
 #include "graph/partition/partitioner.h"
-#include "kernels/shard_exec.h"
+#include "kernels/fused_layer.h"
 #include "obs/metrics.h"
 #include "sim/machine.h"
 #include "sim/workloads.h"
@@ -270,8 +271,8 @@ TEST_P(ShardedParity, AggregationMatchesGlobalBitwise)
     PartitionPlan plan = planFor(fx.graph, k);
     DenseMatrix global(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix sharded(fx.graph.numVertices(), fx.input.cols());
-    aggregateBasic(fx.graph, fx.input, global, fx.spec);
-    aggregateSharded(plan, fx.input, sharded, fx.spec);
+    aggregate(fx.graph, fx.input, global, fx.spec);
+    aggregate(fx.graph, fx.input, sharded, fx.spec, Schedule::sharded(plan));
     expectBitEqual(global, sharded);
 }
 
@@ -284,17 +285,16 @@ TEST_P(ShardedParity, FusedForwardMatchesGlobalBitwise)
 
     DenseMatrix aggG(n, fx.input.cols()), outG(n, fx.weights.cols());
     DenseMatrix aggS(n, fx.input.cols()), outS(n, fx.weights.cols());
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), aggG,
-                       outG);
-    fusedLayerTrainingSharded(plan, fx.input, fx.spec, fx.update(), aggS,
-                              outS);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), outG, {&aggG});
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), outS, {&aggS},
+               Schedule::sharded(plan));
     expectBitEqual(aggG, aggS);
     expectBitEqual(outG, outS);
 
     DenseMatrix infG(n, fx.weights.cols()), infS(n, fx.weights.cols());
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), infG);
-    fusedLayerInferenceSharded(plan, fx.input, fx.spec, fx.update(),
-                               infS);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), infG);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), infS, {},
+               Schedule::sharded(plan));
     expectBitEqual(infG, infS);
 }
 
@@ -315,7 +315,8 @@ TEST_P(ShardedParity, FusedBackwardMatchesGlobalBitwise)
     weightsNT.pack(GemmMode::NT, fx.weights, Precision::Fp32);
     DenseMatrix gradG(n, fx.input.cols()), gradS(n, fx.input.cols());
     fusedLayerBackward(transposed, dz, tSpec, weightsNT, gradG);
-    fusedLayerBackwardSharded(tPlan, dz, tSpec, weightsNT, gradS);
+    fusedLayerBackward(transposed, dz, tSpec, weightsNT, gradS,
+                       Schedule::sharded(tPlan));
     expectBitEqual(gradG, gradS);
 }
 
@@ -329,19 +330,74 @@ TEST_P(ShardedParity, Bf16VariantsMatchGlobalBf16Bitwise)
     inBf16.fromDense(fx.input);
 
     DenseMatrix aggG(n, fx.input.cols()), aggS(n, fx.input.cols());
-    aggregateBf16(fx.graph, inBf16, aggG, fx.spec);
-    aggregateShardedBf16(plan, inBf16, aggS, fx.spec);
+    aggregate(fx.graph, inBf16, aggG, fx.spec);
+    aggregate(fx.graph, inBf16, aggS, fx.spec, Schedule::sharded(plan));
     expectBitEqual(aggG, aggS);
 
     DenseMatrix fAggG(n, fx.input.cols()), fOutG(n, fx.weights.cols());
     DenseMatrix fAggS(n, fx.input.cols()), fOutS(n, fx.weights.cols());
     const UpdateOp update = fx.update(Precision::Bf16);
-    fusedLayerTrainingBf16(fx.graph, inBf16, fx.spec, update, fAggG,
-                           fOutG);
-    fusedLayerTrainingShardedBf16(plan, inBf16, fx.spec, update, fAggS,
-                                  fOutS);
+    fusedLayer(fx.graph, inBf16, fx.spec, update, fOutG, {&fAggG});
+    fusedLayer(fx.graph, inBf16, fx.spec, update, fOutS, {&fAggS},
+               Schedule::sharded(plan));
     expectBitEqual(fAggG, fAggS);
     expectBitEqual(fOutG, fOutS);
+}
+
+/** Expect @p a and @p b to hold byte-identical packed rows. */
+void
+expectPackedEqual(const CompressedMatrix &a, const CompressedMatrix &b)
+{
+    ASSERT_EQ(a.rows(), b.rows());
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        ASSERT_EQ(a.nnz(r), b.nnz(r)) << "row " << r;
+        ASSERT_EQ(0, std::memcmp(a.values(r), b.values(r),
+                                 a.nnz(r) * sizeof(Feature)))
+            << "row " << r;
+        ASSERT_EQ(0, std::memcmp(a.mask(r), b.mask(r),
+                                 a.maskWordsPerRow() * sizeof(std::uint16_t)))
+            << "row " << r;
+    }
+}
+
+TEST_P(ShardedParity, CompressedVariantsMatchGlobalCompressedBitwise)
+{
+    const auto [kindIdx, k] = GetParam();
+    ShardedFixture fx(static_cast<GnnKind>(kindIdx));
+    fx.input.sparsify(0.5, 35);
+    PartitionPlan plan = planFor(fx.graph, k);
+    const VertexId n = fx.graph.numVertices();
+    CompressedMatrix packed(n, fx.input.cols());
+    packed.compressFrom(fx.input);
+
+    DenseMatrix aggG(n, fx.input.cols()), aggS(n, fx.input.cols());
+    aggregate(fx.graph, packed, aggG, fx.spec);
+    aggregate(fx.graph, packed, aggS, fx.spec, Schedule::sharded(plan));
+    expectBitEqual(aggG, aggS);
+
+    // Training, with the write-side compression of h^k.
+    DenseMatrix fAggG(n, fx.input.cols()), fOutG(n, fx.weights.cols());
+    DenseMatrix fAggS(n, fx.input.cols()), fOutS(n, fx.weights.cols());
+    CompressedMatrix packedG(n, fx.weights.cols());
+    CompressedMatrix packedS(n, fx.weights.cols());
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), fOutG,
+               {&fAggG, &packedG});
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), fOutS,
+               {&fAggS, &packedS}, Schedule::sharded(plan));
+    expectBitEqual(fAggG, fAggS);
+    expectBitEqual(fOutG, fOutS);
+    expectPackedEqual(packedG, packedS);
+
+    // Inference.
+    DenseMatrix infG(n, fx.weights.cols()), infS(n, fx.weights.cols());
+    CompressedMatrix infPackedG(n, fx.weights.cols());
+    CompressedMatrix infPackedS(n, fx.weights.cols());
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), infG,
+               {.compressed = &infPackedG});
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), infS,
+               {.compressed = &infPackedS}, Schedule::sharded(plan));
+    expectBitEqual(infG, infS);
+    expectPackedEqual(infPackedG, infPackedS);
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelsAndShards, ShardedParity,
@@ -358,8 +414,24 @@ TEST(DelayedHalo, SumWithinToleranceOfExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule::sharded(plan));
+    aggregate(fx.graph, fx.input, delayed, fx.spec,
+              Schedule::sharded(plan, true));
+    expectNear(exact, delayed, 1e-3f);
+}
+
+TEST(DelayedHalo, CompressedSumWithinToleranceOfExact)
+{
+    ShardedFixture fx(GnnKind::Gcn);
+    fx.input.sparsify(0.5, 36);
+    PartitionPlan plan = planFor(fx.graph, 4);
+    CompressedMatrix packed(fx.graph.numVertices(), fx.input.cols());
+    packed.compressFrom(fx.input);
+    DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
+    DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
+    aggregate(fx.graph, packed, exact, fx.spec, Schedule::sharded(plan));
+    aggregate(fx.graph, packed, delayed, fx.spec,
+              Schedule::sharded(plan, true));
     expectNear(exact, delayed, 1e-3f);
 }
 
@@ -371,8 +443,9 @@ TEST(DelayedHalo, MaxReduceStaysExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule::sharded(plan));
+    aggregate(fx.graph, fx.input, delayed, fx.spec,
+              Schedule::sharded(plan, true));
     expectBitEqual(exact, delayed);
 }
 
@@ -387,12 +460,13 @@ TEST(DelayedHalo, ReducesGatheredBytesAndMatchesEstimate)
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     metrics.setEnabled(true);
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, false);
+    aggregate(fx.graph, fx.input, out, fx.spec, Schedule::sharded(plan));
     const std::uint64_t exactBytes =
         metrics.counter("partition.bytes_gathered").value();
 
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, true);
+    aggregate(fx.graph, fx.input, out, fx.spec,
+              Schedule::sharded(plan, true));
     const std::uint64_t delayedBytes =
         metrics.counter("partition.bytes_gathered").value();
     const std::uint64_t haloBytes =
