@@ -27,7 +27,7 @@ namespace {
 
 /** Modelled device time for the GNN layers of one sampled batch. */
 double
-modelDeviceSeconds(const MiniBatch &batch, std::size_t fIn,
+modelDeviceSeconds(const SampledTree &batch, std::size_t fIn,
                    std::size_t fHidden)
 {
     constexpr double kGpuFlops = 500e9;  // effective GEMM throughput
@@ -35,10 +35,10 @@ modelDeviceSeconds(const MiniBatch &batch, std::size_t fIn,
     double flops = 0.0;
     double bytes = 0.0;
     std::size_t width = fIn;
-    for (const SampledBlock &block : batch.blocks) {
+    for (const FlatBlock &block : batch.blocks) {
         // Aggregation: one multiply-add per edge element; update: the
         // dense FC on every destination row.
-        flops += 2.0 * static_cast<double>(block.block.numEdges()) *
+        flops += 2.0 * static_cast<double>(block.colIdx.size()) *
                  static_cast<double>(width);
         flops += 2.0 * static_cast<double>(block.dstVertices.size()) *
                  static_cast<double>(width) * fHidden;
@@ -82,16 +82,19 @@ main(int argc, char **argv)
     std::printf("%-12s %14s %14s %10s   (paper: 88%%/92%%/94%% "
                 "sampling share)\n",
                 "batch", "sampling(s)", "layers(s)", "share");
+    // The sampler's stamped index map lives across batches, as in
+    // MiniBatchTrainer.
+    SamplerScratch scratch(graph.numVertices());
+    SampledTree batch;
     for (std::size_t batchSize : {1024u, 2048u, 4096u}) {
         Rng rng(42);
         Timer hostTimer;
         double deviceSeconds = 0.0;
         double hostSeconds = 0.0;
         auto batches = makeEpochBatches(graph, batchSize, rng);
-        for (auto &seeds : batches) {
+        for (const auto &seeds : batches) {
             Timer t;
-            MiniBatch batch =
-                sampleMiniBatch(graph, std::move(seeds), fanouts, rng);
+            sampleMiniBatch(graph, seeds, fanouts, rng, scratch, batch);
             DenseMatrix staged =
                 gatherBatchFeatures(features, batch.inputVertices());
             hostSeconds += t.seconds();

@@ -49,7 +49,7 @@ main(int argc, char **argv)
         config.fanouts = {10, 10};
         config.learningRate = 0.1f;
         MiniBatchTrainer trainer(graph, task.features, task.labels,
-                                 {32, 64, 6}, GnnKind::Sage, config);
+                                 {32, 64, 6}, config);
         double sampling = 0.0;
         double layers = 0.0;
         double loss = 0.0;

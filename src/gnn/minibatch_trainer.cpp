@@ -1,9 +1,9 @@
 #include "gnn/minibatch_trainer.h"
 
-#include <cstring>
 
 #include "common/assert.h"
 #include "common/timer.h"
+#include "kernels/mean_gather.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
 
@@ -13,9 +13,10 @@ MiniBatchTrainer::MiniBatchTrainer(const CsrGraph &graph,
                                    const DenseMatrix &features,
                                    std::vector<std::int32_t> labels,
                                    std::vector<std::size_t> featureWidths,
-                                   GnnKind kind, MiniBatchConfig config)
+                                   MiniBatchConfig config)
     : graph_(graph), features_(features), labels_(std::move(labels)),
-      config_(std::move(config)), kind_(kind), rng_(config_.seed)
+      config_(std::move(config)), rng_(config_.seed),
+      sampler_(graph.numVertices())
 {
     GRAPHITE_ASSERT(featureWidths.size() >= 2, "need at least two widths");
     GRAPHITE_ASSERT(featureWidths.size() - 1 == config_.fanouts.size(),
@@ -33,51 +34,38 @@ MiniBatchTrainer::MiniBatchTrainer(const CsrGraph &graph,
     contexts_.resize(layers_.size());
 }
 
-AggregationSpec
-MiniBatchTrainer::blockSpec(const SampledBlock &block)
+void
+MiniBatchTrainer::sampleBatch(const std::vector<VertexId> &seeds, Rng &rng)
 {
-    // GraphSAGE-mean over the sampled neighborhood plus self; GCN-style
-    // symmetric norms are ill-defined on sampled bipartite blocks, so
-    // both kinds use the mean here (as DGL's sampled SAGE does).
-    const CsrGraph &g = block.block;
-    AggregationSpec spec;
-    spec.selfFactors.resize(g.numVertices(), 1.0f);
-    spec.edgeFactors.resize(g.numEdges(), 1.0f);
-    for (VertexId d = 0; d < block.dstVertices.size(); ++d) {
-        const Feature mean = 1.0f / static_cast<Feature>(g.degree(d) + 1);
-        spec.selfFactors[d] = mean;
-        for (EdgeId e = g.rowBegin(d); e < g.rowEnd(d); ++e)
-            spec.edgeFactors[e] = mean;
-    }
-    return spec;
+    sampleMiniBatch(graph_, seeds, config_.fanouts, rng, sampler_, tree_);
+    contexts_[0].input =
+        gatherBatchFeatures(features_, tree_.inputVertices());
 }
 
 double
-MiniBatchTrainer::forwardBatch(const MiniBatch &batch,
-                               DenseMatrix &lossGrad)
+MiniBatchTrainer::forwardBatch(DenseMatrix &lossGrad)
 {
-    // Precondition: contexts_[0].input holds the gathered features of
-    // batch.inputVertices() (the staging copy whose cost Figure 2
-    // attributes to "mini-batching" — callers time it separately).
-    GRAPHITE_ASSERT(contexts_[0].input.rows() ==
-                        batch.inputVertices().size(),
-                    "input features not gathered for this batch");
-
     for (std::size_t k = 0; k < layers_.size(); ++k) {
-        const SampledBlock &block = batch.blocks[k];
+        const FlatBlock &block = tree_.blocks[k];
         BlockContext &ctx = contexts_[k];
         // Layer k's input is the previous layer's output (kept alive:
-        // the backward pass needs every layer's activation).
+        // the backward pass needs every layer's activation). Both are
+        // indexed by the block's local source ids.
         const DenseMatrix &input =
             k == 0 ? ctx.input : contexts_[k - 1].output;
         const std::size_t numDst = block.dstVertices.size();
         GnnLayer &layer = *layers_[k];
-        const AggregationSpec spec = blockSpec(block);
 
+        // GraphSAGE-mean over the sampled neighborhood plus self; GCN
+        // symmetric norms are ill-defined on sampled bipartite blocks
+        // (DGL's sampled SAGE uses the mean too).
         ctx.agg.resize(numDst, layer.inFeatures());
-        for (VertexId d = 0; d < numDst; ++d)
-            aggregateVertex(block.block, input, d, spec,
-                            ctx.agg.row(d));
+        for (std::size_t d = 0; d < numDst; ++d) {
+            meanGatherRow(
+                static_cast<VertexId>(d), block.neighbors(d),
+                [&](VertexId j) { return input.row(j); },
+                layer.inFeatures(), ctx.agg.row(d));
+        }
         ctx.output.resize(numDst, layer.outFeatures());
         // Serial packed update over the whole sampled block; the packed
         // weights come from the layer's cache (repacked only after the
@@ -86,13 +74,15 @@ MiniBatchTrainer::forwardBatch(const MiniBatch &batch,
                         layer.packedWeights(config_.precision),
                         ctx.output.row(0), ctx.output.rowStride(),
                         layer.inFeatures());
-        addBias(ctx.output, layer.bias());
-        if (layer.hasRelu())
-            reluForward(ctx.output);
+        GRAPHITE_ASSERT(layer.bias().size() == layer.outFeatures(),
+                        "bias width mismatch");
+        finishUpdateBlock(ctx.output.row(0), numDst,
+                          ctx.output.rowStride(), layer.outFeatures(),
+                          layer.bias(), layer.hasRelu());
     }
 
     const BlockContext &last = contexts_.back();
-    const auto &seeds = batch.blocks.back().dstVertices;
+    const auto &seeds = tree_.blocks.back().dstVertices;
     std::vector<std::int32_t> batchLabels(seeds.size());
     for (std::size_t i = 0; i < seeds.size(); ++i)
         batchLabels[i] = labels_[seeds[i]];
@@ -101,12 +91,10 @@ MiniBatchTrainer::forwardBatch(const MiniBatch &batch,
 }
 
 void
-MiniBatchTrainer::backwardBatch(const MiniBatch &batch,
-                                DenseMatrix lossGrad)
+MiniBatchTrainer::backwardBatch(DenseMatrix lossGrad)
 {
     DenseMatrix gradOut = std::move(lossGrad);
     for (std::size_t k = layers_.size(); k-- > 0;) {
-        const SampledBlock &block = batch.blocks[k];
         BlockContext &ctx = contexts_[k];
         GnnLayer &layer = *layers_[k];
         if (layer.hasRelu())
@@ -139,33 +127,27 @@ MiniBatchTrainer::backwardBatch(const MiniBatch &batch,
 
         if (k == 0)
             break;
-        // dx over the block's sources: transposed-block aggregation.
-        const AggregationSpec spec = blockSpec(block);
-        const CsrGraph transposed = block.block.transposed();
-        const AggregationSpec tSpec =
-            transposeSpec(block.block, spec, transposed);
-        // Pad dAgg to |src| rows (source-only rows have zero gradient
-        // from edges; self terms only exist for dst rows).
-        DenseMatrix dSrc(block.srcVertices.size(), layer.inFeatures());
-        for (VertexId s = 0; s < block.srcVertices.size(); ++s) {
-            Feature *dst = dSrc.row(s);
-            // Edge contributions from transposed rows.
-            for (EdgeId e = transposed.rowBegin(s);
-                 e < transposed.rowEnd(s); ++e) {
-                const VertexId d = transposed.colIdx()[e];
-                const Feature factor = tSpec.edgeFactors[e];
-                const Feature *src = dAgg.row(d);
-                for (std::size_t c = 0; c < layer.inFeatures(); ++c)
-                    dst[c] += factor * src[c];
-            }
-            // Self term: sources that are also destinations.
-            if (s < block.dstVertices.size()) {
-                const Feature factor = spec.selfFactors[s];
-                const Feature *src = dAgg.row(s);
-                for (std::size_t c = 0; c < layer.inFeatures(); ++c)
-                    dst[c] += factor * src[c];
-            }
+        // dx over the block's sources: push each destination's scaled
+        // gradient back along its sampled edges, then onto its own row
+        // (destination d is local source d).
+        const FlatBlock &block = tree_.blocks[k];
+        const std::size_t numDst = block.dstVertices.size();
+        const std::size_t inF = layer.inFeatures();
+        DenseMatrix dSrc(block.srcVertices.size(), inF);
+        auto push = [&](std::size_t d, VertexId j) {
+            const Feature scale =
+                1.0f / (1.0f + static_cast<float>(block.neighbors(d).size()));
+            const Feature *from = dAgg.row(d);
+            Feature *to = dSrc.row(j);
+            for (std::size_t c = 0; c < inF; ++c)
+                to[c] += scale * from[c];
+        };
+        for (std::size_t d = 0; d < numDst; ++d) {
+            for (const VertexId j : block.neighbors(d))
+                push(d, j);
         }
+        for (std::size_t d = 0; d < numDst; ++d)
+            push(d, static_cast<VertexId>(d));
         gradOut = std::move(dSrc);
     }
 }
@@ -174,21 +156,18 @@ MiniBatchEpochStats
 MiniBatchTrainer::trainEpoch()
 {
     MiniBatchEpochStats stats;
-    auto batches = makeEpochBatches(graph_, config_.batchSize, rng_);
+    const auto batches =
+        makeEpochBatches(graph_, config_.batchSize, rng_);
     double lossSum = 0.0;
-    for (auto &seeds : batches) {
+    for (const auto &seeds : batches) {
         Timer sampling;
-        MiniBatch batch =
-            sampleMiniBatch(graph_, std::move(seeds), config_.fanouts,
-                            rng_);
-        contexts_[0].input =
-            gatherBatchFeatures(features_, batch.inputVertices());
+        sampleBatch(seeds, rng_);
         stats.samplingSeconds += sampling.seconds();
 
         Timer layerTimer;
         DenseMatrix lossGrad;
-        lossSum += forwardBatch(batch, lossGrad);
-        backwardBatch(batch, std::move(lossGrad));
+        lossSum += forwardBatch(lossGrad);
+        backwardBatch(std::move(lossGrad));
         stats.layerSeconds += layerTimer.seconds();
     }
     stats.loss = lossSum / static_cast<double>(batches.size());
@@ -198,16 +177,13 @@ MiniBatchTrainer::trainEpoch()
 double
 MiniBatchTrainer::evaluateLoss()
 {
-    auto batches = makeEpochBatches(graph_, config_.batchSize, rng_);
+    Rng rng(config_.seed);
+    const auto batches = makeEpochBatches(graph_, config_.batchSize, rng);
     double lossSum = 0.0;
-    for (auto &seeds : batches) {
-        MiniBatch batch =
-            sampleMiniBatch(graph_, std::move(seeds), config_.fanouts,
-                            rng_);
-        contexts_[0].input =
-            gatherBatchFeatures(features_, batch.inputVertices());
+    for (const auto &seeds : batches) {
+        sampleBatch(seeds, rng);
         DenseMatrix lossGrad;
-        lossSum += forwardBatch(batch, lossGrad);
+        lossSum += forwardBatch(lossGrad);
     }
     return lossSum / static_cast<double>(batches.size());
 }

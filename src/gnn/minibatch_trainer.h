@@ -65,12 +65,17 @@ class MiniBatchTrainer
     MiniBatchTrainer(const CsrGraph &graph, const DenseMatrix &features,
                      std::vector<std::int32_t> labels,
                      std::vector<std::size_t> featureWidths,
-                     GnnKind kind, MiniBatchConfig config);
+                     MiniBatchConfig config);
 
     /** Run one epoch over shuffled mini-batches. */
     MiniBatchEpochStats trainEpoch();
 
-    /** Mean loss of one forward pass over every batch (no update). */
+    /**
+     * Mean loss of one forward pass over every batch (no update). The
+     * batches and samples come from an Rng seeded with config.seed on
+     * every call, so repeated calls agree and training's RNG stream is
+     * left untouched.
+     */
     double evaluateLoss();
 
     GnnLayer &layer(std::size_t k) { return *layers_[k]; }
@@ -93,20 +98,27 @@ class MiniBatchTrainer
     }
 
   private:
-    /** Forward one mini-batch; returns the loss and fills contexts. */
-    double forwardBatch(const MiniBatch &batch, DenseMatrix &lossGrad);
-    void backwardBatch(const MiniBatch &batch, DenseMatrix lossGrad);
-
-    /** Aggregation spec of one sampled bipartite block (mean). */
-    static AggregationSpec blockSpec(const SampledBlock &block);
+    /**
+     * Sample @p seeds' blocks into tree_ and gather the batch's input
+     * features into contexts_[0].input (the cost Figure 2 attributes to
+     * sampling and mini-batching).
+     */
+    void sampleBatch(const std::vector<VertexId> &seeds, Rng &rng);
+    /** Forward tree_; returns the loss and fills the contexts. */
+    double forwardBatch(DenseMatrix &lossGrad);
+    /** Backward + SGD step over tree_ from the loss gradient. */
+    void backwardBatch(DenseMatrix lossGrad);
 
     const CsrGraph &graph_;
     const DenseMatrix &features_;
     std::vector<std::int32_t> labels_;
     MiniBatchConfig config_;
-    GnnKind kind_;
     std::vector<std::unique_ptr<GnnLayer>> layers_;
     Rng rng_;
+    /** The sampler's state and the current batch's blocks. @{ */
+    SamplerScratch sampler_;
+    SampledTree tree_;
+    /** @} */
 
     // Per-batch forward state, innermost layer first.
     struct BlockContext

@@ -9,7 +9,9 @@ namespace graphite {
 
 DeltaCsr::DeltaCsr(CsrGraph base, EdgeId maxDeltaEdges)
     : base_(std::move(base)), maxDeltaEdges_(maxDeltaEdges),
-      baseRowsSorted_(base_.rowsSorted())
+      baseRowsSorted_(base_.rowsSorted()),
+      deltaEdgeCounter_(
+          obs::MetricsRegistry::global().counter("graph.delta_edges"))
 {
     GRAPHITE_ASSERT(base_.numVertices() > 0,
                     "DeltaCsr: base graph must have vertices");
@@ -84,17 +86,14 @@ DeltaCsr::addEdge(VertexId src, VertexId dst)
     // links above happen-before any reader that observes count+1.
     delta.count.store(count + 1, std::memory_order_release);
     deltaEdges_.fetch_add(1, std::memory_order_release);
-    static obs::Counter &deltaEdgeCounter =
-        obs::MetricsRegistry::global().counter("graph.delta_edges");
-    deltaEdgeCounter.add(1);
+    deltaEdgeCounter_.add(1);
     return AddEdge::Added;
 }
 
 DeltaCsr::RowView
-DeltaCsr::neighborsView(VertexId v) const
+DeltaCsr::neighbors(VertexId v) const
 {
-    GRAPHITE_DCHECK(v < numVertices(),
-                    "neighborsView: vertex out of range");
+    GRAPHITE_DCHECK(v < numVertices(), "neighbors: vertex out of range");
     const VertexDelta &delta = vertices_[v];
     RowView view;
     view.graph_ = this;

@@ -19,7 +19,7 @@
  *    release-store of the per-vertex delta count after its value and
  *    segment links are in place, and readers acquire-load the count
  *    before walking the chain. Segments never move or shrink.
- *  - degree()/neighborsView()/forEachDeltaNeighbor() are wait-free and
+ *  - degree()/neighbors()/forEachDeltaNeighbor() are wait-free and
  *    take no locks.
  *  - compact(), compacted() and validate() require that no concurrent
  *    writer is active; compact() additionally requires no concurrent
@@ -43,8 +43,13 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "graph/csr_graph.h"
+#include "graph/graph_view.h"
 
 namespace graphite {
+
+namespace obs {
+class Counter;
+} // namespace obs
 
 /** Append-only per-vertex adjacency overlay over an immutable CSR. */
 class DeltaCsr
@@ -159,7 +164,7 @@ class DeltaCsr
         /** @} */
     };
 
-    RowView neighborsView(VertexId v) const;
+    RowView neighbors(VertexId v) const;
 
     /**
      * Visit @p v's published delta neighbors in insertion order.
@@ -261,6 +266,13 @@ class DeltaCsr
     std::atomic<EdgeId> deltaEdges_{0};
     /** Serializes writers (addEdge). */
     Mutex writerMutex_;
+    /**
+     * graph.delta_edges, registered in the constructor: registration
+     * allocates, and addEdge must not.
+     */
+    obs::Counter &deltaEdgeCounter_;
 };
+
+static_assert(GraphView<CsrGraph> && GraphView<DeltaCsr>);
 
 } // namespace graphite

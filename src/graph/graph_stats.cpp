@@ -1,17 +1,16 @@
 #include "graph/graph_stats.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "graph/delta_csr.h"
 
 namespace graphite {
 
-namespace {
-
-/** Shared by the CsrGraph and DeltaCsr overloads. */
-template <typename GraphT>
+template <GraphView G>
 GraphStats
-computeGraphStatsImpl(const GraphT &graph)
+computeGraphStats(const G &graph)
 {
     GraphStats stats;
     stats.numVertices = graph.numVertices();
@@ -37,19 +36,29 @@ computeGraphStatsImpl(const GraphT &graph)
     return stats;
 }
 
-} // namespace
-
-GraphStats
-computeGraphStats(const CsrGraph &graph)
+template <GraphView G>
+EdgeId
+degreeAtRank(const G &graph, std::size_t rank, std::vector<EdgeId> &degrees)
 {
-    return computeGraphStatsImpl(graph);
+    const VertexId n = graph.numVertices();
+    if (n == 0)
+        return 0;
+    degrees.resize(n);
+    for (VertexId v = 0; v < n; ++v)
+        degrees[v] = graph.degree(v);
+    const std::size_t nth = std::min<std::size_t>(rank, n - 1);
+    std::nth_element(degrees.begin(),
+                     degrees.begin() + static_cast<std::ptrdiff_t>(nth),
+                     degrees.end(), std::greater<EdgeId>());
+    return degrees[nth];
 }
 
-GraphStats
-computeGraphStats(const DeltaCsr &graph)
-{
-    return computeGraphStatsImpl(graph);
-}
+template GraphStats computeGraphStats(const CsrGraph &);
+template GraphStats computeGraphStats(const DeltaCsr &);
+template EdgeId degreeAtRank(const CsrGraph &, std::size_t,
+                             std::vector<EdgeId> &);
+template EdgeId degreeAtRank(const DeltaCsr &, std::size_t,
+                             std::vector<EdgeId> &);
 
 IncrementalGraphStats::IncrementalGraphStats(const GraphStats &initial)
     : numVertices_(initial.numVertices), numEdges_(initial.numEdges),

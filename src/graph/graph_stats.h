@@ -6,12 +6,12 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "graph/csr_graph.h"
+#include "graph/graph_view.h"
 
 namespace graphite {
-
-class DeltaCsr;
 
 /** Summary statistics of a graph's degree distribution. */
 struct GraphStats
@@ -26,11 +26,23 @@ struct GraphStats
     double adjacencySparsity = 0.0;
 };
 
-/** Compute GraphStats for @p graph in one pass. */
-GraphStats computeGraphStats(const CsrGraph &graph);
+/**
+ * Compute GraphStats for @p graph in one pass (over a DeltaCsr: base +
+ * published deltas). Instantiated for CsrGraph and DeltaCsr.
+ */
+template <GraphView G>
+GraphStats computeGraphStats(const G &graph);
 
-/** GraphStats over a delta-CSR overlay (base + published deltas). */
-GraphStats computeGraphStats(const DeltaCsr &graph);
+/**
+ * The degree of rank @p rank in descending degree order (rank 0 is the
+ * maximum), clamped to the last rank; 0 for an empty graph. Copies the
+ * degrees into @p degrees (resized to |V|, so a caller that keeps it
+ * re-ranks without allocating) and partitions them with nth_element.
+ * Instantiated for CsrGraph and DeltaCsr.
+ */
+template <GraphView G>
+EdgeId degreeAtRank(const G &graph, std::size_t rank,
+                    std::vector<EdgeId> &degrees);
 
 /**
  * O(1)-per-edge maintenance of GraphStats under edge inserts, so the

@@ -47,35 +47,11 @@ assignGreedy(const CsrGraph &graph, std::vector<Shard> &shards)
 {
     const VertexId n = graph.numVertices();
     const std::size_t k = shards.size();
-    // Bucket assignment exactly as localityOrder(): the vertex itself
-    // is the initial candidate and strictly-higher degree wins, so ties
-    // resolve toward the earlier candidate.
-    std::vector<VertexId> bucketOf(n);
-    std::vector<VertexId> bucketSize(n, 0);
-    for (VertexId v = 0; v < n; ++v) {
-        VertexId best = v;
-        EdgeId bestDeg = graph.degree(v);
-        for (VertexId u : graph.neighbors(v)) {
-            if (graph.degree(u) > bestDeg) {
-                best = u;
-                bestDeg = graph.degree(u);
-            }
-        }
-        bucketOf[v] = best;
-        ++bucketSize[best];
-    }
-    // Counting-sort members so bucket u is the contiguous slice
-    // memberAt[bucketStart[u], bucketStart[u+1]).
-    std::vector<std::size_t> bucketStart(n + 1, 0);
-    for (VertexId u = 0; u < n; ++u)
-        bucketStart[u + 1] = bucketStart[u] + bucketSize[u];
-    std::vector<VertexId> memberAt(n);
-    {
-        std::vector<std::size_t> cursor(bucketStart.begin(),
-                                        bucketStart.end() - 1);
-        for (VertexId v = 0; v < n; ++v)
-            memberAt[cursor[bucketOf[v]]++] = v;
-    }
+    // Bucket u is the contiguous slice memberAt[bucketStart[u],
+    // bucketStart[u+1]) of the locality order.
+    const LocalityBuckets locality = localityBuckets(graph);
+    const ProcessingOrder &memberAt = locality.order;
+    const std::vector<std::size_t> &bucketStart = locality.bucketStart;
     // Longest-processing-time placement of whole buckets. A bucket's
     // cost models its aggregation work: one self row plus one gathered
     // row per edge of each member.
@@ -86,7 +62,7 @@ assignGreedy(const CsrGraph &graph, std::vector<Shard> &shards)
     };
     std::vector<Bucket> buckets;
     for (VertexId u = 0; u < n; ++u) {
-        if (bucketSize[u] == 0)
+        if (bucketStart[u] == bucketStart[u + 1])
             continue;
         std::uint64_t weight = 0;
         for (std::size_t i = bucketStart[u]; i < bucketStart[u + 1]; ++i)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -10,16 +9,9 @@
 
 namespace graphite {
 
-namespace {
-
-/**
- * Algorithm 3 core, shared by the CsrGraph and DeltaCsr overloads.
- * @p forEachNeighbor is forEachNeighbor(v, fn) over the full neighbor
- * set of the graph variant.
- */
-template <typename GraphT, typename ForEachNeighbor>
-ProcessingOrder
-localityOrderImpl(const GraphT &graph, ForEachNeighbor &&forEachNeighbor)
+template <GraphView G>
+LocalityBuckets
+localityBuckets(const G &graph)
 {
     const VertexId n = graph.numVertices();
     // bucketOf[v] = the vertex whose bucket L_{u'} receives v.
@@ -28,48 +20,34 @@ localityOrderImpl(const GraphT &graph, ForEachNeighbor &&forEachNeighbor)
     for (VertexId v = 0; v < n; ++v) {
         VertexId best = v;
         EdgeId bestDeg = graph.degree(v);
-        forEachNeighbor(v, [&](VertexId u) {
+        const auto neighbors = graph.neighbors(v);
+        for (std::size_t j = 0; j < neighbors.size(); ++j) {
+            const VertexId u = neighbors[j];
             if (graph.degree(u) > bestDeg) {
                 best = u;
                 bestDeg = graph.degree(u);
             }
-        });
+        }
         bucketOf[v] = best;
         ++bucketSize[best];
     }
     // Emit buckets L_0, L_1, ... consecutively (paper Lines 8-12) using a
     // counting-sort layout so the whole pass stays O(|V| + |E|).
-    std::vector<std::size_t> bucketStart(n + 1, 0);
+    LocalityBuckets buckets;
+    buckets.bucketStart.assign(static_cast<std::size_t>(n) + 1, 0);
     for (VertexId v = 0; v < n; ++v)
-        bucketStart[v + 1] = bucketStart[v] + bucketSize[v];
-    ProcessingOrder order(n);
-    std::vector<std::size_t> cursor(bucketStart.begin(),
-                                    bucketStart.end() - 1);
+        buckets.bucketStart[v + 1] =
+            buckets.bucketStart[v] + bucketSize[v];
+    buckets.order.resize(n);
+    std::vector<std::size_t> cursor(buckets.bucketStart.begin(),
+                                    buckets.bucketStart.end() - 1);
     for (VertexId v = 0; v < n; ++v)
-        order[cursor[bucketOf[v]]++] = v;
-    return order;
+        buckets.order[cursor[bucketOf[v]]++] = v;
+    return buckets;
 }
 
-} // namespace
-
-ProcessingOrder
-localityOrder(const CsrGraph &graph)
-{
-    return localityOrderImpl(graph, [&](VertexId v, auto &&fn) {
-        for (VertexId u : graph.neighbors(v))
-            fn(u);
-    });
-}
-
-ProcessingOrder
-localityOrder(const DeltaCsr &graph)
-{
-    return localityOrderImpl(graph, [&](VertexId v, auto &&fn) {
-        for (VertexId u : graph.baseNeighbors(v))
-            fn(u);
-        graph.forEachDeltaNeighbor(v, fn);
-    });
-}
+template LocalityBuckets localityBuckets(const CsrGraph &);
+template LocalityBuckets localityBuckets(const DeltaCsr &);
 
 const ProcessingOrder &
 LocalityOrderCache::get(const DeltaCsr &graph)

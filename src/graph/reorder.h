@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
+#include "graph/graph_view.h"
 
 namespace graphite {
 
@@ -25,20 +26,35 @@ class DeltaCsr;
 using ProcessingOrder = std::vector<VertexId>;
 
 /**
+ * Paper Algorithm 3 with its buckets kept: bucket u (the vertices whose
+ * highest-degree neighbor is u) is the contiguous slice
+ * order[bucketStart[u], bucketStart[u+1]).
+ */
+struct LocalityBuckets
+{
+    ProcessingOrder order;
+    /** |V|+1 bucket offsets into order. */
+    std::vector<std::size_t> bucketStart;
+};
+
+/**
  * Paper Algorithm 3: assign each vertex to the bucket of its
  * highest-degree neighbor (ties broken toward the lower id, with the
  * vertex itself as the initial candidate), then emit buckets
- * consecutively. O(|V| + |E|) time.
+ * consecutively. O(|V| + |E|) time. Over a DeltaCsr, degrees and
+ * neighbor sets include published delta edges, so the order reflects
+ * hub growth under churn. Instantiated for CsrGraph and DeltaCsr.
  */
-ProcessingOrder localityOrder(const CsrGraph &graph);
+template <GraphView G>
+LocalityBuckets localityBuckets(const G &graph);
 
-/**
- * Algorithm 3 over a delta-CSR overlay: degrees and neighbor sets
- * include published delta edges, so the order reflects hub growth
- * under churn. Matches localityOrder(CsrGraph) exactly when the
- * overlay holds no deltas.
- */
-ProcessingOrder localityOrder(const DeltaCsr &graph);
+/** The order of localityBuckets(@p graph). */
+template <GraphView G>
+ProcessingOrder
+localityOrder(const G &graph)
+{
+    return localityBuckets(graph).order;
+}
 
 /**
  * Staleness-bounded cache of the Algorithm 3 locality order over a

@@ -30,6 +30,7 @@
 #include "kernels/aggregation.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "tensor/row_ops.h"
 
 #if defined(__AVX512F__)
 #define GRAPHITE_AGG_AVX512 1
@@ -395,34 +396,6 @@ forEachTask(const Schedule &schedule, std::size_t numVertices,
             task(begin, std::min(begin + chunk, start[s + 1]));
         }
     });
-}
-
-/**
- * The fused update's block finisher: apply bias and ReLU to @p numRows
- * rows of @p stride floats in place and re-zero each row's padding
- * tail (block scratch may carry stale values from an earlier, wider
- * layer, and rows are copied — and possibly compressed — at full
- * stride).
- */
-inline void
-finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
-                  std::size_t cols, std::span<const Feature> bias, bool relu)
-{
-    for (std::size_t r = 0; r < numRows; ++r) {
-        Feature *row = rows + r * stride;
-        if (!bias.empty()) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] += bias[c];
-        }
-        if (relu) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] = std::max(row[c], 0.0f);
-        }
-        for (std::size_t c = cols; c < stride; ++c)
-            row[c] = 0.0f;
-    }
 }
 
 } // namespace graphite

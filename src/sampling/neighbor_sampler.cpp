@@ -2,173 +2,46 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "graph/delta_csr.h"
 
 namespace graphite {
 
-namespace {
-
-/**
- * Indexable neighbor row of @p v for the shared sampling core: a span
- * for CsrGraph, a snapshot RowView (base row then delta chain) for
- * DeltaCsr. Both offer size() and O(1)-amortized sequential
- * operator[], which is all the reservoir loop touches.
- * @{
- */
-inline std::span<const VertexId>
-neighborRowOf(const CsrGraph &graph, VertexId v)
-{
-    return graph.neighbors(v);
-}
-
-inline DeltaCsr::RowView
-neighborRowOf(const DeltaCsr &graph, VertexId v)
-{
-    return graph.neighborsView(v);
-}
-/** @} */
-
-/**
- * Sample one bipartite block: destinations @p dst, per-destination up to
- * @p fanout sampled neighbors, compact source indexing.
- */
-SampledBlock
-sampleBlock(const CsrGraph &graph, std::vector<VertexId> dst,
-            VertexId fanout, Rng &rng)
-{
-    SampledBlock out;
-    // Local source index map: destinations occupy [0, |dst|) so the
-    // self term needs no extra lookup.
-    std::unordered_map<VertexId, VertexId> localIndex;
-    localIndex.reserve(dst.size() * (fanout + 1));
-    out.srcVertices.reserve(dst.size() * (fanout + 1));
-    for (VertexId v : dst) {
-        localIndex.emplace(v, static_cast<VertexId>(
-            out.srcVertices.size()));
-        out.srcVertices.push_back(v);
-    }
-
-    std::vector<EdgeId> rowPtr(dst.size() + 1, 0);
-    std::vector<VertexId> colIdx;
-    colIdx.reserve(dst.size() * fanout);
-    std::vector<VertexId> reservoir(fanout);
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        const VertexId v = dst[i];
-        const auto neighbors = graph.neighbors(v);
-        std::size_t sampled = 0;
-        if (neighbors.size() <= fanout) {
-            for (VertexId u : neighbors)
-                reservoir[sampled++] = u;
-        } else {
-            // Reservoir sampling of `fanout` neighbors without
-            // replacement.
-            for (std::size_t j = 0; j < fanout; ++j)
-                reservoir[j] = neighbors[j];
-            sampled = fanout;
-            for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                const std::size_t slot = rng.uniformInt(j + 1);
-                if (slot < fanout)
-                    reservoir[slot] = neighbors[j];
-            }
-        }
-        for (std::size_t j = 0; j < sampled; ++j) {
-            const VertexId u = reservoir[j];
-            auto [it, inserted] = localIndex.emplace(
-                u, static_cast<VertexId>(out.srcVertices.size()));
-            if (inserted)
-                out.srcVertices.push_back(u);
-            colIdx.push_back(it->second);
-        }
-        rowPtr[i + 1] = colIdx.size();
-    }
-    // The block is bipartite: columns index the (larger) source set, so
-    // pad the row pointers with empty rows for source-only vertices to
-    // make the CSR well-formed over |src| vertices.
-    rowPtr.resize(out.srcVertices.size() + 1, colIdx.size());
-    out.dstVertices = std::move(dst);
-    out.block = CsrGraph(std::move(rowPtr), std::move(colIdx));
-    return out;
-}
-
-} // namespace
-
-MiniBatch
-sampleMiniBatch(const CsrGraph &graph, std::vector<VertexId> seeds,
-                const std::vector<VertexId> &fanouts, Rng &rng)
-{
-    GRAPHITE_ASSERT(!fanouts.empty(), "need at least one layer fanout");
-    MiniBatch batch;
-    batch.blocks.resize(fanouts.size());
-    // Build outermost-first: layer K's destinations are the seeds, each
-    // inner layer's destinations are the outer layer's sources.
-    std::vector<VertexId> dst = std::move(seeds);
-    for (std::size_t k = fanouts.size(); k-- > 0;) {
-        batch.blocks[k] = sampleBlock(graph, std::move(dst), fanouts[k],
-                                      rng);
-        dst = batch.blocks[k].srcVertices;
-    }
-    return batch;
-}
-
-DenseMatrix
-gatherBatchFeatures(const DenseMatrix &features,
-                    const std::vector<VertexId> &vertices)
-{
-    DenseMatrix out(vertices.size(), features.cols());
-    for (std::size_t i = 0; i < vertices.size(); ++i) {
-        std::memcpy(out.row(i), features.row(vertices[i]),
-                    features.rowStride() * sizeof(Feature));
-    }
-    return out;
-}
-
-std::uint64_t
-requestSeed(std::uint64_t requestId)
-{
-    // splitmix64 finalizer: a bijective avalanche so consecutive request
-    // ids yield statistically independent sampling streams.
-    std::uint64_t z = requestId + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-template <typename GraphT>
+template <GraphView G>
 void
-SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
-                               std::span<const VertexId> fanouts,
-                               Rng &rng, SamplerScratch &scratch,
-                               SampledTree &tree)
+sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
+                std::span<const VertexId> fanouts, Rng &rng,
+                SamplerScratch &scratch, SampledTree &tree)
 {
     GRAPHITE_ASSERT(!fanouts.empty(), "need at least one layer fanout");
-    GRAPHITE_ASSERT(seed < graph.numVertices(),
-                    "sampleTree: seed out of range");
+    for (const VertexId seed : seeds)
+        GRAPHITE_ASSERT(seed < graph.numVertices(),
+                        "sampleMiniBatch: seed out of range");
     if (tree.blocks.size() != fanouts.size())
         tree.blocks.resize(fanouts.size());
 
-    // Build outermost-first, as sampleMiniBatch does: layer K's
-    // destination set is {seed}; each inner layer's destinations are
-    // the outer layer's sources.
+    // Build outermost-first: layer K's destinations are the seeds, each
+    // inner layer's destinations are the outer layer's sources.
     for (std::size_t k = fanouts.size(); k-- > 0;) {
         FlatBlock &block = tree.blocks[k];
         block.rowPtr.clear();
         block.colIdx.clear();
         block.srcVertices.clear();
         if (k + 1 == fanouts.size()) {
-            block.dstVertices.clear();
-            block.dstVertices.push_back(seed);
+            block.dstVertices.assign(seeds.begin(), seeds.end());
         } else {
             const std::vector<VertexId> &outerSrc =
                 tree.blocks[k + 1].srcVertices;
             block.dstVertices.assign(outerSrc.begin(), outerSrc.end());
         }
 
-        // Destinations occupy local source indices [0, |dst|).
+        // Destinations occupy local source indices [0, |dst|), so the
+        // self term needs no lookup.
         scratch.beginBlock();
         for (const VertexId v : block.dstVertices) {
+            GRAPHITE_DCHECK(scratch.stamp_[v] != scratch.epoch_,
+                            "sampleMiniBatch: seeds must be distinct");
             scratch.stamp_[v] = scratch.epoch_;
             scratch.local_[v] =
                 static_cast<VertexId>(block.srcVertices.size());
@@ -182,15 +55,14 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
 
         block.rowPtr.push_back(0);
         for (const VertexId v : block.dstVertices) {
-            const auto neighbors = neighborRowOf(graph, v);
+            const auto neighbors = graph.neighbors(v);
             std::size_t sampled = 0;
             if (neighbors.size() <= fanout) {
                 for (std::size_t j = 0; j < neighbors.size(); ++j)
                     reservoir[sampled++] = neighbors[j];
             } else {
                 // Reservoir sampling of `fanout` neighbors without
-                // replacement — identical draw order to sampleBlock so
-                // the two paths stay statistically interchangeable.
+                // replacement.
                 for (std::size_t j = 0; j < fanout; ++j)
                     reservoir[j] = neighbors[j];
                 sampled = fanout;
@@ -216,22 +88,34 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
     }
 }
 
-void
-sampleTree(const CsrGraph &graph, VertexId seed,
-           std::span<const VertexId> fanouts, Rng &rng,
-           SamplerScratch &scratch, SampledTree &tree)
+template void sampleMiniBatch(const CsrGraph &, std::span<const VertexId>,
+                              std::span<const VertexId>, Rng &,
+                              SamplerScratch &, SampledTree &);
+template void sampleMiniBatch(const DeltaCsr &, std::span<const VertexId>,
+                              std::span<const VertexId>, Rng &,
+                              SamplerScratch &, SampledTree &);
+
+DenseMatrix
+gatherBatchFeatures(const DenseMatrix &features,
+                    const std::vector<VertexId> &vertices)
 {
-    SamplerScratch::sampleTreeImpl(graph, seed, fanouts, rng, scratch,
-                                   tree);
+    DenseMatrix out(vertices.size(), features.cols());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        std::memcpy(out.row(i), features.row(vertices[i]),
+                    features.rowStride() * sizeof(Feature));
+    }
+    return out;
 }
 
-void
-sampleTree(const DeltaCsr &graph, VertexId seed,
-           std::span<const VertexId> fanouts, Rng &rng,
-           SamplerScratch &scratch, SampledTree &tree)
+std::uint64_t
+requestSeed(std::uint64_t requestId)
 {
-    SamplerScratch::sampleTreeImpl(graph, seed, fanouts, rng, scratch,
-                                   tree);
+    // splitmix64 finalizer: a bijective avalanche so consecutive request
+    // ids yield statistically independent sampling streams.
+    std::uint64_t z = requestId + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
 std::vector<std::vector<VertexId>>

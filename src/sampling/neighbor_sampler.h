@@ -12,6 +12,11 @@
  * the compact source set. Finally the input features of the innermost
  * source set are gathered into a dense batch matrix (the
  * "mini-batching" copy cost).
+ *
+ * One sampler serves training and serving alike: sampleMiniBatch is the
+ * core, sampleTree is the one-seed case the server draws per request.
+ * Both are templates over GraphView, so a DeltaCsr overlay samples
+ * through the same code as a frozen CsrGraph.
  */
 
 #pragma once
@@ -23,47 +28,119 @@
 
 #include "common/rng.h"
 #include "graph/csr_graph.h"
+#include "graph/graph_view.h"
 #include "tensor/dense_matrix.h"
 
 namespace graphite {
 
-class DeltaCsr;
-
-/** One sampled bipartite layer block. */
-struct SampledBlock
+/**
+ * One sampled bipartite layer held as flat arrays. No CsrGraph is
+ * constructed; the vectors reuse their capacity across batches and
+ * requests once warmed up.
+ *
+ * dstVertices is a prefix of srcVertices (local source index i < |dst|
+ * is destination i), rowPtr has |dst|+1 entries, and colIdx holds local
+ * source indices in first-seen order.
+ */
+struct FlatBlock
 {
-    /**
-     * Edges of the block in CSR over local destination indices; column
-     * ids are local *source* indices.
-     */
-    CsrGraph block;
-    /** Global vertex id of each local destination. */
+    std::vector<EdgeId> rowPtr;
+    std::vector<VertexId> colIdx;
     std::vector<VertexId> dstVertices;
-    /** Global vertex id of each local source (dst set comes first). */
     std::vector<VertexId> srcVertices;
+
+    /** Sampled local source indices of local destination @p d. */
+    std::span<const VertexId>
+    neighbors(std::size_t d) const
+    {
+        return {colIdx.data() + rowPtr[d], colIdx.data() + rowPtr[d + 1]};
+    }
 };
 
-/** A K-layer mini-batch: blocks[0] is the input-most layer. */
-struct MiniBatch
+/** A K-layer sampled neighborhood; blocks[0] is the input-most layer. */
+struct SampledTree
 {
-    std::vector<SampledBlock> blocks;
-    /** Global ids whose input features the batch needs (innermost srcs). */
+    std::vector<FlatBlock> blocks;
+    /** Global ids whose input features the tree needs (innermost srcs). */
     const std::vector<VertexId> &inputVertices() const
     {
         return blocks.front().srcVertices;
     }
 };
 
+class SamplerScratch;
+
 /**
- * SAMPLE_k over all K layers for one mini-batch.
+ * SAMPLE_k over all K layers for one mini-batch, into reusable flat
+ * blocks. Layer K's destination set is @p seeds; each layer's source
+ * set is its destination set plus up to fanouts[k] reservoir-sampled
+ * neighbors per destination (a vertex with degree <= fanout keeps all
+ * neighbors). @p tree's vectors are clear()ed and refilled, retaining
+ * capacity, so a warmed tree+scratch pair samples with zero heap
+ * allocations.
  *
- * @param seeds    destination vertices of the outermost layer.
- * @param fanouts  per-layer sample sizes, innermost first; a vertex with
- *                 degree <= fanout keeps all neighbors.
+ * Precondition: @p seeds are distinct (checked under GRAPHITE_CHECKS).
+ * A repeated seed would share one local index.
+ *
+ * @param fanouts per-layer sample sizes, innermost first.
  */
-MiniBatch sampleMiniBatch(const CsrGraph &graph,
-                          std::vector<VertexId> seeds,
-                          const std::vector<VertexId> &fanouts, Rng &rng);
+template <GraphView G>
+void sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
+                     std::span<const VertexId> fanouts, Rng &rng,
+                     SamplerScratch &scratch, SampledTree &tree);
+
+/**
+ * Reusable working state of the sampler: a stamped global→local index
+ * map sized |V| (no per-call hashing or node allocation). One scratch
+ * serves one sampling thread; it may be reused across graphs only if
+ * re-constructed for the larger vertex count.
+ */
+class SamplerScratch
+{
+  public:
+    explicit SamplerScratch(VertexId numVertices)
+        : local_(numVertices, 0), stamp_(numVertices, 0)
+    {
+    }
+
+  private:
+    template <GraphView G>
+    friend void sampleMiniBatch(const G &graph,
+                                std::span<const VertexId> seeds,
+                                std::span<const VertexId> fanouts,
+                                Rng &rng, SamplerScratch &scratch,
+                                SampledTree &tree);
+
+    /** Start a new dedup domain; O(1) except on 32-bit epoch wrap. */
+    void
+    beginBlock()
+    {
+        if (++epoch_ == 0) {
+            std::fill(stamp_.begin(), stamp_.end(), 0U);
+            epoch_ = 1;
+        }
+    }
+
+    std::vector<VertexId> local_;      ///< local index, valid iff stamped
+    std::vector<std::uint32_t> stamp_; ///< epoch that wrote local_[v]
+    std::uint32_t epoch_ = 0;
+    std::vector<VertexId> reservoir_;  ///< per-destination sample buffer
+};
+
+/**
+ * sampleMiniBatch for the single seed @p seed: the serving path's
+ * per-request tree. A vertex with no delta edges samples the same tree
+ * on a DeltaCsr overlay as on its base graph, which is what makes an
+ * overlay holding zero deltas bitwise-interchangeable with its base.
+ */
+template <GraphView G>
+void
+sampleTree(const G &graph, VertexId seed, std::span<const VertexId> fanouts,
+           Rng &rng, SamplerScratch &scratch, SampledTree &tree)
+{
+    sampleMiniBatch(graph, std::span<const VertexId>(&seed, 1), fanouts,
+                    rng, scratch, tree);
+}
 
 /**
  * Gather the batch's input feature rows into a dense contiguous matrix
@@ -86,106 +163,5 @@ std::vector<std::vector<VertexId>> makeEpochBatches(const CsrGraph &graph,
  * tree bit-for-bit regardless of which batch the request landed in.
  */
 std::uint64_t requestSeed(std::uint64_t requestId);
-
-/**
- * One sampled bipartite layer held as flat arrays — the allocation-free
- * serving counterpart of SampledBlock. No CsrGraph is constructed; the
- * vectors reuse their capacity across requests once warmed up.
- *
- * Invariants match SampledBlock: dstVertices is a prefix of srcVertices
- * (local source index i < |dst| is destination i), rowPtr has |dst|+1
- * entries, and colIdx holds local source indices.
- */
-struct FlatBlock
-{
-    std::vector<EdgeId> rowPtr;
-    std::vector<VertexId> colIdx;
-    std::vector<VertexId> dstVertices;
-    std::vector<VertexId> srcVertices;
-};
-
-/** A K-layer sampled neighborhood of one seed; blocks[0] is input-most. */
-struct SampledTree
-{
-    std::vector<FlatBlock> blocks;
-    /** Global ids whose input features the tree needs (innermost srcs). */
-    const std::vector<VertexId> &inputVertices() const
-    {
-        return blocks.front().srcVertices;
-    }
-};
-
-/**
- * Reusable working state for sampleTree: a stamped global→local index
- * map sized |V| (no per-call hashing or node allocation). One scratch
- * serves one sampling thread; it may be reused across graphs only if
- * re-constructed for the larger vertex count.
- */
-class SamplerScratch
-{
-  public:
-    explicit SamplerScratch(VertexId numVertices)
-        : local_(numVertices, 0), stamp_(numVertices, 0)
-    {
-    }
-
-  private:
-    friend void sampleTree(const CsrGraph &graph, VertexId seed,
-                           std::span<const VertexId> fanouts, Rng &rng,
-                           SamplerScratch &scratch, SampledTree &tree);
-    friend void sampleTree(const DeltaCsr &graph, VertexId seed,
-                           std::span<const VertexId> fanouts, Rng &rng,
-                           SamplerScratch &scratch, SampledTree &tree);
-
-    /**
-     * Shared sampling core; instantiated for CsrGraph and DeltaCsr in
-     * the implementation file (both overloads live there, so the
-     * definition need not be visible here).
-     */
-    template <typename GraphT>
-    static void sampleTreeImpl(const GraphT &graph, VertexId seed,
-                               std::span<const VertexId> fanouts,
-                               Rng &rng, SamplerScratch &scratch,
-                               SampledTree &tree);
-
-    /** Start a new dedup domain; O(1) except on 32-bit epoch wrap. */
-    void
-    beginBlock()
-    {
-        if (++epoch_ == 0) {
-            std::fill(stamp_.begin(), stamp_.end(), 0U);
-            epoch_ = 1;
-        }
-    }
-
-    std::vector<VertexId> local_;      ///< local index, valid iff stamped
-    std::vector<std::uint32_t> stamp_; ///< epoch that wrote local_[v]
-    std::uint32_t epoch_ = 0;
-    std::vector<VertexId> reservoir_;  ///< per-destination sample buffer
-};
-
-/**
- * SAMPLE_k for a single seed vertex into reusable flat blocks: the
- * serving-path analogue of sampleMiniBatch. Layer K's destination set
- * is {seed}; each layer's source set is its destination set plus up to
- * fanouts[k] reservoir-sampled neighbors per destination. @p tree's
- * vectors are clear()ed and refilled, retaining capacity, so a warmed
- * tree+scratch pair samples with zero heap allocations.
- */
-void sampleTree(const CsrGraph &graph, VertexId seed,
-                std::span<const VertexId> fanouts, Rng &rng,
-                SamplerScratch &scratch, SampledTree &tree);
-
-/**
- * sampleTree over a delta-CSR overlay: neighbor lists are the base row
- * followed by published delta edges. The reservoir draw sequence is
- * identical to the CsrGraph overload given the same neighbor sequence,
- * so a vertex with no delta edges samples the exact same tree as it
- * would on the base graph — which is what makes an overlay holding
- * zero deltas bitwise-interchangeable with its base.
- */
-void sampleTree(const DeltaCsr &graph, VertexId seed,
-                std::span<const VertexId> fanouts, Rng &rng,
-                SamplerScratch &scratch, SampledTree &tree);
 
 } // namespace graphite

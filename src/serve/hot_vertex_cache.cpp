@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "common/assert.h"
 #include "graph/csr_graph.h"
 #include "graph/delta_csr.h"
+#include "graph/graph_stats.h"
 #include "obs/metrics.h"
 
 namespace graphite::serve {
@@ -35,41 +35,18 @@ ceilPow2(std::size_t v)
 
 } // namespace
 
+template <GraphView G>
 EdgeId
-churnFreeDegreeThreshold(const CsrGraph &graph, std::size_t capacity)
+churnFreeDegreeThreshold(const G &graph, std::size_t capacity)
 {
-    if (capacity == 0 || graph.numVertices() == 0)
+    if (capacity == 0)
         return 0;
-    std::vector<EdgeId> degrees(graph.numVertices());
-    for (VertexId v = 0; v < graph.numVertices(); ++v)
-        degrees[v] = graph.degree(v);
-    const std::size_t nth =
-        std::min(capacity / 2, degrees.size() - 1);
-    std::nth_element(degrees.begin(),
-                     degrees.begin() + static_cast<std::ptrdiff_t>(nth),
-                     degrees.end(), std::greater<EdgeId>());
-    return degrees[nth];
+    std::vector<EdgeId> degrees;
+    return degreeAtRank(graph, capacity / 2, degrees);
 }
 
-EdgeId
-churnFreeDegreeThreshold(const DeltaCsr &graph, std::size_t capacity,
-                         std::vector<EdgeId> &degreeScratch)
-{
-    if (capacity == 0 || graph.numVertices() == 0)
-        return 0;
-    // Grows once to |V|; every periodic threshold re-evaluation
-    // under churn then reuses the storage.
-    degreeScratch.resize(graph.numVertices());
-    for (VertexId v = 0; v < graph.numVertices(); ++v)
-        degreeScratch[v] = graph.degree(v);
-    const std::size_t nth =
-        std::min(capacity / 2, degreeScratch.size() - 1);
-    std::nth_element(degreeScratch.begin(),
-                     degreeScratch.begin() +
-                         static_cast<std::ptrdiff_t>(nth),
-                     degreeScratch.end(), std::greater<EdgeId>());
-    return degreeScratch[nth];
-}
+template EdgeId churnFreeDegreeThreshold(const CsrGraph &, std::size_t);
+template EdgeId churnFreeDegreeThreshold(const DeltaCsr &, std::size_t);
 
 HotVertexCache::HotVertexCache(std::size_t capacity, std::size_t shards,
                                std::size_t rowWidth, EdgeId minDegree)

@@ -31,13 +31,9 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "graph/graph_view.h"
 
-namespace graphite {
-
-class CsrGraph;
-class DeltaCsr;
-
-namespace serve {
+namespace graphite::serve {
 
 /**
  * Churn-free admission threshold for a cache of @p capacity rows: the
@@ -47,18 +43,8 @@ namespace serve {
  * the cache churns — measured-phase evictions put mega-hub
  * full-neighborhood re-gathers on the latency tail (DESIGN.md §13).
  */
-EdgeId churnFreeDegreeThreshold(const CsrGraph &graph,
-                                std::size_t capacity);
-
-/**
- * churnFreeDegreeThreshold over a delta-CSR overlay (degrees include
- * published delta edges). @p degreeScratch is caller-owned storage
- * resized to |V| once, so periodic re-evaluation under churn stays
- * allocation-free after the first call.
- */
-EdgeId churnFreeDegreeThreshold(const DeltaCsr &graph,
-                                std::size_t capacity,
-                                std::vector<EdgeId> &degreeScratch);
+template <GraphView G>
+EdgeId churnFreeDegreeThreshold(const G &graph, std::size_t capacity);
 
 /** Sharded CLOCK cache of per-hub aggregation rows. */
 class HotVertexCache
@@ -242,5 +228,4 @@ class HotVertexCache
     std::atomic<std::uint64_t> invalidations_{0};
 };
 
-} // namespace serve
-} // namespace graphite
+} // namespace graphite::serve

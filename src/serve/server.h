@@ -242,6 +242,25 @@ class InferenceServer
         HubExactUncached,
     };
 
+    /** The one constructor body; @p overlay is null in frozen mode. */
+    InferenceServer(const CsrGraph &graph, DeltaCsr *overlay,
+                    const DenseMatrix &features,
+                    std::vector<GnnLayer *> layers, ServeConfig config);
+
+    /**
+     * Call @p fn with the graph being served — the overlay in dynamic
+     * mode, else the frozen CSR — so graph-generic code picks its graph
+     * type once per call.
+     */
+    template <typename Fn>
+    decltype(auto)
+    withGraph(Fn &&fn) const
+    {
+        if (overlay_ != nullptr)
+            return fn(static_cast<const DeltaCsr &>(*overlay_));
+        return fn(graph_);
+    }
+
     std::unique_ptr<ForwardScratch> makeScratch(std::size_t maxBatch) const;
 
     /**
@@ -253,16 +272,10 @@ class InferenceServer
     void forwardBatch(ForwardScratch &scratch, std::size_t n,
                       AggPolicy policy);
 
-    /** Full-graph degree of @p v (overlay-aware). */
-    EdgeId
-    liveDegree(VertexId v) const
-    {
-        return overlay_ != nullptr ? overlay_->degree(v)
-                                   : graph_.degree(v);
-    }
-
-    /** Exact mean gather of @p v into @p dst (overlay-aware). */
-    void gatherFullMeanRow(VertexId v, Feature *dst) const;
+    /** forwardBatch over @p graph (the overlay or the frozen CSR). */
+    template <GraphView G>
+    void forwardBatchOn(const G &graph, ForwardScratch &scratch,
+                        std::size_t n, AggPolicy policy);
 
     /** Re-derive the auto admission threshold from live degrees. */
     void refreshHotThreshold() GRAPHITE_REQUIRES(updateMutex_);

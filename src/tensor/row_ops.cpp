@@ -25,18 +25,6 @@ addBias(DenseMatrix &out, std::span<const Feature> bias)
 }
 
 void
-addBiasSerial(DenseMatrix &out, std::span<const Feature> bias)
-{
-    GRAPHITE_ASSERT(bias.size() == out.cols(), "bias width mismatch");
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-        Feature *rowData = out.row(r);
-        #pragma omp simd
-        for (std::size_t c = 0; c < out.cols(); ++c)
-            rowData[c] += bias[c];
-    }
-}
-
-void
 reluForward(DenseMatrix &x)
 {
     parallelFor(0, x.rows(), 256,
@@ -48,17 +36,6 @@ reluForward(DenseMatrix &x)
                 rowData[c] = std::max(rowData[c], 0.0f);
         }
     });
-}
-
-void
-reluForwardSerial(DenseMatrix &x)
-{
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        Feature *rowData = x.row(r);
-        #pragma omp simd
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            rowData[c] = std::max(rowData[c], 0.0f);
-    }
 }
 
 void

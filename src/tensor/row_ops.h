@@ -1,12 +1,14 @@
 /**
  * @file
  * Element-wise and row-wise tensor operators used by the update phase:
- * bias add, ReLU forward/backward, dropout, and the softmax
- * cross-entropy loss head used by the training examples.
+ * bias add, ReLU forward/backward, the serial block finisher, dropout,
+ * and the softmax cross-entropy loss head used by the training
+ * examples.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,20 +20,41 @@ namespace graphite {
 /** out[r, :] += bias for every row. */
 void addBias(DenseMatrix &out, std::span<const Feature> bias);
 
-/**
- * addBias without the thread pool, for callers that must stay serial
- * on the calling thread. The inference server runs forward passes
- * concurrently (consumer loop vs serveOne oracle callers), and
- * ThreadPool::runOnAll must never be entered from two threads at
- * once — the pool-backed addBias would do exactly that.
- */
-void addBiasSerial(DenseMatrix &out, std::span<const Feature> bias);
-
 /** In-place ReLU: x = max(x, 0). The paper's activation (Table 2). */
 void reluForward(DenseMatrix &x);
 
-/** reluForward without the thread pool (see addBiasSerial). */
-void reluForwardSerial(DenseMatrix &x);
+/**
+ * The update's block finisher, serial on the calling thread: apply
+ * @p bias (skipped when empty; callers check its width) and ReLU to
+ * @p numRows rows of @p stride floats in place, and re-zero each row's
+ * padding tail (block scratch may carry stale values from an earlier,
+ * wider layer, and rows are copied — and possibly compressed — at full
+ * stride). The fused kernels run it per block inside their tasks; the
+ * server and MiniBatchTrainer run it after gemmBlockSerial, where it
+ * keeps them off the thread pool (the server forwards concurrently from
+ * its consumer and serveOne callers, and ThreadPool::runOnAll must not
+ * be entered from two threads at once).
+ */
+inline void
+finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
+                  std::size_t cols, std::span<const Feature> bias, bool relu)
+{
+    for (std::size_t r = 0; r < numRows; ++r) {
+        Feature *row = rows + r * stride;
+        if (!bias.empty()) {
+            #pragma omp simd
+            for (std::size_t c = 0; c < cols; ++c)
+                row[c] += bias[c];
+        }
+        if (relu) {
+            #pragma omp simd
+            for (std::size_t c = 0; c < cols; ++c)
+                row[c] = std::max(row[c], 0.0f);
+        }
+        for (std::size_t c = cols; c < stride; ++c)
+            row[c] = 0.0f;
+    }
+}
 
 /**
  * ReLU backward: grad[r, c] = 0 wherever activated[r, c] == 0.

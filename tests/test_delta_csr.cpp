@@ -6,15 +6,20 @@
  * bitwise equivalence with a from-scratch GraphBuilder build of the
  * same edge set, pool-budget exhaustion and recovery, incremental
  * graph-stats maintenance, the staleness-bounded locality-order cache,
- * sampler parity over a zero-delta overlay, and allocation-free
- * steady-state inserts.
+ * allocation-free steady-state inserts, and the GraphView parity table:
+ * every algorithm templated over GraphView is bitwise equal on a
+ * zero-delta overlay and on its base.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/alloc_guard.h"
@@ -24,7 +29,9 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_stats.h"
 #include "graph/reorder.h"
+#include "kernels/mean_gather.h"
 #include "sampling/neighbor_sampler.h"
+#include "serve/hot_vertex_cache.h"
 
 namespace graphite {
 namespace {
@@ -79,7 +86,7 @@ TEST(DeltaCsr, RowViewUnionsBaseAndDeltaInOrder)
         ASSERT_EQ(big.addEdge(0, u), DeltaCsr::AddEdge::Added);
         inserted.push_back(u);
     }
-    const DeltaCsr::RowView view = big.neighborsView(0);
+    const DeltaCsr::RowView view = big.neighbors(0);
     ASSERT_EQ(view.size(), inserted.size());
     // Sequential walk (cursor fast path), then random access.
     for (std::size_t i = 0; i < view.size(); ++i)
@@ -90,7 +97,7 @@ TEST(DeltaCsr, RowViewUnionsBaseAndDeltaInOrder)
 
     // A view with base edges prefixes the base row.
     ASSERT_EQ(overlay.addEdge(0, 3), DeltaCsr::AddEdge::Added);
-    const DeltaCsr::RowView mixed = overlay.neighborsView(0);
+    const DeltaCsr::RowView mixed = overlay.neighbors(0);
     ASSERT_EQ(mixed.size(), 3u);
     EXPECT_EQ(mixed[0], 1u);
     EXPECT_EQ(mixed[1], 2u);
@@ -101,11 +108,11 @@ TEST(DeltaCsr, ViewSnapshotsPublishedCount)
 {
     DeltaCsr overlay(smallGraph(), 16);
     ASSERT_EQ(overlay.addEdge(2, 0), DeltaCsr::AddEdge::Added);
-    const DeltaCsr::RowView before = overlay.neighborsView(2);
+    const DeltaCsr::RowView before = overlay.neighbors(2);
     ASSERT_EQ(overlay.addEdge(2, 1), DeltaCsr::AddEdge::Added);
     EXPECT_EQ(before.size(), 1u)
         << "a snapshot view must not see later inserts";
-    EXPECT_EQ(overlay.neighborsView(2).size(), 2u);
+    EXPECT_EQ(overlay.neighbors(2).size(), 2u);
 }
 
 TEST(DeltaCsr, PoolFullThenCompactMakesRoom)
@@ -236,15 +243,8 @@ TEST(IncrementalGraphStats, MatchesRecomputeAfterEveryInsert)
 }
 
 // ------------------------------------------------------------------
-// Locality order over an overlay
+// Locality order cache over an overlay
 // ------------------------------------------------------------------
-
-TEST(LocalityOrder, OverlayWithZeroDeltasMatchesBase)
-{
-    const CsrGraph base = generateBarabasiAlbert(200, 4, 21);
-    DeltaCsr overlay(generateBarabasiAlbert(200, 4, 21), 256);
-    EXPECT_EQ(localityOrder(base), localityOrder(overlay));
-}
 
 TEST(LocalityOrderCache, RecomputesOnlyPastStalenessBudget)
 {
@@ -283,35 +283,8 @@ TEST(LocalityOrderCache, RecomputesOnlyPastStalenessBudget)
 }
 
 // ------------------------------------------------------------------
-// Sampler parity
+// Sampling over delta edges
 // ------------------------------------------------------------------
-
-TEST(OverlaySampling, ZeroDeltaOverlaySamplesBitwiseLikeBase)
-{
-    const CsrGraph base = generateBarabasiAlbert(300, 5, 31);
-    DeltaCsr overlay(generateBarabasiAlbert(300, 5, 31), 64);
-    const std::vector<VertexId> fanouts = {4, 4};
-    SamplerScratch scratchA(base.numVertices());
-    SamplerScratch scratchB(base.numVertices());
-    SampledTree treeA;
-    SampledTree treeB;
-    for (std::uint64_t id = 0; id < 25; ++id) {
-        const auto seed = static_cast<VertexId>((id * 11) % 300);
-        Rng rngA(id * 77 + 1);
-        Rng rngB(id * 77 + 1);
-        sampleTree(base, seed, fanouts, rngA, scratchA, treeA);
-        sampleTree(overlay, seed, fanouts, rngB, scratchB, treeB);
-        ASSERT_EQ(treeA.blocks.size(), treeB.blocks.size());
-        for (std::size_t k = 0; k < treeA.blocks.size(); ++k) {
-            EXPECT_EQ(treeA.blocks[k].rowPtr, treeB.blocks[k].rowPtr);
-            EXPECT_EQ(treeA.blocks[k].colIdx, treeB.blocks[k].colIdx);
-            EXPECT_EQ(treeA.blocks[k].dstVertices,
-                      treeB.blocks[k].dstVertices);
-            EXPECT_EQ(treeA.blocks[k].srcVertices,
-                      treeB.blocks[k].srcVertices);
-        }
-    }
-}
 
 TEST(OverlaySampling, DeltaEdgesParticipateInSampling)
 {
@@ -336,6 +309,201 @@ TEST(OverlaySampling, DeltaEdgesParticipateInSampling)
         EXPECT_LE(u, 12u);
     }
 }
+
+// ------------------------------------------------------------------
+// GraphView parity: every algorithm templated over GraphView gives the
+// same result on a DeltaCsr as on the CsrGraph holding the same edges
+// ------------------------------------------------------------------
+
+/** A result flattened to bytes, so any result type compares bitwise. */
+using Fingerprint = std::vector<unsigned char>;
+
+template <typename T>
+void
+append(Fingerprint &out, const T &value)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto *bytes = reinterpret_cast<const unsigned char *>(&value);
+    out.insert(out.end(), bytes, bytes + sizeof(T));
+}
+
+template <typename T>
+void
+append(Fingerprint &out, const std::vector<T> &values)
+{
+    append(out, values.size());
+    for (const T &value : values)
+        append(out, value);
+}
+
+/** One templated algorithm, run on either graph type. */
+struct ParityCase
+{
+    std::string name;
+    std::function<Fingerprint(const CsrGraph &)> onBase;
+    std::function<Fingerprint(const DeltaCsr &)> onOverlay;
+};
+
+/** gtest prints a case by its name. */
+void
+PrintTo(const ParityCase &parityCase, std::ostream *os)
+{
+    *os << parityCase.name;
+}
+
+template <typename Fn>
+ParityCase
+parityCase(std::string name, Fn fn)
+{
+    return {std::move(name), fn, fn};
+}
+
+const DenseMatrix &
+parityFeatures()
+{
+    static const DenseMatrix features = [] {
+        DenseMatrix m(300, 20);
+        m.fillUniform(-1.0f, 1.0f, 33);
+        return m;
+    }();
+    return features;
+}
+
+ParityCase
+statsCase()
+{
+    return parityCase("computeGraphStats", [](const auto &g) {
+        const GraphStats stats = computeGraphStats(g);
+        Fingerprint out;
+        append(out, stats.numVertices);
+        append(out, stats.numEdges);
+        append(out, stats.avgDegree);
+        append(out, stats.maxDegree);
+        append(out, stats.degreeVariance);
+        append(out, stats.adjacencySparsity);
+        return out;
+    });
+}
+
+ParityCase
+thresholdCase()
+{
+    return parityCase("churnFreeDegreeThreshold", [](const auto &g) {
+        Fingerprint out;
+        for (const std::size_t capacity : {0, 1, 2, 16, 64, 299, 4096})
+            append(out, serve::churnFreeDegreeThreshold(g, capacity));
+        return out;
+    });
+}
+
+std::vector<ParityCase>
+everyAlgorithm()
+{
+    return {
+        statsCase(),
+        thresholdCase(),
+        parityCase("localityOrder",
+                   [](const auto &g) {
+                       Fingerprint out;
+                       append(out, localityOrder(g));
+                       return out;
+                   }),
+        parityCase("localityBuckets",
+                   [](const auto &g) {
+                       Fingerprint out;
+                       append(out, localityBuckets(g).bucketStart);
+                       return out;
+                   }),
+        parityCase("sampleTree",
+                   [](const auto &g) {
+                       const std::vector<VertexId> fanouts = {4, 4};
+                       SamplerScratch scratch(g.numVertices());
+                       SampledTree tree;
+                       Fingerprint out;
+                       for (std::uint64_t id = 0; id < 25; ++id) {
+                           Rng rng(id * 77 + 1);
+                           sampleTree(g, static_cast<VertexId>(id * 11 % 300),
+                                      fanouts, rng, scratch, tree);
+                           for (const FlatBlock &block : tree.blocks) {
+                               append(out, block.rowPtr);
+                               append(out, block.colIdx);
+                               append(out, block.srcVertices);
+                           }
+                       }
+                       return out;
+                   }),
+        parityCase("sampleMiniBatch",
+                   [](const auto &g) {
+                       const std::vector<VertexId> seeds = {3, 150, 7, 299};
+                       const std::vector<VertexId> fanouts = {2, 3, 5};
+                       SamplerScratch scratch(g.numVertices());
+                       SampledTree tree;
+                       Rng rng(5);
+                       sampleMiniBatch(g, seeds, fanouts, rng, scratch, tree);
+                       Fingerprint out;
+                       for (const FlatBlock &block : tree.blocks) {
+                           append(out, block.rowPtr);
+                           append(out, block.colIdx);
+                           append(out, block.srcVertices);
+                       }
+                       return out;
+                   }),
+        parityCase("fullMeanRow",
+                   [](const auto &g) {
+                       const DenseMatrix &features = parityFeatures();
+                       std::vector<Feature> row(features.cols());
+                       Fingerprint out;
+                       for (VertexId v = 0; v < g.numVertices(); ++v) {
+                           fullMeanRow(g, features, v, row.data());
+                           append(out, row);
+                       }
+                       return out;
+                   }),
+    };
+}
+
+std::string
+caseName(const testing::TestParamInfo<ParityCase> &info)
+{
+    return info.param.name;
+}
+
+class ZeroDeltaOverlay : public testing::TestWithParam<ParityCase>
+{
+};
+
+TEST_P(ZeroDeltaOverlay, MatchesBase)
+{
+    const CsrGraph base = generateBarabasiAlbert(300, 5, 31);
+    DeltaCsr overlay(generateBarabasiAlbert(300, 5, 31), 64);
+    EXPECT_EQ(GetParam().onBase(base), GetParam().onOverlay(overlay));
+}
+
+INSTANTIATE_TEST_SUITE_P(GraphView, ZeroDeltaOverlay,
+                         testing::ValuesIn(everyAlgorithm()), caseName);
+
+class DeltaOverlay : public testing::TestWithParam<ParityCase>
+{
+};
+
+TEST_P(DeltaOverlay, MatchesCompacted)
+{
+    // Degree-only algorithms see the same degrees through the overlay
+    // as through its compaction (the others depend on neighbor order,
+    // which compaction sorts).
+    DeltaCsr overlay(generateBarabasiAlbert(300, 5, 31), 512);
+    Rng rng(37);
+    while (overlay.deltaEdges() < 400) {
+        (void)overlay.addEdge(static_cast<VertexId>(rng.next() % 40),
+                              static_cast<VertexId>(rng.next() % 300));
+    }
+    EXPECT_EQ(GetParam().onBase(overlay.compacted()),
+              GetParam().onOverlay(overlay));
+}
+
+INSTANTIATE_TEST_SUITE_P(GraphView, DeltaOverlay,
+                         testing::Values(statsCase(), thresholdCase()),
+                         caseName);
 
 } // namespace
 } // namespace graphite

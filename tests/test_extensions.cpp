@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "dma/pipelined_runner.h"
 #include "gnn/gat_layer.h"
+#include "gnn/gnn_model.h"
 #include "gnn/minibatch_trainer.h"
 #include "gnn/optimizer.h"
 #include "gnn/serialization.h"
@@ -301,7 +304,7 @@ TEST(MiniBatchTrainer, LossDecreasesOverEpochs)
     config.fanouts = {6, 6};
     config.learningRate = 0.1f;
     MiniBatchTrainer trainer(g, task.features, task.labels,
-                             {16, 32, 4}, GnnKind::Sage, config);
+                             {16, 32, 4}, config);
     auto first = trainer.trainEpoch();
     MiniBatchEpochStats last{};
     for (int epoch = 0; epoch < 6; ++epoch)
@@ -319,10 +322,98 @@ TEST(MiniBatchTrainer, EvaluateLossIsFinite)
     config.batchSize = 100;
     config.fanouts = {5};
     MiniBatchTrainer trainer(g, task.features, task.labels, {8, 3},
-                             GnnKind::Sage, config);
+                             config);
     const double loss = trainer.evaluateLoss();
     EXPECT_GT(loss, 0.0);
     EXPECT_LT(loss, 50.0);
+}
+
+TEST(MiniBatchTrainer, EvaluateLossLeavesTrainingRngAlone)
+{
+    // Same setup as EvaluateLossIsFinite: evaluation draws its batches
+    // and samples from its own Rng(config.seed), so it repeats exactly
+    // and the next epoch matches a trainer that never evaluated.
+    CsrGraph g = generateErdosRenyi(300, 3000, false, 214);
+    SyntheticTask task = makeSyntheticTask(g, 3, 8, 0.3, 215);
+    MiniBatchConfig config;
+    config.batchSize = 100;
+    config.fanouts = {5};
+    MiniBatchTrainer evaluated(g, task.features, task.labels, {8, 3},
+                               config);
+    const double first = evaluated.evaluateLoss();
+    EXPECT_EQ(first, evaluated.evaluateLoss());
+    MiniBatchTrainer fresh(g, task.features, task.labels, {8, 3}, config);
+    EXPECT_EQ(evaluated.trainEpoch().loss, fresh.trainEpoch().loss);
+}
+
+/** max |a - b| over max |b|, over the logical elements. */
+double
+relativeDiff(const DenseMatrix &a, const DenseMatrix &b)
+{
+    double diff = 0.0;
+    double scale = 0.0;
+    for (std::size_t r = 0; r < b.rows(); ++r) {
+        for (std::size_t c = 0; c < b.cols(); ++c) {
+            diff = std::max<double>(diff, std::fabs(a.at(r, c) - b.at(r, c)));
+            scale = std::max<double>(scale, std::fabs(b.at(r, c)));
+        }
+    }
+    return diff / scale;
+}
+
+TEST(MiniBatchTrainer, FullFanoutBatchMatchesFullBatchSage)
+{
+    // Fan-outs >= the maximum degree keep every neighbor, and one batch
+    // of all vertices makes every block the whole graph: the sampled
+    // SAGE mean is then full-batch SAGE, so the loss and one SGD step
+    // must agree with GnnModel's forward/backward/SGD.
+    CsrGraph g = generateBarabasiAlbert(240, 4, 218);
+    SyntheticTask task = makeSyntheticTask(g, 4, 12, 0.3, 219);
+    const std::vector<std::size_t> widths = {12, 16, 4};
+    const float learningRate = 0.2f;
+
+    GnnModelConfig modelConfig;
+    modelConfig.kind = GnnKind::Sage;
+    modelConfig.featureWidths = widths;
+    modelConfig.dropoutRate = 0.0;
+    GnnModel model(g, modelConfig);
+
+    EdgeId maxDegree = 0;
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        maxDegree = std::max(maxDegree, g.degree(v));
+    MiniBatchConfig config;
+    config.batchSize = g.numVertices();
+    config.fanouts.assign(2, static_cast<VertexId>(maxDegree));
+    config.learningRate = learningRate;
+    MiniBatchTrainer trainer(g, task.features, task.labels, widths,
+                             config);
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        trainer.layer(k).weights() = model.layer(k).weights();
+        trainer.layer(k).bias() = model.layer(k).bias();
+    }
+
+    const TechniqueConfig tech = TechniqueConfig::basic();
+    const DenseMatrix &logits = model.trainForward(task.features, tech);
+    DenseMatrix lossGrad(logits.rows(), logits.cols());
+    const double fullLoss =
+        softmaxCrossEntropy(logits, task.labels, lossGrad);
+    model.trainBackward(lossGrad, tech);
+    model.sgdStep(learningRate);
+
+    const double miniLoss = trainer.trainEpoch().loss;
+    EXPECT_NEAR(miniLoss, fullLoss, 1e-4 * fullLoss);
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        EXPECT_LE(relativeDiff(trainer.layer(k).weights(),
+                               model.layer(k).weights()),
+                  1e-4)
+            << "layer " << k;
+        const std::vector<Feature> &bias = model.layer(k).bias();
+        for (std::size_t c = 0; c < bias.size(); ++c) {
+            EXPECT_NEAR(trainer.layer(k).bias()[c], bias[c],
+                        1e-4 * std::max(1.0f, std::fabs(bias[c])))
+                << "layer " << k << " bias " << c;
+        }
+    }
 }
 
 TEST(Gat, AttentionFactorsFormADistribution)

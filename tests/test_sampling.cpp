@@ -14,16 +14,27 @@
 namespace graphite {
 namespace {
 
+/** sampleMiniBatch into a fresh tree with a fresh scratch. */
+SampledTree
+sampleBatch(const CsrGraph &g, const std::vector<VertexId> &seeds,
+            const std::vector<VertexId> &fanouts, Rng &rng)
+{
+    SamplerScratch scratch(g.numVertices());
+    SampledTree tree;
+    sampleMiniBatch(g, seeds, fanouts, rng, scratch, tree);
+    return tree;
+}
+
 TEST(Sampler, FanoutBoundsSampledDegree)
 {
     CsrGraph g = generateBarabasiAlbert(500, 6, 61);
     Rng rng(1);
     std::vector<VertexId> seeds = {0, 1, 2, 3, 4};
-    MiniBatch batch = sampleMiniBatch(g, seeds, {5, 5}, rng);
+    SampledTree batch = sampleBatch(g, seeds, {5, 5}, rng);
     ASSERT_EQ(batch.blocks.size(), 2u);
-    for (const SampledBlock &block : batch.blocks) {
-        for (VertexId d = 0; d < block.block.numVertices(); ++d)
-            EXPECT_LE(block.block.degree(d), 5u);
+    for (const FlatBlock &block : batch.blocks) {
+        for (std::size_t d = 0; d < block.dstVertices.size(); ++d)
+            EXPECT_LE(block.neighbors(d).size(), 5u);
     }
 }
 
@@ -31,10 +42,10 @@ TEST(Sampler, LowDegreeVerticesKeepAllNeighbors)
 {
     CsrGraph g = generateRing(32); // degree 2 everywhere
     Rng rng(2);
-    MiniBatch batch = sampleMiniBatch(g, {7}, {10}, rng);
-    const SampledBlock &block = batch.blocks[0];
+    SampledTree batch = sampleBatch(g, {7}, {10}, rng);
+    const FlatBlock &block = batch.blocks[0];
     ASSERT_EQ(block.dstVertices.size(), 1u);
-    EXPECT_EQ(block.block.degree(0), 2u);
+    EXPECT_EQ(block.neighbors(0).size(), 2u);
 }
 
 TEST(Sampler, OutermostDstsAreTheSeeds)
@@ -42,7 +53,7 @@ TEST(Sampler, OutermostDstsAreTheSeeds)
     CsrGraph g = generateErdosRenyi(200, 2000, false, 62);
     Rng rng(3);
     std::vector<VertexId> seeds = {10, 20, 30};
-    MiniBatch batch = sampleMiniBatch(g, seeds, {4, 4, 4}, rng);
+    SampledTree batch = sampleBatch(g, seeds, {4, 4, 4}, rng);
     EXPECT_EQ(batch.blocks.back().dstVertices, seeds);
 }
 
@@ -50,7 +61,7 @@ TEST(Sampler, LayersChainSrcToDst)
 {
     CsrGraph g = generateErdosRenyi(300, 4000, false, 63);
     Rng rng(4);
-    MiniBatch batch = sampleMiniBatch(g, {1, 2}, {3, 3}, rng);
+    SampledTree batch = sampleBatch(g, {1, 2}, {3, 3}, rng);
     // Inner layer's destination set == outer layer's source set.
     EXPECT_EQ(batch.blocks[0].dstVertices, batch.blocks[1].srcVertices);
 }
@@ -59,19 +70,20 @@ TEST(Sampler, LocalIndicesAreConsistent)
 {
     CsrGraph g = generateErdosRenyi(100, 1500, false, 64);
     Rng rng(5);
-    MiniBatch batch = sampleMiniBatch(g, {5, 6, 7}, {4}, rng);
-    const SampledBlock &block = batch.blocks[0];
-    // The block CSR has one row per *source* so local ids address it
-    // directly, but only the first |dst| rows may carry edges.
-    ASSERT_EQ(block.block.numVertices(), block.srcVertices.size());
-    for (VertexId v = block.dstVertices.size();
-         v < block.block.numVertices(); ++v)
-        EXPECT_TRUE(block.block.neighbors(v).empty());
+    SampledTree batch = sampleBatch(g, {5, 6, 7}, {4}, rng);
+    const FlatBlock &block = batch.blocks[0];
+    // One row per destination, and the destinations are the first
+    // local sources, so a row index doubles as its own source index.
+    ASSERT_EQ(block.rowPtr.size(), block.dstVertices.size() + 1);
+    ASSERT_GE(block.srcVertices.size(), block.dstVertices.size());
+    for (std::size_t d = 0; d < block.dstVertices.size(); ++d)
+        EXPECT_EQ(block.srcVertices[d], block.dstVertices[d]);
+    EXPECT_EQ(block.rowPtr.back(), block.colIdx.size());
     // Every sampled edge must point at a valid local source, and the
     // global edge (dst -> src) must exist in the original graph.
-    for (VertexId d = 0; d < block.dstVertices.size(); ++d) {
+    for (std::size_t d = 0; d < block.dstVertices.size(); ++d) {
         const VertexId globalDst = block.dstVertices[d];
-        for (VertexId localSrc : block.block.neighbors(d)) {
+        for (VertexId localSrc : block.neighbors(d)) {
             ASSERT_LT(localSrc, block.srcVertices.size());
             const VertexId globalSrc = block.srcVertices[localSrc];
             auto neighbors = g.neighbors(globalDst);
@@ -85,11 +97,11 @@ TEST(Sampler, SampledNeighborsAreDistinct)
 {
     CsrGraph g = generateBarabasiAlbert(200, 8, 65);
     Rng rng(6);
-    MiniBatch batch = sampleMiniBatch(g, {0}, {6}, rng);
-    const SampledBlock &block = batch.blocks[0];
-    std::set<VertexId> seen(block.block.neighbors(0).begin(),
-                            block.block.neighbors(0).end());
-    EXPECT_EQ(seen.size(), block.block.neighbors(0).size());
+    SampledTree batch = sampleBatch(g, {0}, {6}, rng);
+    const FlatBlock &block = batch.blocks[0];
+    std::set<VertexId> seen(block.neighbors(0).begin(),
+                            block.neighbors(0).end());
+    EXPECT_EQ(seen.size(), block.neighbors(0).size());
 }
 
 TEST(Sampler, GatherBatchFeaturesCopiesRows)
@@ -126,11 +138,34 @@ TEST(Sampler, SamplingIsSeedDeterministic)
     CsrGraph g = generateBarabasiAlbert(300, 5, 68);
     Rng rngA(9);
     Rng rngB(9);
-    MiniBatch a = sampleMiniBatch(g, {1, 2, 3}, {4, 4}, rngA);
-    MiniBatch b = sampleMiniBatch(g, {1, 2, 3}, {4, 4}, rngB);
+    SampledTree a = sampleBatch(g, {1, 2, 3}, {4, 4}, rngA);
+    SampledTree b = sampleBatch(g, {1, 2, 3}, {4, 4}, rngB);
     ASSERT_EQ(a.blocks.size(), b.blocks.size());
     for (std::size_t k = 0; k < a.blocks.size(); ++k) {
         EXPECT_EQ(a.blocks[k].srcVertices, b.blocks[k].srcVertices);
+    }
+}
+
+TEST(Sampler, TreeIsTheOneSeedMiniBatch)
+{
+    // One sampler: a request's tree is the mini-batch of its seed, and
+    // a scratch reused across batches and trees changes nothing.
+    CsrGraph g = generateBarabasiAlbert(300, 5, 69);
+    const std::vector<VertexId> fanouts = {3, 4};
+    SamplerScratch shared(g.numVertices());
+    for (VertexId seed = 0; seed < 300; seed += 37) {
+        Rng rngTree(seed + 1);
+        SampledTree tree;
+        sampleTree(g, seed, fanouts, rngTree, shared, tree);
+        Rng rngBatch(seed + 1);
+        const SampledTree batch = sampleBatch(g, {seed}, fanouts, rngBatch);
+        ASSERT_EQ(tree.blocks.size(), batch.blocks.size());
+        for (std::size_t k = 0; k < tree.blocks.size(); ++k) {
+            EXPECT_EQ(tree.blocks[k].rowPtr, batch.blocks[k].rowPtr);
+            EXPECT_EQ(tree.blocks[k].colIdx, batch.blocks[k].colIdx);
+            EXPECT_EQ(tree.blocks[k].srcVertices,
+                      batch.blocks[k].srcVertices);
+        }
     }
 }
 

@@ -115,7 +115,7 @@ main(int argc, char **argv)
         {featureWidth,
          static_cast<std::size_t>(options.getInt("hidden-width")),
          classes},
-        GnnKind::Sage, trainConfig);
+        trainConfig);
     const auto epochs = static_cast<std::size_t>(options.getInt("epochs"));
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
         const MiniBatchEpochStats epochStats = trainer.trainEpoch();
