@@ -83,12 +83,19 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
 
 namespace {
 
+/** Whether @p plan switches a layer to shard-major execution. */
+bool
+shardMajor(const PartitionPlan *plan)
+{
+    return plan != nullptr && plan->numShards() >= 2;
+}
+
 /** Shard-major over a plan of >= 2 shards, else flat over @p order. */
 Schedule
 layerSchedule(const CsrGraph &graph, std::span<const VertexId> order,
               const PartitionPlan *plan, const TechniqueConfig &tech)
 {
-    if (plan == nullptr || plan->numShards() < 2)
+    if (!shardMajor(plan))
         return order;
     GRAPHITE_ASSERT(plan->graph == &graph,
                     "partition plan built for another graph");
@@ -97,6 +104,30 @@ layerSchedule(const CsrGraph &graph, std::span<const VertexId> order,
 
 } // namespace
 
+bool
+runsFusedBlocks(const PartitionPlan *plan, const TechniqueConfig &tech)
+{
+    return tech.fusion && !(tech.delayedHalo && shardMajor(plan));
+}
+
+bool
+GnnLayer::projectsFirst(const AggregationSpec &spec,
+                        const TechniqueConfig &tech) const
+{
+    return tech.fusion && spec.reduce == ReduceOp::Sum &&
+           outFeatures_ < inFeatures_;
+}
+
+const DenseMatrix &
+GnnLayer::project(const DenseMatrix &in, Precision precision) const
+{
+    GRAPHITE_TRACE_SPAN("layer.project");
+    GRAPHITE_ASSERT(in.cols() == inFeatures_, "input width mismatch");
+    projected_.reshape(in.rows(), outFeatures_);
+    gemm(GemmMode::NN, in, packedWeights(precision), projected_);
+    return projected_;
+}
+
 void
 GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                   const DenseMatrix &dense,
@@ -104,32 +135,62 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                   const Bf16Matrix *inBf16, DenseMatrix *agg,
                   DenseMatrix &out, CompressedMatrix *outCompressed,
                   Bf16Matrix *outBf16, std::span<const VertexId> order,
-                  const PartitionPlan *plan,
-                  const TechniqueConfig &tech) const
+                  const PartitionPlan *plan, const TechniqueConfig &tech,
+                  const LayerChain &chain) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
-    FeatureRows in = dense;
-    if (tech.compression && inCompressed != nullptr)
-        in = *inCompressed;
-    else if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
-        in = *inBf16;
     const Schedule schedule = layerSchedule(graph, order, plan, tech);
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    // Fusion has no delayed-halo variant (the replica phase breaks the
-    // per-block pipeline); delayed runs take the unfused path below.
-    if (tech.fusion && !schedule.delayedHalo) {
-        fusedLayer(graph, in, spec, update, out,
-                   {agg, outCompressed, outBf16}, schedule, tech.fused);
-        return;
+    const bool fusedBlocks = runsFusedBlocks(plan, tech);
+    GRAPHITE_ASSERT(chain.next == nullptr || fusedBlocks,
+                    "only a fused block can fold the next projection");
+    const GemmPlan *then = chain.next != nullptr
+        ? &chain.next->packedWeights(tech.precision) : nullptr;
+    if (projectsFirst(spec, tech)) {
+        // Z = X·W once (unless the previous block already produced it),
+        // then Z's F_out-wide rows are gathered as fp32 (Z is
+        // pre-activation: never compressed) and finished per block.
+        MutexLock lock(projectMutex_);
+        const DenseMatrix &z =
+            chain.inProjected ? dense : project(dense, tech.precision);
+        if (fusedBlocks) {
+            fusedLayer(graph, z, spec,
+                       {nullptr, bias_, relu_, nullptr, tech.precision,
+                        then},
+                       out, {nullptr, outCompressed, outBf16}, schedule,
+                       tech.fused);
+            return;
+        }
+        aggregate(graph, z, out, spec, schedule, tech.agg);
+        addBias(out, bias_);
+        if (relu_)
+            reluForward(out);
+    } else {
+        GRAPHITE_ASSERT(!chain.inProjected,
+                        "projected input to an aggregate-first layer");
+        FeatureRows in = dense;
+        if (tech.compression && inCompressed != nullptr)
+            in = *inCompressed;
+        else if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
+            in = *inBf16;
+        const UpdateOp update{&weights_, bias_, relu_,
+                              &packedWeights(tech.precision),
+                              tech.precision, then};
+        // Fusion has no delayed-halo variant (the replica phase breaks
+        // the per-block pipeline); delayed runs take the unfused path.
+        if (fusedBlocks) {
+            fusedLayer(graph, in, spec, update, out,
+                       {agg, outCompressed, outBf16}, schedule, tech.fused);
+            return;
+        }
+        // Unfused path: aggregation materialises a^k, then one big GEMM.
+        DenseMatrix local;
+        if (agg == nullptr) {
+            local = DenseMatrix(graph.numVertices(), inFeatures_);
+            agg = &local;
+        }
+        unfusedLayer(graph, in, spec, update, *agg, out, schedule,
+                     tech.agg);
     }
-    // Unfused path: aggregation materialises a^k, then one big GEMM.
-    DenseMatrix local;
-    if (agg == nullptr) {
-        local = DenseMatrix(graph.numVertices(), inFeatures_);
-        agg = &local;
-    }
-    unfusedLayer(graph, in, spec, update, *agg, out, schedule, tech.agg);
     if (outCompressed)
         outCompressed->compressFrom(out);
     if (outBf16)
@@ -146,10 +207,11 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            Bf16Matrix *outBf16,
                            std::span<const VertexId> order,
                            const PartitionPlan *plan,
-                           const TechniqueConfig &tech) const
+                           const TechniqueConfig &tech,
+                           const LayerChain &chain) const
 {
     forward(graph, spec, in, inCompressed, inBf16, nullptr, out,
-            outCompressed, outBf16, order, plan, tech);
+            outCompressed, outBf16, order, plan, tech, chain);
 }
 
 void
@@ -157,26 +219,31 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
                           const CompressedMatrix *inCompressed,
                           const Bf16Matrix *inBf16, LayerContext &ctx,
+                          bool compressOutput,
                           std::span<const VertexId> order,
                           const PartitionPlan *plan,
                           const TechniqueConfig &tech) const
 {
     const VertexId n = graph.numVertices();
-    if (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_)
+    // A projecting layer's backward needs its input, not a^k.
+    const bool projects = projectsFirst(spec, tech);
+    ctx.input = projects ? &in : nullptr;
+    if (!projects && (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_))
         ctx.agg.resize(n, inFeatures_);
     if (ctx.output.rows() != n || ctx.output.cols() != outFeatures_)
         ctx.output.resize(n, outFeatures_);
-    ctx.hasCompressed = tech.compression;
+    ctx.hasCompressed = compressOutput;
     CompressedMatrix *outCompressed = nullptr;
-    if (tech.compression) {
+    if (compressOutput) {
         if (ctx.outputCompressed.rows() != n ||
             ctx.outputCompressed.cols() != outFeatures_) {
             ctx.outputCompressed = CompressedMatrix(n, outFeatures_);
         }
         outCompressed = &ctx.outputCompressed;
     }
-    forward(graph, spec, in, inCompressed, inBf16, &ctx.agg, ctx.output,
-            outCompressed, nullptr, order, plan, tech);
+    forward(graph, spec, in, inCompressed, inBf16,
+            projects ? nullptr : &ctx.agg, ctx.output, outCompressed,
+            nullptr, order, plan, tech, {});
 }
 
 void
@@ -196,20 +263,36 @@ GnnLayer::backward(const CsrGraph &transposed,
     if (relu_)
         reluBackward(ctx.output, gradOut);
 
-    // dW = aᵀ·dz and db = colsum(dz). At bf16 both GEMM operands are
-    // rounded at pack time; accumulation stays fp32.
-    dwPlanScratch_.pack(GemmMode::TN, gradOut, tech.precision);
-    gemm(GemmMode::TN, ctx.agg, dwPlanScratch_, weightGrad_,
-         GemmAccumulate::Overwrite);
+    const Schedule schedule =
+        layerSchedule(transposed, order, transposedPlan, tech);
+    // Projected forward: G = Aggᵀ(dz) once, F_out wide, over the
+    // transposed graph.
+    const bool projected = ctx.input != nullptr;
+    if (projected) {
+        gradScratch_.reshape(gradOut.rows(), outFeatures_);
+        aggregate(transposed, gradOut, gradScratch_, transposedSpec,
+                  schedule, tech.agg);
+    }
+
+    // dW = aᵀ·dz (projected: Xᵀ·G) and db = colsum(dz). At bf16 both
+    // GEMM operands are rounded at pack time; accumulation stays fp32.
+    dwPlanScratch_.pack(GemmMode::TN, projected ? gradScratch_ : gradOut,
+                        tech.precision);
+    gemm(GemmMode::TN, projected ? *ctx.input : ctx.agg, dwPlanScratch_,
+         weightGrad_, GemmAccumulate::Overwrite);
     columnSum(gradOut, biasGrad_, colSumScratch_);
 
     if (!gradIn)
         return;
-    const Schedule schedule =
-        layerSchedule(transposed, order, transposedPlan, tech);
-    // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
     gradIn->reshape(gradOut.rows(), inFeatures_);
-    if (tech.fusion && !schedule.delayedHalo) {
+    if (projected) {
+        // dh_prev = G·Wᵀ: no |V| x F_in intermediate.
+        gemm(GemmMode::NT, gradScratch_,
+             packedWeightsTransposed(tech.precision), *gradIn);
+        return;
+    }
+    // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
+    if (runsFusedBlocks(transposedPlan, tech)) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
         // kernels/fused_layer.h on the commuted fusion direction).
         FeatureRows dz = gradOut;
@@ -226,12 +309,12 @@ GnnLayer::backward(const CsrGraph &transposed,
                            schedule, tech.fused);
         return;
     }
-    dAggScratch_.reshape(gradOut.rows(), inFeatures_);
+    gradScratch_.reshape(gradOut.rows(), inFeatures_);
     gemm(GemmMode::NT, gradOut, packedWeightsTransposed(tech.precision),
-         dAggScratch_);
+         gradScratch_);
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
-    aggregate(transposed, dAggScratch_, *gradIn, transposedSpec, schedule,
+    aggregate(transposed, gradScratch_, *gradIn, transposedSpec, schedule,
               tech.agg);
 }
 

@@ -4,12 +4,24 @@
  * with forward paths for every technique combination and a full backward
  * pass for training.
  *
- * Backward math for h = ReLU(a W + b), a = Agg(h_prev):
+ * A layer runs in one of two directions (DESIGN.md, "Layer direction").
+ * Aggregate first, h = ReLU(Agg(h_prev)·W + b), is the paper's order and
+ * the oracle. A fused, Sum-reduce, narrowing layer (F_out < F_in)
+ * projects first instead, h = ReLU(Agg(h_prev·W) + b): aggregation is
+ * linear, so the two agree up to rounding, and the gather reads F_out-
+ * wide rows instead of F_in-wide ones.
+ *
+ * Backward math, aggregate first (a = Agg(h_prev) saved by the forward):
  *   dz      = dh ⊙ ReLU'(h)
  *   dW      = aᵀ · dz          db = colsum(dz)
  *   da      = dz · Wᵀ
  *   dh_prev = Aggᵀ(da)   — aggregation along the transposed graph with
  *                          the transposed factor map.
+ * Projected first (the input X = h_prev saved instead of a):
+ *   dz      = dh ⊙ ReLU'(h)
+ *   G       = Aggᵀ(dz)   — once, F_out wide
+ *   dW      = Xᵀ · G           db = colsum(dz)
+ *   dh_prev = G · Wᵀ
  */
 
 #pragma once
@@ -38,11 +50,25 @@ AggregationSpec transposeSpec(const CsrGraph &graph,
                               const AggregationSpec &spec,
                               const CsrGraph &transposed);
 
+/**
+ * True when a layer under @p tech runs the fused driver's blocks:
+ * fusion on, and not a delayed-halo schedule over @p plan (which has no
+ * fused form).
+ */
+bool runsFusedBlocks(const PartitionPlan *plan, const TechniqueConfig &tech);
+
 /** Saved forward state one layer needs for its backward pass. */
 struct LayerContext
 {
-    /** Aggregation output a^k (pre-update). */
+    /** Aggregation output a^k (pre-update); unused when projecting. */
     DenseMatrix agg;
+    /**
+     * The layer's input X when it projects first, for dW = Xᵀ·Aggᵀ(dz);
+     * null when it aggregates first. Borrowed: the caller's input
+     * features or the previous layer's post-dropout output, neither of
+     * which is rewritten before the backward pass.
+     */
+    const DenseMatrix *input = nullptr;
     /** Layer output h^k (post-activation). */
     DenseMatrix output;
     /** Compressed copy of output, maintained when compression is on. */
@@ -55,6 +81,25 @@ struct LayerContext
      */
     Bf16Matrix outputBf16;
     bool hasBf16 = false;
+};
+
+class GnnLayer;
+
+/** How GnnModel::inference links a layer to its neighbours. */
+struct LayerChain
+{
+    /**
+     * The input already holds Z = X·W for this projecting layer: the
+     * previous layer's fused block folded the projection in.
+     */
+    bool inProjected = false;
+    /**
+     * A projecting next layer whose W each finished block is multiplied
+     * by while cache-resident: out then receives Z_next
+     * (|V| x next->outFeatures()) and h^k is never stored. Needs the
+     * fused block (fusion on, no delayed halo).
+     */
+    const GnnLayer *next = nullptr;
 };
 
 /** A single aggregation+update GNN layer with trainable W and b. */
@@ -109,6 +154,14 @@ class GnnLayer
     packedWeightsTransposed(Precision precision = Precision::Fp32) const;
 
     /**
+     * True when this layer projects first under @p tech: fusion on, a
+     * Sum reduce and F_out < F_in. Fixed by those three; no option
+     * selects it, and basic or any unfused run aggregates first.
+     */
+    bool projectsFirst(const AggregationSpec &spec,
+                       const TechniqueConfig &tech) const;
+
+    /**
      * Inference forward: writes h^k into @p out; a^k is only
      * materialised when fusion is off (the unfused path needs it as a
      * GEMM input). The gather source is @p inCompressed when
@@ -118,10 +171,18 @@ class GnnLayer
      * rows packed / rounded to bf16 for the next layer (written while
      * cache-resident on the fused path).
      *
+     * A layer that projects first (projectsFirst) multiplies @p in by W
+     * in one pooled GEMM at tech.precision, into a per-layer scratch,
+     * then gathers those F_out-wide fp32 rows and adds bias and ReLU
+     * per block; @p inCompressed and @p inBf16 are not read. The
+     * default @p chain drives the layer on its own; GnnModel::inference
+     * passes one to fold a projection into the previous layer's block.
+     *
      * A non-null @p plan with >= 2 shards switches every source to
      * shard-major execution (bit-identical to flat); tech.delayedHalo
      * then selects the replica mode, which has no fused form and runs
-     * as delayed-halo aggregation + one GEMM.
+     * as delayed-halo aggregation + one GEMM (projecting: the GEMM,
+     * then delayed-halo aggregation of its rows).
      */
     void forwardInference(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
@@ -131,19 +192,23 @@ class GnnLayer
                           Bf16Matrix *outBf16,
                           std::span<const VertexId> order,
                           const PartitionPlan *plan,
-                          const TechniqueConfig &tech) const;
+                          const TechniqueConfig &tech,
+                          const LayerChain &chain = {}) const;
 
     /**
-     * Training forward: fills @p ctx with a^k and h^k (and the packed
-     * copy when compression is on). @p inBf16, when non-null under the
-     * Bf16 precision technique, supplies the half-width gather source;
-     * ctx.outputBf16 is the *model's* responsibility (conversion must
-     * happen after inter-layer dropout).
+     * Training forward: fills @p ctx with a^k (projecting: the input
+     * record instead) and h^k, plus the packed copy when
+     * @p compressOutput (the next layer gathers h^k under compression).
+     * @p inBf16, when non-null under the Bf16 precision technique,
+     * supplies the half-width gather source; ctx.outputBf16 is the
+     * *model's* responsibility (conversion must happen after
+     * inter-layer dropout).
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
                          const CompressedMatrix *inCompressed,
                          const Bf16Matrix *inBf16, LayerContext &ctx,
+                         bool compressOutput,
                          std::span<const VertexId> order,
                          const PartitionPlan *plan,
                          const TechniqueConfig &tech) const;
@@ -154,8 +219,11 @@ class GnnLayer
      * dL/dh^{k-1} via the transposed aggregation — fused with the
      * da = dz·Wᵀ GEMM (fusedLayerBackward) when tech.fusion is on and
      * the schedule is not delayed halo, so dAgg is only materialised on
-     * the unfused path (into a persistent per-layer scratch). The bias
-     * gradient uses the parallel deterministic columnSum.
+     * the unfused path (into a persistent per-layer scratch). A layer
+     * whose forward projected (ctx.input set) aggregates G = Aggᵀ(dz)
+     * once into that scratch instead and runs dW = Xᵀ·G and
+     * dh_prev = G·Wᵀ as two pooled GEMMs. The bias gradient uses the
+     * parallel deterministic columnSum.
      * Allocation-free once scratch has grown to the steady-state shape.
      *
      * @param transposed     transposed graph.
@@ -181,9 +249,9 @@ class GnnLayer
 
   private:
     /**
-     * The body both forwards share: picks the gather source and the
-     * schedule once, then runs fused or unfused; @p agg (training) keeps
-     * a^k for backprop.
+     * The body both forwards share: picks the direction, the gather
+     * source and the schedule once, then runs fused or unfused; @p agg
+     * (training, aggregate first) keeps a^k for backprop.
      */
     void forward(const CsrGraph &graph, const AggregationSpec &spec,
                  const DenseMatrix &dense,
@@ -191,8 +259,13 @@ class GnnLayer
                  const Bf16Matrix *inBf16, DenseMatrix *agg,
                  DenseMatrix &out, CompressedMatrix *outCompressed,
                  Bf16Matrix *outBf16, std::span<const VertexId> order,
-                 const PartitionPlan *plan,
-                 const TechniqueConfig &tech) const;
+                 const PartitionPlan *plan, const TechniqueConfig &tech,
+                 const LayerChain &chain) const;
+
+    /** Z = @p in · W through the cached plan, into projected_. */
+    const DenseMatrix &project(const DenseMatrix &in,
+                               Precision precision) const
+        GRAPHITE_REQUIRES(projectMutex_);
 
     std::size_t inFeatures_;
     std::size_t outFeatures_;
@@ -238,8 +311,18 @@ class GnnLayer
      * when the operand shape and precision are unchanged).
      */
     GemmPlan dwPlanScratch_;
-    /** dAgg workspace of the unfused backward, reused across epochs. */
-    DenseMatrix dAggScratch_;
+    /**
+     * Z = X·W of the projecting forward, persistent so steady-state
+     * forwards stay allocation-free. Guarded so forwards of one layer
+     * from several threads take turns instead of sharing it.
+     */
+    mutable Mutex projectMutex_;
+    mutable DenseMatrix projected_ GRAPHITE_GUARDED_BY(projectMutex_);
+    /**
+     * Backward workspace reused across epochs: dAgg of the unfused
+     * backward, or G = Aggᵀ(dz) of a projecting layer.
+     */
+    DenseMatrix gradScratch_;
     /** columnSum partials workspace, reused across epochs. */
     std::vector<Feature> colSumScratch_;
     /** dz rounded to bf16 for the fused bf16 backward, reused. */

@@ -108,6 +108,13 @@ GnnModel::transposedPartitionPlanFor(const TechniqueConfig &tech) const
     return &findOrBuildPlan(transposedPlanCache_, transposed_, tech);
 }
 
+bool
+GnnModel::nextGathers(std::size_t k, const TechniqueConfig &tech) const
+{
+    return k + 1 < layers_.size() &&
+           !layers_[k + 1]->projectsFirst(spec_, tech);
+}
+
 const Bf16Matrix &
 GnnModel::inputAsBf16(const DenseMatrix &inputFeatures)
 {
@@ -143,24 +150,31 @@ GnnModel::inference(const DenseMatrix &inputFeatures,
         tech.precision == Precision::Bf16 && !tech.compression;
     bool havePacked = false;
     bool haveBf16 = false;
+    bool inProjected = false;
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const GnnLayer &layer = *layers_[k];
         // Layer k reads parity k+1 (or the input features) and writes
         // parity k, so consecutive layers never alias.
         const DenseMatrix &in = k == 0 ? inputFeatures
                                        : inferBufs_[(k + 1) % 2];
+        const bool gathered = nextGathers(k, tech);
+        // A projecting next layer is folded into this layer's fused
+        // block: out then holds Z_{k+1} = h^k·W_{k+1}, never h^k.
+        LayerChain chain;
+        chain.inProjected = inProjected;
+        if (k + 1 < layers_.size() && !gathered &&
+            runsFusedBlocks(plan, tech))
+            chain.next = layers_[k + 1].get();
         DenseMatrix &out = inferBufs_[k % 2];
-        out.reshape(n, layer.outFeatures());
+        out.reshape(n, chain.next ? chain.next->outFeatures()
+                                  : layer.outFeatures());
         CompressedMatrix *packedPtr = nullptr;
-        // Hidden activations (post-ReLU) are worth compressing; the
-        // final logits layer has no consumer, so skip packing there.
-        if (tech.compression && k + 1 < layers_.size()) {
+        if (tech.compression && gathered) {
             packedPtr = &inferPacked_[k % 2];
             packedPtr->reshape(n, layer.outFeatures());
         }
-        // Likewise the logits layer never needs a bf16 copy.
         Bf16Matrix *outBf16 = nullptr;
-        if (bf16Flow && k + 1 < layers_.size()) {
+        if (bf16Flow && gathered) {
             outBf16 = &inferBf16_[k % 2];
             outBf16->reshape(n, layer.outFeatures());
         }
@@ -174,9 +188,10 @@ GnnModel::inference(const DenseMatrix &inputFeatures,
                                havePacked ? &inferPacked_[(k + 1) % 2]
                                           : nullptr,
                                inBf16, out, packedPtr, outBf16, order,
-                               plan, tech);
+                               plan, tech, chain);
         havePacked = packedPtr != nullptr;
         haveBf16 = outBf16 != nullptr;
+        inProjected = chain.next != nullptr;
     }
     return inferBufs_[(layers_.size() + 1) % 2];
 }
@@ -197,6 +212,7 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const DenseMatrix &in =
             k == 0 ? inputFeatures : contexts_[k - 1].output;
+        const bool gathered = nextGathers(k, tech);
         const CompressedMatrix *inPacked =
             (k > 0 && contexts_[k - 1].hasCompressed)
                 ? &contexts_[k - 1].outputCompressed : nullptr;
@@ -208,7 +224,9 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
                                    : nullptr);
         }
         layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
-                                    contexts_[k], order, plan, tech);
+                                    contexts_[k],
+                                    tech.compression && gathered, order,
+                                    plan, tech);
         // Inter-layer dropout on hidden activations; the packed copy is
         // rebuilt afterwards so the next layer sees the post-dropout
         // sparsity (which is exactly what makes compression pay off in
@@ -225,7 +243,7 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
         // Bf16 copies are made *after* dropout so the next layer's
         // half-width gathers see the post-dropout activations (same
         // reasoning as the compressed rebuild above).
-        contexts_[k].hasBf16 = bf16Flow && k + 1 < layers_.size();
+        contexts_[k].hasBf16 = bf16Flow && gathered;
         if (contexts_[k].hasBf16) {
             contexts_[k].outputBf16.reshape(contexts_[k].output.rows(),
                                             layers_[k]->outFeatures());

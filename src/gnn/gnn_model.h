@@ -54,6 +54,12 @@ class GnnModel
      * sized to the widest layer, so repeated evaluate() calls stop
      * churning the allocator — which is why this is non-const.
      *
+     * Only activations a next layer gathers are packed or rounded. When
+     * layer k+1 projects first (GnnLayer::projectsFirst) and layer k
+     * runs fused blocks, layer k multiplies each finished block by
+     * W_{k+1} and stores only Z_{k+1}: h^k is never written, and layer
+     * k+1 skips its standalone GEMM.
+     *
      * @return logits (|V| x F_output); a reference into model-owned
      *         workspace, valid until the next inference() call.
      */
@@ -77,12 +83,18 @@ class GnnModel
      * gradients ping-pong between two persistent model-owned buffers,
      * so steady-state epochs allocate nothing. Honors tech.fusion
      * (fused backward kernel) and tech.locality (cached transposed
-     * locality order) symmetrically with the forward pass.
+     * locality order) symmetrically with the forward pass. A layer
+     * that projected in the forward reads its saved input, so the
+     * features passed to trainForward must still be alive and
+     * unchanged.
      */
     void trainBackward(DenseMatrix &lossGrad, const TechniqueConfig &tech);
 
     /** SGD step on every layer. */
     void sgdStep(float learningRate);
+
+    /** Layer @p k's saved state from the last trainForward (for tests). */
+    const LayerContext &context(std::size_t k) const { return contexts_[k]; }
 
     /**
      * The processing order used when tech.locality is on (computed
@@ -191,6 +203,13 @@ class GnnModel
     const void *inputBf16Key_ = nullptr;
     std::size_t inputBf16Rows_ = 0;
     std::size_t inputBf16Cols_ = 0;
+
+    /**
+     * Whether layer k+1 gathers h^k, the only case in which h^k is
+     * packed or rounded: never the logits, nor the input of a layer
+     * that projects first (it multiplies h^k by W instead).
+     */
+    bool nextGathers(std::size_t k, const TechniqueConfig &tech) const;
 
     /** Round @p inputFeatures into inputBf16_ if the cache is stale. */
     const Bf16Matrix &inputAsBf16(const DenseMatrix &inputFeatures);

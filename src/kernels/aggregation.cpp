@@ -234,6 +234,12 @@ aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
                         rows.in.cols(), true);
     });
 
+    // Every worker sizes its replica for the widest halo, whichever
+    // shards it draws.
+    VertexId maxHalo = 0;
+    for (const Shard &shard : plan.shards)
+        maxHalo = std::max(maxHalo, shard.numHalo());
+    const auto reserveReplica = [&] { blockScratch<2>(maxHalo * width); };
     parallelFor(0, plan.numShards(), 1,
                 [&](std::size_t shardBegin, std::size_t shardEnd,
                     std::size_t) {
@@ -262,7 +268,7 @@ aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
                 countGather(numHalo, rows.rowBytes(), shard.cutEdges,
                             rows.in.cols(), true, true);
         }
-    });
+    }, reserveReplica);
 }
 
 /**

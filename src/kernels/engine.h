@@ -340,7 +340,9 @@ rowsGathered(const CsrGraph &graph, std::span<const VertexId> order,
  * Per-worker grow-only buffer, one per @p Slot (a driver needs up to
  * three live at once). Pool workers persist across layer calls and
  * epochs, so after warm-up these never allocate — part of the
- * allocation-free steady-state contract of the training loop.
+ * allocation-free steady-state contract of the training loop. Drivers
+ * size them in the pool's per-worker dispatch prologue, so a worker
+ * that draws no task still reaches the steady-state size.
  */
 template <int Slot>
 Feature *
@@ -359,19 +361,21 @@ blockScratch(std::size_t count)
  * shard's owned run of shardMajorOrder is chunked on its own, so no
  * task spans a shard boundary and the feature slice a worker touches
  * stays within the shard in flight; each task runs under a
- * "partition.shard" span.
+ * "partition.shard" span. @p prologue runs once on every worker (see
+ * ThreadPool::parallelForChunked).
  */
 template <typename TaskFn>
 void
 forEachTask(const Schedule &schedule, std::size_t numVertices,
-            std::size_t taskVertices, const char *flatSpan, TaskFn &&task)
+            std::size_t taskVertices, const char *flatSpan, TaskFn &&task,
+            FunctionRef<void()> prologue = {})
 {
     if (schedule.plan == nullptr) {
         parallelFor(0, numVertices, taskVertices,
                     [&](std::size_t begin, std::size_t end, std::size_t) {
             GRAPHITE_TRACE_SPAN(flatSpan);
             task(begin, end);
-        });
+        }, prologue);
         return;
     }
     const std::vector<std::size_t> &start = schedule.plan->ownedStart;
@@ -395,7 +399,7 @@ forEachTask(const Schedule &schedule, std::size_t numVertices,
             const std::size_t begin = start[s] + first * chunk;
             task(begin, std::min(begin + chunk, start[s + 1]));
         }
-    });
+    }, prologue);
 }
 
 } // namespace graphite

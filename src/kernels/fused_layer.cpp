@@ -19,19 +19,31 @@ namespace {
  * commuted form restores the same shape; see fusedLayerBackward): per
  * block of the schedule's tasks, @p rows fills the cache-resident
  * aggregation block, @p weightPlan (shared read-only by every task's
- * micro-kernel) multiplies it, and the finished rows are written to
- * @p out and the optional @p extra outputs.
+ * micro-kernel; null for the identity update) multiplies it, bias and
+ * ReLU finish it, @p then (the chained next-layer plan, or null)
+ * multiplies the finished block, and the result is written to @p out
+ * and the optional @p extra outputs.
  */
 template <typename Rows>
 void
 fusedRows(const CsrGraph &graph, const Rows &rows,
-          const GemmPlan &weightPlan, std::span<const Feature> bias,
-          bool relu, DenseMatrix &out, const FusedOutputs &extra,
-          const Schedule &schedule, const FusedConfig &config)
+          const GemmPlan *weightPlan, std::span<const Feature> bias,
+          bool relu, const GemmPlan *then, DenseMatrix &out,
+          const FusedOutputs &extra, const Schedule &schedule,
+          const FusedConfig &config)
 {
     const std::size_t inCols = rows.in.cols();
-    if (const char *error = weightPlan.validateFor(inCols, out.cols()))
-        panic("fused layer weight plan: %s", error);
+    const std::size_t updCols = weightPlan ? weightPlan->n() : inCols;
+    if (weightPlan) {
+        if (const char *error = weightPlan->validateFor(inCols, updCols))
+            panic("fused layer weight plan: %s", error);
+    }
+    if (then) {
+        if (const char *error = then->validateFor(updCols, out.cols()))
+            panic("fused layer chained plan: %s", error);
+    }
+    GRAPHITE_ASSERT(out.cols() == (then ? then->n() : updCols),
+                    "out width mismatch");
     GRAPHITE_ASSERT(out.rows() == graph.numVertices(), "out row mismatch");
     GRAPHITE_ASSERT(extra.agg == nullptr ||
                         (extra.agg->rows() == out.rows() &&
@@ -47,7 +59,11 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
     // Padded strides of the block-local buffers match the matrices so
     // rows can be memcpy'd wholesale.
     const std::size_t aggStride = rows.width();
+    const std::size_t updStride =
+        (updCols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
     const std::size_t outStride = out.rowStride();
+    GRAPHITE_ASSERT(weightPlan != nullptr || aggStride == updStride,
+                    "identity update: gathered and finished rows differ");
     const std::span<const VertexId> order = visitOrder(schedule);
 
     // Per-task accounting (paper Fig. 13's per-phase byte/FLOP story):
@@ -61,14 +77,25 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
     static obs::Counter &flops = metrics.counter("fused.flops");
     static obs::Histogram &blockMicros =
         metrics.histogram("fused.block_us");
+    const std::uint64_t gemmFlopsPerRow =
+        2 * ((weightPlan ? inCols * updCols : 0) +
+             (then ? updCols * out.cols() : 0));
 
+    const auto reserveScratch = [&] {
+        blockScratch<0>(blockSize * aggStride);
+        blockScratch<1>(blockSize * updStride);
+        blockScratch<2>(blockSize * outStride);
+        reserveGemmScratch();
+    };
     forEachTask(schedule, graph.numVertices(), taskVertices, "fused.block",
                 [&](std::size_t begin, std::size_t end) {
         const bool metricsOn = metrics.enabled();
         const obs::TraceNs taskStart =
             metricsOn ? obs::TraceRecorder::now() : 0;
         Feature *agg = blockScratch<0>(blockSize * aggStride);
-        Feature *upd = blockScratch<1>(blockSize * outStride);
+        Feature *upd = weightPlan ? blockScratch<1>(blockSize * updStride)
+                                  : agg;
+        Feature *res = then ? blockScratch<2>(blockSize * outStride) : upd;
         for (std::size_t j = begin; j < end; j += blockSize) {
             const std::size_t blockRows = std::min(j + blockSize, end) - j;
             // Aggregation phase of the block (Algorithm 2 lines 3-7).
@@ -90,13 +117,19 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
                 }
             }
             // Update phase of the block (Algorithm 2 lines 8-10).
-            gemmBlockSerial(agg, blockRows, aggStride, weightPlan, upd,
-                            outStride, inCols);
-            finishUpdateBlock(upd, blockRows, outStride, out.cols(), bias,
+            if (weightPlan) {
+                gemmBlockSerial(agg, blockRows, aggStride, *weightPlan, upd,
+                                updStride, inCols);
+            }
+            finishUpdateBlock(upd, blockRows, updStride, updCols, bias,
                               relu);
+            if (then) {
+                gemmBlockSerial(upd, blockRows, updStride, *then, res,
+                                outStride, updCols);
+            }
             for (std::size_t m = 0; m < blockRows; ++m) {
                 const VertexId v = vertexAt(order, j + m);
-                const Feature *row = upd + m * outStride;
+                const Feature *row = res + m * outStride;
                 std::memcpy(out.row(v), row, outStride * sizeof(Feature));
                 if (extra.compressed)
                     extra.compressed->compressRowFrom(v, row);
@@ -111,13 +144,12 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
             bytesGathered.add(pulled * rows.rowBytes());
             if (schedule.plan != nullptr)
                 shardBytes.add(pulled * rows.rowBytes());
-            // Aggregation multiply-adds plus the per-block micro-GEMM.
-            flops.add(2 * pulled * inCols +
-                      2 * (end - begin) * inCols * out.cols());
+            // Aggregation multiply-adds plus the per-block micro-GEMMs.
+            flops.add(2 * pulled * inCols + (end - begin) * gemmFlopsPerRow);
             blockMicros.observe(
                 (obs::TraceRecorder::now() - taskStart) / 1000);
         }
-    });
+    }, reserveScratch);
 }
 
 } // namespace
@@ -129,16 +161,17 @@ fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
            const FusedConfig &config)
 {
     GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
     // The same packed operand multiplies every vertex block: the
     // caller's cached plan (weight shapes are checked against the layer
     // widths by the driver's validateFor), else one local pack of W.
+    // Null weights select the identity update.
     GemmPlan localPlan;
-    if (update.packedWeights == nullptr)
+    const GemmPlan *plan = update.packedWeights;
+    if (update.weights != nullptr && plan == nullptr) {
         localPlan.pack(GemmMode::NN, *update.weights, update.precision);
-    const GemmPlan &plan =
-        update.packedWeights ? *update.packedWeights : localPlan;
-    GRAPHITE_ASSERT(plan.precision() == update.precision,
+        plan = &localPlan;
+    }
+    GRAPHITE_ASSERT(plan == nullptr || plan->precision() == update.precision,
                     "cached weight plan precision mismatch");
     const auto fitsOut = [&](const auto *side) {
         return !side || (side->rows() == out.rows() &&
@@ -146,10 +179,13 @@ fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
     };
     GRAPHITE_ASSERT(fitsOut(extra.compressed) && fitsOut(extra.bf16),
                     "outCompressed/outBf16 shape mismatch");
+    GRAPHITE_ASSERT(update.then == nullptr ||
+                        (extra.compressed == nullptr && extra.bf16 == nullptr),
+                    "a chained projection has no compressed/bf16 copy");
     withRowSource(graph, in, spec, schedule, "fusedLayer",
                   [&](const auto &rows) {
-        fusedRows(graph, rows, plan, update.bias, update.relu, out, extra,
-                  schedule, config);
+        fusedRows(graph, rows, plan, update.bias, update.relu, update.then,
+                  out, extra, schedule, config);
     });
 }
 
@@ -176,8 +212,8 @@ fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                     "fused backward requires a sum-reduce aggregation");
     withRowSource(transposed, dz, transposedSpec, schedule,
                   "fusedLayerBackward", [&](const auto &rows) {
-        fusedRows(transposed, rows, weightsNT, {}, false, gradIn, {},
-                  schedule, config);
+        fusedRows(transposed, rows, &weightsNT, {}, false, nullptr, gradIn,
+                  {}, schedule, config);
     });
 }
 
@@ -188,6 +224,8 @@ unfusedLayer(const CsrGraph &graph, FeatureRows in,
              const Schedule &schedule, const AggregationConfig &config)
 {
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
+    GRAPHITE_ASSERT(update.then == nullptr,
+                    "the unfused layer has no chained projection");
     aggregate(graph, in, aggOut, spec, schedule, config);
     if (update.packedWeights)
         gemm(GemmMode::NN, aggOut, *update.packedWeights, out);

@@ -28,7 +28,12 @@ namespace graphite {
 /** The update phase: h = act(W·a + b) (paper Table 2's FC + ReLU). */
 struct UpdateOp
 {
-    /** F_in x F_out weight matrix. */
+    /**
+     * F_in x F_out weight matrix, or null for the identity update of a
+     * layer that projects first (GnnLayer): the rows gathered are
+     * already X·W, so each block skips its micro-GEMM and only gets
+     * bias and ReLU. Only fusedLayer accepts a null weight matrix.
+     */
     const DenseMatrix *weights = nullptr;
     /** Optional bias of length F_out. */
     std::span<const Feature> bias = {};
@@ -47,6 +52,15 @@ struct UpdateOp
      * bf16 and accumulates in fp32.
      */
     Precision precision = Precision::Fp32;
+    /**
+     * Optional NN-mode plan of the *next* layer's weights, for the
+     * inference chain into a layer that projects first: each finished
+     * block is multiplied by it while cache-resident, so fusedLayer's
+     * out receives h·W_next (|V| x then->n()) and h itself is never
+     * stored. Excludes the compressed and bf16 side outputs (those are
+     * copies of h).
+     */
+    const GemmPlan *then = nullptr;
 };
 
 /** Tuning knobs of the fused kernel (Algorithm 2's constants). */
@@ -80,11 +94,13 @@ struct FusedOutputs
 /**
  * Fused aggregation + update (Algorithm 2): per block of B vertices,
  * aggregate the block from @p in's stored form into a cache-resident
- * buffer, then run the update's micro-GEMM at its precision, bias and
- * ReLU straight into @p out (|V| x F_out). Blocks are carved from
- * @p schedule's tasks (flat or shard-major; not delayed halo). Results
- * are bit-identical across schedules: gemmBlockSerial results do not
- * depend on how rows are grouped into blocks.
+ * buffer, then run the update's micro-GEMM at its precision (none for
+ * the identity update), bias and ReLU — and the chained projection
+ * when update.then is set — straight into @p out (|V| x F_out, or
+ * |V| x then->n()). Blocks are carved from @p schedule's tasks (flat
+ * or shard-major; not delayed halo). Results are bit-identical across
+ * schedules: gemmBlockSerial results do not depend on how rows are
+ * grouped into blocks.
  */
 void fusedLayer(const CsrGraph &graph, FeatureRows in,
                 const AggregationSpec &spec, const UpdateOp &update,

@@ -82,7 +82,8 @@ ThreadPool::runOnAll(FunctionRef<void(std::size_t)> body)
 void
 ThreadPool::parallelForChunked(
     std::size_t begin, std::size_t end, std::size_t chunk,
-    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body)
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body,
+    FunctionRef<void()> prologue)
 {
     if (chunk == 0)
         chunk = 1;
@@ -94,6 +95,8 @@ ThreadPool::parallelForChunked(
     // region, inside the per-block hot path.)
     std::atomic<std::size_t> cursor{begin};
     auto loop = [&](std::size_t threadId) {
+        if (prologue)
+            prologue();
         for (;;) {
             std::size_t chunkBegin =
                 cursor.fetch_add(chunk, std::memory_order_relaxed);
@@ -187,9 +190,11 @@ ThreadPool::setGlobalThreads(std::size_t numThreads)
 
 void
 parallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
-            FunctionRef<void(std::size_t, std::size_t, std::size_t)> body)
+            FunctionRef<void(std::size_t, std::size_t, std::size_t)> body,
+            FunctionRef<void()> prologue)
 {
-    ThreadPool::global().parallelForChunked(begin, end, chunk, body);
+    ThreadPool::global().parallelForChunked(begin, end, chunk, body,
+                                            prologue);
 }
 
 } // namespace graphite

@@ -70,10 +70,18 @@ class ThreadPool
      * @p body(chunkBegin, chunkEnd, threadId). An exception thrown by
      * @p body stops further chunks from being claimed and is rethrown
      * on the calling thread (see runOnAll).
+     *
+     * A non-null @p prologue runs once on every worker before it claims
+     * anything, whether or not a chunk is left for it. Kernels size
+     * their per-worker scratch there: grown only on the workers that
+     * happen to draw a chunk, that scratch could first grow in a later
+     * steady-state call, breaking the allocation-free contract. The
+     * prologue touches the calling worker's own thread-locals only.
      */
     void parallelForChunked(
         std::size_t begin, std::size_t end, std::size_t chunk,
-        FunctionRef<void(std::size_t, std::size_t, std::size_t)> body);
+        FunctionRef<void(std::size_t, std::size_t, std::size_t)> body,
+        FunctionRef<void()> prologue = {});
 
     /** Process-wide default pool (lazily constructed). */
     static ThreadPool &global();
@@ -105,10 +113,12 @@ class ThreadPool
 
 /**
  * Convenience wrapper: dynamically-scheduled loop over [begin, end) on the
- * global pool. @p body receives (index range begin, range end, threadId).
+ * global pool. @p body receives (index range begin, range end, threadId);
+ * @p prologue runs once per worker (see parallelForChunked).
  */
 void parallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
                  FunctionRef<void(std::size_t, std::size_t, std::size_t)>
-                     body);
+                     body,
+                 FunctionRef<void()> prologue = {});
 
 } // namespace graphite

@@ -503,6 +503,17 @@ packAColMajorBf16(const DenseMatrix &a, std::size_t m0, std::size_t mLen,
 constexpr std::size_t kApPairWords = kGemmTileM * (kGemmKC / 2);
 
 /**
+ * The calling thread's A-pack scratch: one M tile x KC slice of fp32
+ * panels, and the same as bf16 pair words (a distinct uint32 buffer,
+ * so the kernels never type-pun Feature storage). The pooled gemm's
+ * tasks and gemmBlockSerial share it (they never run nested on one
+ * thread). Grow-only, so repeated GEMMs stay allocation-free once
+ * reserveGemmScratch() has run on the thread.
+ */
+thread_local AlignedBuffer<Feature> apTileScratch;
+thread_local AlignedBuffer<std::uint32_t> apPairScratch;
+
+/**
  * Bf16 twin of computeTile: KC slices advance by kBlockPairs pair
  * words, and the kernel choice (native vs emulated) is hoisted out of
  * the block loops.
@@ -610,6 +621,15 @@ checkPlanShapes(GemmMode mode, const DenseMatrix &a, const GemmPlan &plan,
 
 } // namespace
 
+void
+reserveGemmScratch()
+{
+    if (apTileScratch.size() < kGemmTileM * kGemmKC)
+        apTileScratch.resize(kGemmTileM * kGemmKC);
+    if (apPairScratch.size() < kApPairWords)
+        apPairScratch.resize(kApPairWords);
+}
+
 bool
 bf16GemmHardwareSupported()
 {
@@ -667,18 +687,15 @@ gemm(GemmMode mode, const DenseMatrix &a, const GemmPlan &plan,
         (plan.numColPanels() + kPanelsPerTile - 1) / kPanelsPerTile;
     const std::size_t tasks = mTiles * nTiles;
 
+    // Every worker sizes its pack scratch, task or not (see
+    // parallelForChunked), so a GEMM through a cached plan stays
+    // allocation-free whichever workers draw its tiles.
+    const auto reserve = [] { reserveGemmScratch(); };
     if (plan.precision() == Precision::Bf16) {
-        // A is rounded to bf16 pair words during the per-slice pack;
-        // the scratch is a distinct uint32 buffer (not a reuse of the
-        // fp32 one) so the kernels never type-pun Feature storage.
-        // Grow-only per-worker scratch (the gemmBlockSerial idiom)
-        // keeps repeated GEMMs through a cached plan allocation-free.
+        // A is rounded to bf16 pair words during the per-slice pack.
         parallelFor(0, tasks, 1,
                     [&](std::size_t begin, std::size_t end,
                         std::size_t) {
-            thread_local AlignedBuffer<std::uint32_t> apPairScratch;
-            if (apPairScratch.size() < kApPairWords)
-                apPairScratch.resize(kApPairWords);
             std::uint32_t *ap = apPairScratch.data();
             for (std::size_t task = begin; task < end; ++task) {
                 const std::size_t mt = task % mTiles;
@@ -706,15 +723,12 @@ gemm(GemmMode mode, const DenseMatrix &a, const GemmPlan &plan,
                     });
                 }
             }
-        });
+        }, reserve);
         return;
     }
 
     parallelFor(0, tasks, 1,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
-        thread_local AlignedBuffer<Feature> apTileScratch;
-        if (apTileScratch.size() < kGemmTileM * kGemmKC)
-            apTileScratch.resize(kGemmTileM * kGemmKC);
         Feature *ap = apTileScratch.data();
         for (std::size_t task = begin; task < end; ++task) {
             const std::size_t mt = task % mTiles;
@@ -742,7 +756,7 @@ gemm(GemmMode mode, const DenseMatrix &a, const GemmPlan &plan,
                 });
             }
         }
-    });
+    }, reserve);
 }
 
 void
@@ -768,10 +782,10 @@ gemmBlockSerial(const Feature *aRows, std::size_t rows,
                       0.0f);
         return;
     }
+    // Per-calling-thread pack scratch: the fused kernels call this from
+    // inside pool tasks, so no shared state and no nested parallelism.
+    reserveGemmScratch();
     if (plan.precision() == Precision::Bf16) {
-        thread_local std::vector<std::uint32_t> apPairScratch;
-        if (apPairScratch.size() < kApPairWords)
-            apPairScratch.resize(kApPairWords);
         for (std::size_t m0 = 0; m0 < rows; m0 += kGemmTileM) {
             const std::size_t mLen = std::min(kGemmTileM, rows - m0);
             computeTileBf16(plan, cRows + m0 * cStride, cStride, mLen, 0,
@@ -785,16 +799,11 @@ gemmBlockSerial(const Feature *aRows, std::size_t rows,
         }
         return;
     }
-    // Per-calling-thread pack scratch: the fused kernels call this from
-    // inside pool tasks, so no shared state and no nested parallelism.
-    thread_local std::vector<Feature> apScratch;
-    if (apScratch.size() < kGemmTileM * kGemmKC)
-        apScratch.resize(kGemmTileM * kGemmKC);
     for (std::size_t m0 = 0; m0 < rows; m0 += kGemmTileM) {
         const std::size_t mLen = std::min(kGemmTileM, rows - m0);
         computeTile(plan, cRows + m0 * cStride, cStride, mLen, 0,
                     plan.numColPanels(), GemmAccumulate::Overwrite,
-                    apScratch.data(),
+                    apTileScratch.data(),
                     [&](std::size_t k0, std::size_t kcLen, Feature *dst) {
             packARowMajor(aRows + m0 * aStride, aStride, mLen, k0, kcLen,
                           dst);

@@ -99,6 +99,14 @@ void gemmBlockSerial(const Feature *aRows, std::size_t rows,
                      std::size_t aStride, const GemmPlan &plan,
                      Feature *cRows, std::size_t cStride, std::size_t k);
 
+/**
+ * Size the calling thread's A-pack scratch, which the pooled gemm's
+ * tasks and gemmBlockSerial reuse, so no later GEMM on this thread
+ * allocates. Pool kernels call it from every worker's dispatch
+ * prologue (see ThreadPool::parallelForChunked).
+ */
+void reserveGemmScratch();
+
 /** Reference (naive triple loop) GEMM used by tests as ground truth. */
 void gemmReference(GemmMode mode, const DenseMatrix &a, const DenseMatrix &b,
                    DenseMatrix &c,

@@ -2,8 +2,9 @@
  * @file
  * ScopedAllocGuard unit tests plus the dynamic half of the
  * allocation-free steady-state contract: after warm-up, a full Trainer
- * epoch (fused fp32 and bf16, sharded with compression) and a
- * GnnModel::inference call (flat and sharded) must perform zero heap
+ * epoch (fused fp32 and bf16, sharded with compression), a
+ * GnnModel::inference call (flat and sharded) and a fused kernel call
+ * whose warm-up ran on one worker only must perform zero heap
  * allocations. graphite_lint enforces
  * the same property statically inside the kernel hot loops; these
  * tests prove it end to end across kernels, pool dispatch and the
@@ -25,6 +26,7 @@
 #include "gnn/gnn_model.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
+#include "kernels/fused_layer.h"
 #include "parallel/thread_pool.h"
 
 namespace graphite {
@@ -225,6 +227,51 @@ TEST(SteadyStateAllocFree, ShardedBf16Inference)
     tech.shards = 4;
     tech.precision = Precision::Bf16;
     expectInferenceAllocationFree(tech, "sharded-bf16-inference");
+}
+
+/**
+ * Pool scratch (the fused driver's block buffers, the block GEMM's pack
+ * scratch) is sized on every worker on every call, not only on the
+ * workers that happen to draw a task. Warm up on a graph smaller than
+ * one task, so at most one worker runs it; then a call of the same
+ * widths on a graph with many tasks per worker must not allocate.
+ */
+TEST(SteadyStateAllocFree, WorkersThatDrewNoTaskStayAllocationFree)
+{
+    if (!ScopedAllocGuard::interpositionActive())
+        GTEST_SKIP() << "interposer compiled out (GRAPHITE_CHECKS off)";
+    // One worker would make the check vacuous.
+    const std::size_t threads = ThreadPool::global().numThreads();
+    if (threads < 4)
+        ThreadPool::setGlobalThreads(4);
+
+    const CsrGraph tiny = generateErdosRenyi(32, 128, false, 5);
+    const CsrGraph large = generateErdosRenyi(20000, 200000, false, 6);
+    const AggregationSpec tinySpec = gcnSpec(tiny);
+    const AggregationSpec largeSpec = gcnSpec(large);
+    DenseMatrix weights(64, 32);
+    weights.fillUniform(-0.2f, 0.2f, 7);
+    const GemmPlan plan(GemmMode::NN, weights);
+    const std::vector<Feature> bias(32, 0.1f);
+    const UpdateOp update{&weights, bias, true, &plan};
+    DenseMatrix tinyIn(tiny.numVertices(), 64);
+    DenseMatrix largeIn(large.numVertices(), 64);
+    tinyIn.fillUniform(-1.0f, 1.0f, 8);
+    largeIn.fillUniform(-1.0f, 1.0f, 9);
+    DenseMatrix tinyOut(tiny.numVertices(), 32);
+    DenseMatrix largeOut(large.numVertices(), 32);
+
+    fusedLayer(tiny, tinyIn, tinySpec, update, tinyOut);
+    std::size_t allocations = 0;
+    {
+        ScopedAllocGuard guard("fused-after-one-task-warm-up");
+        fusedLayer(large, largeIn, largeSpec, update, largeOut);
+        allocations = guard.allocations();
+    }
+    if (threads < 4)
+        ThreadPool::setGlobalThreads(threads);
+    EXPECT_EQ(allocations, 0u)
+        << "a worker grew its scratch in the steady-state call";
 }
 
 } // namespace

@@ -15,6 +15,10 @@
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/partition/partitioner.h"
+#include "kernels/fused_layer.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/row_ops.h"
 
 namespace graphite {
@@ -360,6 +364,437 @@ TEST(SyntheticTask, LabelsCorrelateWithStructure)
         }
     }
     EXPECT_GT(static_cast<double>(agree) / total, 0.4);
+}
+
+// ---------------------------------------------------------------------
+// Layer direction: a fused, Sum-reduce, narrowing layer projects first
+// (Z = X·W, then Agg(Z)); everything else aggregates first.
+// ---------------------------------------------------------------------
+
+/** Relative Frobenius distance of @p got from @p ref. */
+double
+relFrobenius(std::span<const Feature> got, std::span<const Feature> ref)
+{
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const double d = double{got[i]} - double{ref[i]};
+        num += d * d;
+        den += double{ref[i]} * double{ref[i]};
+    }
+    return den == 0.0 ? std::sqrt(num) : std::sqrt(num / den);
+}
+
+/** Logical (unpadded) elements of @p m, row-major. */
+std::vector<Feature>
+elements(const DenseMatrix &m)
+{
+    std::vector<Feature> out;
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        out.insert(out.end(), m.row(r), m.row(r) + m.cols());
+    return out;
+}
+
+double
+relFrobenius(const DenseMatrix &got, const DenseMatrix &ref)
+{
+    EXPECT_EQ(got.rows(), ref.rows());
+    EXPECT_EQ(got.cols(), ref.cols());
+    return relFrobenius(elements(got), elements(ref));
+}
+
+AggregationSpec
+specOf(GnnKind kind, const CsrGraph &g)
+{
+    switch (kind) {
+      case GnnKind::Gcn:
+        return gcnSpec(g);
+      case GnnKind::Sage:
+        return sageSpec(g);
+      case GnnKind::Gin:
+        return ginSpec(g);
+    }
+    return {};
+}
+
+enum class Direction { Flat, Locality, Sharded, DelayedHalo };
+
+const char *
+directionName(Direction d)
+{
+    switch (d) {
+      case Direction::Flat:
+        return "flat";
+      case Direction::Locality:
+        return "locality";
+      case Direction::Sharded:
+        return "sharded4";
+      case Direction::DelayedHalo:
+        return "delayed";
+    }
+    return "?";
+}
+
+/** A graph with its transpose, specs, orders and K=4 plans. */
+struct ScheduledGraph
+{
+    ScheduledGraph(GnnKind kind, CsrGraph graph)
+        : g(std::move(graph)), gt(g.transposed()), spec(specOf(kind, g)),
+          specT(transposeSpec(g, spec, gt)), order(localityOrder(g)),
+          orderT(localityOrder(gt)),
+          plan(makePartitionPlan(g, {.numShards = 4})),
+          planT(makePartitionPlan(gt, {.numShards = 4}))
+    {
+    }
+
+    CsrGraph g;
+    CsrGraph gt;
+    AggregationSpec spec;
+    AggregationSpec specT;
+    ProcessingOrder order;
+    ProcessingOrder orderT;
+    PartitionPlan plan;
+    PartitionPlan planT;
+};
+
+/** What one layer forward + backward produces. */
+struct LayerRun
+{
+    DenseMatrix out;
+    DenseMatrix weightGrad;
+    std::vector<Feature> biasGrad;
+    DenseMatrix gradIn;
+};
+
+/**
+ * One training forward and backward of @p layer from @p x with upstream
+ * gradient @p dh, under @p tech and direction @p d.
+ */
+LayerRun
+runLayer(GnnLayer &layer, const ScheduledGraph &sg, const DenseMatrix &x,
+         const DenseMatrix &dh, TechniqueConfig tech, Direction d)
+{
+    std::span<const VertexId> order;
+    std::span<const VertexId> orderT;
+    const PartitionPlan *plan = nullptr;
+    const PartitionPlan *planT = nullptr;
+    if (d == Direction::Locality) {
+        order = sg.order;
+        orderT = sg.orderT;
+    } else if (d != Direction::Flat) {
+        tech.shards = 4;
+        tech.delayedHalo = d == Direction::DelayedHalo;
+        plan = &sg.plan;
+        planT = &sg.planT;
+    }
+    LayerContext ctx;
+    layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ctx, false,
+                          order, plan, tech);
+    LayerRun run;
+    run.out = ctx.output;
+    DenseMatrix grad = dh;
+    run.gradIn = DenseMatrix(x.rows(), x.cols());
+    layer.backward(sg.gt, sg.specT, ctx, grad, &run.gradIn, orderT, planT,
+                   tech);
+    run.weightGrad = layer.weightGrad();
+    run.biasGrad.assign(layer.biasGrad().begin(), layer.biasGrad().end());
+    return run;
+}
+
+/** (kind, precision, direction, widths) */
+using ProjectedParam =
+    std::tuple<GnnKind, Precision, Direction, std::pair<int, int>>;
+
+class ProjectedLayerParity : public ::testing::TestWithParam<ProjectedParam>
+{
+};
+
+/**
+ * A projecting layer against the aggregate-first oracles: the forward
+ * against unfusedLayer (1e-5 relative Frobenius in fp32; bf16 at the
+ * 2% bound Bf16Model.InferenceTracksFp32AcrossTechniques uses), and
+ * dW, db and dh_prev of one step against basic() (1e-4 in fp32; bf16
+ * at the 10% bound of Bf16GradientParity). Exact sharding must be
+ * bitwise equal to flat. The bf16 layer has no ReLU: bf16's ~0.3%
+ * forward error flips the ReLU mask of near-zero outputs, and those
+ * flips (which the aggregate-first bf16 path suffers just as much)
+ * would swamp the rounding error the gate is meant to bound.
+ */
+TEST_P(ProjectedLayerParity, MatchesAggregateFirstOracles)
+{
+    const auto [kind, precision, direction, widths] = GetParam();
+    const std::size_t fin = widths.first;
+    const std::size_t fout = widths.second;
+    const ScheduledGraph sg(kind, generateBarabasiAlbert(180, 4, 71));
+    const VertexId n = sg.g.numVertices();
+
+    const bool fp32 = precision == Precision::Fp32;
+    GnnLayer layer(fin, fout, fp32);
+    layer.initWeights(72);
+    for (std::size_t c = 0; c < fout; ++c)
+        layer.bias()[c] = 0.05f * static_cast<float>(c) - 0.1f;
+    DenseMatrix x(n, fin);
+    x.fillUniform(-1.0f, 1.0f, 73);
+    DenseMatrix dh(n, fout);
+    dh.fillUniform(-1.0f, 1.0f, 74);
+
+    TechniqueConfig tech = TechniqueConfig::withFusion();
+    tech.precision = precision;
+    ASSERT_TRUE(layer.projectsFirst(sg.spec, tech));
+    ASSERT_FALSE(layer.projectsFirst(sg.spec, TechniqueConfig::basic()));
+
+    DenseMatrix agg(n, fin);
+    DenseMatrix oracle(n, fout);
+    const GnnLayer &constLayer = layer; // keeps the plan cache precise
+    unfusedLayer(sg.g, x, sg.spec,
+                 {&constLayer.weights(), layer.bias(), layer.hasRelu()},
+                 agg, oracle);
+    const LayerRun basic = runLayer(layer, sg, x, dh,
+                                    TechniqueConfig::basic(),
+                                    Direction::Flat);
+    const LayerRun got = runLayer(layer, sg, x, dh, tech, direction);
+
+    EXPECT_LT(relFrobenius(got.out, oracle), fp32 ? 1e-5 : 0.02);
+    const double gradTol = fp32 ? 1e-4 : 0.10;
+    EXPECT_LT(relFrobenius(got.weightGrad, basic.weightGrad), gradTol);
+    EXPECT_LT(relFrobenius(got.biasGrad, basic.biasGrad), gradTol);
+    EXPECT_LT(relFrobenius(got.gradIn, basic.gradIn), gradTol);
+
+    if (direction == Direction::Sharded) {
+        const LayerRun flat = runLayer(layer, sg, x, dh, tech,
+                                       Direction::Flat);
+        EXPECT_EQ(elements(got.out), elements(flat.out));
+        EXPECT_EQ(elements(got.weightGrad), elements(flat.weightGrad));
+        EXPECT_EQ(got.biasGrad, flat.biasGrad);
+        EXPECT_EQ(elements(got.gradIn), elements(flat.gradIn));
+    }
+}
+
+std::string
+projectedName(const ::testing::TestParamInfo<ProjectedParam> &info)
+{
+    const auto [kind, precision, direction, widths] = info.param;
+    return gnnKindName(kind) + "_" + precisionName(precision) + "_" +
+           directionName(direction) + "_" + std::to_string(widths.first) +
+           "to" + std::to_string(widths.second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, ProjectedLayerParity,
+    ::testing::Combine(::testing::Values(GnnKind::Gcn, GnnKind::Sage,
+                                         GnnKind::Gin),
+                       ::testing::Values(Precision::Fp32, Precision::Bf16),
+                       ::testing::Values(Direction::Flat,
+                                         Direction::Locality,
+                                         Direction::Sharded,
+                                         Direction::DelayedHalo),
+                       ::testing::Values(std::pair{48, 5},
+                                         std::pair{67, 3})),
+    projectedName);
+
+/** (widths, precision, direction) */
+using ChainParam =
+    std::tuple<std::vector<std::size_t>, Precision, Direction>;
+
+class InferenceChain : public ::testing::TestWithParam<ChainParam>
+{
+};
+
+/**
+ * GnnModel::inference folds a projecting layer's GEMM into the previous
+ * layer's fused block; driving the layers one at a time (each
+ * projecting with its own GEMM) must give the same logits.
+ */
+TEST_P(InferenceChain, MatchesLayersDrivenOneByOne)
+{
+    const auto [widths, precision, direction] = GetParam();
+    const CsrGraph g = generateBarabasiAlbert(180, 4, 75);
+    GnnModelConfig config;
+    config.kind = GnnKind::Sage;
+    config.featureWidths = widths;
+    GnnModel model(g, config);
+    DenseMatrix x(g.numVertices(), widths.front());
+    x.fillUniform(-1.0f, 1.0f, 76);
+
+    TechniqueConfig tech = TechniqueConfig::withFusion();
+    tech.precision = precision;
+    tech.locality = direction == Direction::Locality;
+    if (direction == Direction::Sharded ||
+        direction == Direction::DelayedHalo) {
+        tech.shards = 4;
+        tech.delayedHalo = direction == Direction::DelayedHalo;
+    }
+    const DenseMatrix chained = model.inference(x, tech);
+
+    const std::span<const VertexId> order = model.localityOrderFor(tech);
+    const PartitionPlan *plan = model.partitionPlanFor(tech);
+    Bf16Matrix xBf16(x.rows(), x.cols());
+    xBf16.fromDense(x);
+    DenseMatrix in = x;
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        const GnnLayer &layer = model.layer(k);
+        EXPECT_EQ(layer.projectsFirst(model.spec(), tech),
+                  layer.outFeatures() < layer.inFeatures());
+        DenseMatrix out(g.numVertices(), layer.outFeatures());
+        const bool bf16In = k == 0 && precision == Precision::Bf16;
+        layer.forwardInference(g, model.spec(), in, nullptr,
+                               bf16In ? &xBf16 : nullptr, out, nullptr,
+                               nullptr, order, plan, tech);
+        in = std::move(out);
+    }
+    EXPECT_LT(relFrobenius(chained, in), 1e-6);
+    // And the chain still tracks the aggregate-first oracle.
+    const DenseMatrix &basic =
+        model.inference(x, TechniqueConfig::basic());
+    EXPECT_LT(relFrobenius(chained, basic),
+              precision == Precision::Fp32 ? 1e-5 : 0.02);
+}
+
+std::string
+chainName(const ::testing::TestParamInfo<ChainParam> &info)
+{
+    const auto [widths, precision, direction] = info.param;
+    std::string name;
+    for (const std::size_t w : widths)
+        name += std::to_string(w) + "_";
+    return name + precisionName(precision) + "_" +
+           directionName(direction);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, InferenceChain,
+    ::testing::Combine(
+        ::testing::Values(std::vector<std::size_t>{16, 48, 24, 5},
+                          std::vector<std::size_t>{67, 48, 5}),
+        ::testing::Values(Precision::Fp32, Precision::Bf16),
+        ::testing::Values(Direction::Flat, Direction::Locality,
+                          Direction::Sharded, Direction::DelayedHalo)),
+    chainName);
+
+/** Metric deltas of one call, with the registry on for its duration. */
+template <typename Fn>
+std::uint64_t
+counterDelta(const char *name, Fn &&fn)
+{
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    const bool wasEnabled = registry.enabled();
+    registry.setEnabled(true);
+    obs::Counter &counter = registry.counter(name);
+    const std::uint64_t before = counter.value();
+    fn();
+    const std::uint64_t delta = counter.value() - before;
+    registry.setEnabled(wasEnabled);
+    return delta;
+}
+
+/**
+ * The counters pin the direction: a projecting layer gathers
+ * (|E| + |V|) rows of Z's row bytes and its one GEMM counts
+ * 2·|V|·F_in·F_out flops, so with row widths that need no padding the
+ * gathered bytes drop by exactly F_in/F_out against basic().
+ */
+TEST(ProjectedLayerCounters, BytesAndFlopsFollowTheDirection)
+{
+    const CsrGraph g = generateBarabasiAlbert(300, 4, 77);
+    const AggregationSpec spec = gcnSpec(g);
+    const VertexId n = g.numVertices();
+    const std::uint64_t rows = g.numEdges() + n;
+    constexpr std::size_t kIn = 128;
+    constexpr std::size_t kOut = 16;
+    GnnLayer layer(kIn, kOut, true);
+    layer.initWeights(78);
+    DenseMatrix x(n, kIn);
+    x.fillUniform(-1.0f, 1.0f, 79);
+    DenseMatrix out(n, kOut);
+    const TechniqueConfig fused = TechniqueConfig::withFusion();
+    const auto forward = [&](const TechniqueConfig &tech) {
+        layer.forwardInference(g, spec, x, nullptr, nullptr, out, nullptr,
+                               nullptr, {}, nullptr, tech);
+    };
+
+    const std::uint64_t projectedBytes =
+        counterDelta("fused.bytes_gathered", [&] { forward(fused); });
+    EXPECT_EQ(projectedBytes, rows * kOut * sizeof(Feature));
+    const std::uint64_t gemmFlops =
+        counterDelta("gemm.flops", [&] { forward(fused); });
+    EXPECT_EQ(gemmFlops, 2ull * n * kIn * kOut);
+    const std::uint64_t basicBytes = counterDelta(
+        "agg.bytes_gathered", [&] { forward(TechniqueConfig::basic()); });
+    EXPECT_EQ(basicBytes, rows * kIn * sizeof(Feature));
+    EXPECT_EQ(basicBytes / projectedBytes, kIn / kOut);
+
+    // The trace shows which direction the layer took.
+    obs::TraceRecorder &trace = obs::TraceRecorder::global();
+    trace.reset();
+    trace.setEnabled(true);
+    forward(fused);
+    forward(TechniqueConfig::basic());
+    trace.setEnabled(false);
+    std::size_t projectSpans = 0;
+    for (const obs::TraceEvent &event : trace.collect())
+        projectSpans += std::string(event.name) == "layer.project";
+    trace.reset();
+    EXPECT_EQ(projectSpans, 1u);
+}
+
+/**
+ * Equal widths and Max reduce keep aggregate-first: the fused driver
+ * gathers full F_in-wide rows and no projection GEMM runs.
+ */
+TEST(ProjectedLayerCounters, EqualWidthsAndMaxReduceAggregateFirst)
+{
+    const CsrGraph g = generateBarabasiAlbert(300, 4, 80);
+    const VertexId n = g.numVertices();
+    const std::uint64_t rows = g.numEdges() + n;
+    const TechniqueConfig tech = TechniqueConfig::withFusion();
+    const auto gathered = [&](std::size_t fin, std::size_t fout,
+                              const AggregationSpec &spec) {
+        GnnLayer layer(fin, fout, true);
+        layer.initWeights(81);
+        EXPECT_FALSE(layer.projectsFirst(spec, tech));
+        DenseMatrix x(n, fin);
+        x.fillUniform(-1.0f, 1.0f, 82);
+        DenseMatrix out(n, fout);
+        std::uint64_t gemmFlops = 0;
+        const std::uint64_t bytes =
+            counterDelta("fused.bytes_gathered", [&] {
+                gemmFlops = counterDelta("gemm.flops", [&] {
+                    layer.forwardInference(g, spec, x, nullptr, nullptr,
+                                           out, nullptr, nullptr, {},
+                                           nullptr, tech);
+                });
+            });
+        EXPECT_EQ(gemmFlops, 0u);
+        return bytes;
+    };
+    // 24 floats pad to a 32-float row.
+    EXPECT_EQ(gathered(24, 24, gcnSpec(g)), rows * 32 * sizeof(Feature));
+    EXPECT_EQ(gathered(48, 5, maxSpec()), rows * 48 * sizeof(Feature));
+}
+
+/**
+ * Only what a gather reads is packed: after a combinedLocality() epoch
+ * the logits carry no compressed copy, and neither does the input of a
+ * projecting layer; a hidden layer feeding an aggregate-first layer
+ * keeps its copy.
+ */
+TEST(Trainer, PacksOnlyActivationsANextLayerGathers)
+{
+    const CsrGraph g = generateErdosRenyi(100, 700, false, 83);
+    SyntheticTask task = makeSyntheticTask(g, 3, 8, 0.1, 84);
+    GnnModelConfig config;
+    config.featureWidths = {8, 16, 24, 3};
+    GnnModel model(g, config);
+    TrainerConfig tc;
+    tc.epochs = 1;
+    tc.tech = TechniqueConfig::combinedLocality();
+    Trainer trainer(model, task.features, task.labels, tc);
+    trainer.trainEpoch();
+    // Layer 1 (16->24) is gathered by layer 2 (24->3), which projects.
+    EXPECT_TRUE(model.context(0).hasCompressed);
+    EXPECT_FALSE(model.context(1).hasCompressed);
+    EXPECT_FALSE(model.context(2).hasCompressed);
+    EXPECT_EQ(model.context(2).input, &model.context(1).output);
 }
 
 } // namespace

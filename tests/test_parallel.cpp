@@ -90,6 +90,20 @@ TEST(ThreadPool, DynamicSchedulingBalancesSkewedWork)
     EXPECT_EQ(total.load(), 64);
 }
 
+TEST(ThreadPool, PrologueRunsOnEveryWorkerEvenWithoutAChunk)
+{
+    // One chunk for four workers: kernels size per-worker scratch in the
+    // prologue, so it must not depend on drawing a chunk.
+    ThreadPool pool(4);
+    std::atomic<int> prologues{0};
+    std::atomic<int> chunks{0};
+    pool.parallelForChunked(
+        0, 1, 1, [&](std::size_t, std::size_t, std::size_t) { chunks++; },
+        [&] { prologues++; });
+    EXPECT_EQ(prologues.load(), 4);
+    EXPECT_EQ(chunks.load(), 1);
+}
+
 TEST(ThreadPool, ChunkBoundsRespectEnd)
 {
     ThreadPool pool(2);
