@@ -13,15 +13,23 @@
  * MiniBatchTrainer uses it for its forward pass.
  *
  * Bitwise contract: plain float, self row first, then neighbors in list
- * order, then one multiply by the reciprocal. An overlay holding zero
- * deltas lists the same neighbors as its base, so fullMeanRow over it
- * is bitwise the base's row — the property the serve parity tests pin.
+ * order, then one multiply by the reciprocal. The column loops are
+ * vectorised across columns only, so each element still sees exactly
+ * that sequence of adds and one multiply, and no add can contract into
+ * the multiply. An overlay holding zero deltas lists the same neighbors
+ * as its base, so fullMeanRow over it is bitwise the base's row — the
+ * property the serve parity tests pin.
+ *
+ * Precondition: no looked-up row overlaps dst (dst is restrict-
+ * qualified; checked under GRAPHITE_CHECKS).
  */
 
 #pragma once
 
 #include <cstddef>
+#include <functional>
 
+#include "common/assert.h"
 #include "common/types.h"
 #include "graph/graph_view.h"
 #include "tensor/dense_matrix.h"
@@ -31,23 +39,32 @@ namespace graphite {
 /**
  * Mean of the row of @p self and the rows of @p neighbors, each looked
  * up through @p rowOf (an id → const Feature * map), into @p dst
- * (@p cols floats).
+ * (@p cols floats). No looked-up row may overlap @p dst.
  */
 template <typename Row, typename RowOf>
 inline void
 meanGatherRow(VertexId self, const Row &neighbors, RowOf &&rowOf,
-              std::size_t cols, Feature *dst)
+              std::size_t cols, Feature *__restrict dst)
 {
+    const auto disjoint = [dst, cols](const Feature *row) {
+        const std::less_equal<const Feature *> notAfter;
+        return notAfter(row + cols, dst) || notAfter(dst + cols, row);
+    };
     const Feature *selfRow = rowOf(self);
+    GRAPHITE_DCHECK(disjoint(selfRow), "meanGatherRow: self row aliases dst");
+    #pragma omp simd
     for (std::size_t c = 0; c < cols; ++c)
         dst[c] = selfRow[c];
     const std::size_t n = neighbors.size();
     for (std::size_t j = 0; j < n; ++j) {
         const Feature *row = rowOf(neighbors[j]);
+        GRAPHITE_DCHECK(disjoint(row), "meanGatherRow: row aliases dst");
+        #pragma omp simd
         for (std::size_t c = 0; c < cols; ++c)
             dst[c] += row[c];
     }
     const float scale = 1.0f / (1.0f + static_cast<float>(n));
+    #pragma omp simd
     for (std::size_t c = 0; c < cols; ++c)
         dst[c] *= scale;
 }

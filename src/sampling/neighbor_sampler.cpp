@@ -49,38 +49,54 @@ sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
         }
 
         const VertexId fanout = fanouts[k];
-        if (scratch.reservoir_.size() < fanout)
-            scratch.reservoir_.resize(fanout);
-        VertexId *const reservoir = scratch.reservoir_.data();
+        if (scratch.picks_.size() < fanout)
+            scratch.picks_.resize(fanout);
+        EdgeId *const picks = scratch.picks_.data();
+
+        // Append neighbor u to the current destination's row, giving it
+        // a local index on first sight.
+        const auto take = [&](VertexId u) {
+            if (scratch.stamp_[u] != scratch.epoch_) {
+                scratch.stamp_[u] = scratch.epoch_;
+                scratch.local_[u] =
+                    static_cast<VertexId>(block.srcVertices.size());
+                block.srcVertices.push_back(u);
+            }
+            block.colIdx.push_back(scratch.local_[u]);
+        };
 
         block.rowPtr.push_back(0);
         for (const VertexId v : block.dstVertices) {
             const auto neighbors = graph.neighbors(v);
-            std::size_t sampled = 0;
-            if (neighbors.size() <= fanout) {
-                for (std::size_t j = 0; j < neighbors.size(); ++j)
-                    reservoir[sampled++] = neighbors[j];
+            const std::size_t degree = neighbors.size();
+            if (degree <= fanout) {
+                for (std::size_t j = 0; j < degree; ++j)
+                    take(neighbors[j]);
             } else {
-                // Reservoir sampling of `fanout` neighbors without
-                // replacement.
-                for (std::size_t j = 0; j < fanout; ++j)
-                    reservoir[j] = neighbors[j];
-                sampled = fanout;
-                for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                    const std::size_t slot = rng.uniformInt(j + 1);
-                    if (slot < fanout)
-                        reservoir[slot] = neighbors[j];
+                // Floyd's algorithm: `fanout` distinct row positions,
+                // uniform without replacement, in `fanout` draws. For
+                // each j of the last `fanout` positions draw t in
+                // [0, j]; take t, or j if t is already taken (j exceeds
+                // every earlier pick). The picks stay sorted by
+                // insertion. At sampling fan-outs a branch-free scan
+                // and a shift beat a binary search plus memmove; the
+                // insert is O(fanout) either way.
+                std::size_t count = 0;
+                for (std::size_t j = degree - fanout; j < degree; ++j) {
+                    const EdgeId t = rng.uniformInt(j + 1);
+                    bool taken = false;
+                    for (std::size_t i = 0; i < count; ++i)
+                        taken |= picks[i] == t;
+                    const EdgeId pick = taken ? j : t;
+                    std::size_t i = count++;
+                    for (; i > 0 && picks[i - 1] > pick; --i)
+                        picks[i] = picks[i - 1];
+                    picks[i] = pick;
                 }
-            }
-            for (std::size_t j = 0; j < sampled; ++j) {
-                const VertexId u = reservoir[j];
-                if (scratch.stamp_[u] != scratch.epoch_) {
-                    scratch.stamp_[u] = scratch.epoch_;
-                    scratch.local_[u] =
-                        static_cast<VertexId>(block.srcVertices.size());
-                    block.srcVertices.push_back(u);
-                }
-                block.colIdx.push_back(scratch.local_[u]);
+                // Ascending positions: a DeltaCsr row's chain cursor
+                // then only moves forward.
+                for (std::size_t i = 0; i < count; ++i)
+                    take(neighbors[picks[i]]);
             }
             block.rowPtr.push_back(
                 static_cast<EdgeId>(block.colIdx.size()));

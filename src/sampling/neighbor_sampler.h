@@ -73,9 +73,12 @@ class SamplerScratch;
 /**
  * SAMPLE_k over all K layers for one mini-batch, into reusable flat
  * blocks. Layer K's destination set is @p seeds; each layer's source
- * set is its destination set plus up to fanouts[k] reservoir-sampled
- * neighbors per destination (a vertex with degree <= fanout keeps all
- * neighbors). @p tree's vectors are clear()ed and refilled, retaining
+ * set is its destination set plus up to fanouts[k] sampled neighbors
+ * per destination. A vertex with degree <= fanout keeps all neighbors
+ * in row order; a larger row draws fanouts[k] distinct positions,
+ * uniform without replacement, with Floyd's algorithm — fanouts[k]
+ * RNG draws whatever the degree — and lists them in ascending row
+ * position. @p tree's vectors are clear()ed and refilled, retaining
  * capacity, so a warmed tree+scratch pair samples with zero heap
  * allocations.
  *
@@ -91,7 +94,8 @@ void sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
 
 /**
  * Reusable working state of the sampler: a stamped global→local index
- * map sized |V| (no per-call hashing or node allocation). One scratch
+ * map sized |V| (no per-call hashing or node allocation) and the
+ * fanout-sized buffer of one destination's sampled positions. One scratch
  * serves one sampling thread; it may be reused across graphs only if
  * re-constructed for the larger vertex count.
  */
@@ -124,7 +128,7 @@ class SamplerScratch
     std::vector<VertexId> local_;      ///< local index, valid iff stamped
     std::vector<std::uint32_t> stamp_; ///< epoch that wrote local_[v]
     std::uint32_t epoch_ = 0;
-    std::vector<VertexId> reservoir_;  ///< per-destination sample buffer
+    std::vector<EdgeId> picks_;        ///< sorted sampled row positions
 };
 
 /**

@@ -4,18 +4,24 @@
  * kernel against the scalar reference across graph shapes, feature
  * widths and ψ specs; compressed-input aggregation against dense; and
  * the order-invariance property (a processing order permutes work, not
- * results).
+ * results); and the SAGE-mean row gather against a scalar loop, bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <tuple>
+#include <vector>
 
+#include "common/rng.h"
 #include "compress/compressed_matrix.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "kernels/aggregation.h"
+#include "kernels/mean_gather.h"
 
 namespace graphite {
 namespace {
@@ -242,6 +248,58 @@ TEST(Aggregation, ValidateSpecCatchesFactorLengthMismatch)
     AggregationSpec shortSelf = gcnSpec(g);
     shortSelf.selfFactors.pop_back();
     EXPECT_NE(validateSpec(shortSelf, g), nullptr);
+}
+
+TEST(MeanGather, MatchesScalarReferenceBitwise)
+{
+    // meanGatherRow's contract, against a plain scalar loop: self row,
+    // then each neighbor in list order, then one multiply by the
+    // reciprocal. Every width 1..67 covers the vector remainders; rows
+    // are packed at the width itself, so most start unaligned. The
+    // lists repeat ids and name the self id; values span six decades
+    // so any reassociation would change low bits.
+    constexpr VertexId kRows = 24;
+    constexpr VertexId kSelf = 5;
+    const std::vector<std::vector<VertexId>> lists = {
+        {},
+        {kSelf},
+        {3, 7, 3, kSelf, 0, 19, 7, 7, 12},
+        {23, 23, 23, 23, 1, 2, 3, kSelf, kSelf, 22, 9, 14, 0, 18, 6, 3, 11},
+    };
+    Rng rng(31);
+    for (std::size_t width = 1; width <= 67; ++width) {
+        std::vector<Feature> table(kRows * width);
+        for (Feature &x : table) {
+            const float magnitude =
+                static_cast<float>(1 << rng.uniformInt(20)) / 1024.0f;
+            x = (rng.uniformFloat() - 0.5f) * magnitude;
+        }
+        const auto rowOf = [&](VertexId v) {
+            return table.data() + v * width;
+        };
+        for (const std::vector<VertexId> &list : lists) {
+            std::vector<Feature> expected(width);
+            for (std::size_t c = 0; c < width; ++c)
+                expected[c] = rowOf(kSelf)[c];
+            for (const VertexId u : list) {
+                for (std::size_t c = 0; c < width; ++c)
+                    expected[c] += rowOf(u)[c];
+            }
+            const float scale =
+                1.0f / (1.0f + static_cast<float>(list.size()));
+            for (std::size_t c = 0; c < width; ++c)
+                expected[c] *= scale;
+
+            std::vector<Feature> got(width, -1.0f);
+            meanGatherRow(kSelf, std::span<const VertexId>(list), rowOf,
+                          width, got.data());
+            EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                  width * sizeof(Feature)),
+                      0)
+                << "width " << width << ", " << list.size()
+                << " neighbors";
+        }
+    }
 }
 
 } // namespace

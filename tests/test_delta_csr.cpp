@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
@@ -308,6 +309,51 @@ TEST(OverlaySampling, DeltaEdgesParticipateInSampling)
         EXPECT_GE(u, 1u);
         EXPECT_LE(u, 12u);
     }
+
+    // A hub with base edges and a delta chain several segments long:
+    // every sample is a member of the row at strictly ascending
+    // positions (the RowView cursor only walks forward), and delta
+    // edges are drawn alongside base edges.
+    constexpr VertexId kHub = 1;
+    constexpr std::size_t kDeltas = 5 * DeltaCsr::kSegmentEdges + 3;
+    static_assert(kDeltas > DeltaCsr::kSegmentEdges);
+    std::vector<EdgeId> rowPtr(65, 0);
+    std::vector<VertexId> colIdx;
+    for (VertexId u = 2; u < 12; ++u)
+        colIdx.push_back(u); // kHub's base row: 2..11
+    for (VertexId v = kHub + 1; v <= 64; ++v)
+        rowPtr[v] = colIdx.size();
+    DeltaCsr hub(CsrGraph(std::move(rowPtr), std::move(colIdx)), 64);
+    for (VertexId u = 12; u < 12 + kDeltas; ++u)
+        ASSERT_EQ(hub.addEdge(kHub, u), DeltaCsr::AddEdge::Added);
+    const DeltaCsr::RowView row = hub.neighbors(kHub);
+    ASSERT_EQ(row.size(), 10 + kDeltas);
+    const std::vector<VertexId> hubFanouts = {6};
+    SamplerScratch hubScratch(hub.numVertices());
+    std::size_t baseDrawn = 0;
+    std::size_t deltaDrawn = 0;
+    for (std::uint64_t id = 0; id < 64; ++id) {
+        Rng hubRng(requestSeed(id));
+        sampleTree(hub, kHub, hubFanouts, hubRng, hubScratch, tree);
+        const FlatBlock &hubBlock = tree.blocks[0];
+        ASSERT_EQ(hubBlock.neighbors(0).size(), 6u);
+        std::vector<std::size_t> positions;
+        for (const VertexId local : hubBlock.neighbors(0)) {
+            const VertexId u = hubBlock.srcVertices[local];
+            std::size_t pos = 0;
+            while (pos < row.size() && row[pos] != u)
+                ++pos;
+            ASSERT_LT(pos, row.size()) << u << " is not in the hub's row";
+            positions.push_back(pos);
+            ++(pos < hub.baseDegree(kHub) ? baseDrawn : deltaDrawn);
+        }
+        const bool ascending =
+            std::adjacent_find(positions.begin(), positions.end(),
+                               std::greater_equal<>()) == positions.end();
+        EXPECT_TRUE(ascending) << "positions must be distinct, ascending";
+    }
+    EXPECT_GT(baseDrawn, 0u);
+    EXPECT_GT(deltaDrawn, 0u) << "delta edges must participate";
 }
 
 // ------------------------------------------------------------------

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <vector>
 
 #include "graph/generators.h"
 #include "sampling/neighbor_sampler.h"
@@ -102,6 +105,94 @@ TEST(Sampler, SampledNeighborsAreDistinct)
     std::set<VertexId> seen(block.neighbors(0).begin(),
                             block.neighbors(0).end());
     EXPECT_EQ(seen.size(), block.neighbors(0).size());
+}
+
+/**
+ * A star: vertex 0 is a hub whose row lists 1..degree in ascending
+ * order; every other vertex has no out-edges.
+ */
+CsrGraph
+hubGraph(VertexId degree)
+{
+    std::vector<EdgeId> rowPtr(degree + 2, degree);
+    rowPtr[0] = 0;
+    std::vector<VertexId> colIdx(degree);
+    for (VertexId j = 0; j < degree; ++j)
+        colIdx[j] = j + 1;
+    return CsrGraph(std::move(rowPtr), std::move(colIdx));
+}
+
+TEST(Sampler, HubInclusionIsUniform)
+{
+    // Uniform sampling without replacement includes each of a hub's
+    // neighbors with probability fanout/degree. Chi-square of the
+    // inclusion counts over 2,000 fixed-seed draws against that
+    // expectation (100 per neighbor), at the 0.1% critical value of
+    // chi-square with degree - 1 = 199 degrees of freedom.
+    constexpr VertexId kDegree = 200;
+    constexpr VertexId kFanout = 10;
+    constexpr int kDraws = 2000;
+    const CsrGraph g = hubGraph(kDegree);
+    const std::vector<VertexId> fanouts = {kFanout};
+    SamplerScratch scratch(g.numVertices());
+    SampledTree tree;
+    Rng rng(17);
+    std::vector<int> included(kDegree + 1, 0);
+    for (int draw = 0; draw < kDraws; ++draw) {
+        sampleTree(g, 0, fanouts, rng, scratch, tree);
+        const FlatBlock &block = tree.blocks[0];
+        ASSERT_EQ(block.neighbors(0).size(), kFanout);
+        for (const VertexId local : block.neighbors(0))
+            ++included[block.srcVertices[local]];
+    }
+    const double expected =
+        static_cast<double>(kDraws) * kFanout / kDegree;
+    double chiSquare = 0.0;
+    for (VertexId u = 1; u <= kDegree; ++u) {
+        const double d = included[u] - expected;
+        chiSquare += d * d / expected;
+    }
+    EXPECT_EQ(included[0], 0) << "the hub must not sample itself";
+    EXPECT_LT(chiSquare, 266.4)
+        << "neighbor inclusion departs from fanout/degree";
+}
+
+TEST(Sampler, SampledPositionsAreDistinctAndAscending)
+{
+    // Every destination larger than its fan-out lists its sampled
+    // neighbors at strictly ascending positions of its row.
+    const CsrGraph g = generateBarabasiAlbert(400, 6, 70);
+    const std::vector<VertexId> fanouts = {5, 5};
+    SamplerScratch scratch(g.numVertices());
+    SampledTree tree;
+    std::size_t checkedRows = 0;
+    for (VertexId seed = 0; seed < 400; seed += 7) {
+        Rng rng(requestSeed(seed));
+        sampleTree(g, seed, fanouts, rng, scratch, tree);
+        for (std::size_t k = 0; k < tree.blocks.size(); ++k) {
+            const FlatBlock &block = tree.blocks[k];
+            for (std::size_t d = 0; d < block.dstVertices.size(); ++d) {
+                const auto row = g.neighbors(block.dstVertices[d]);
+                if (row.size() <= fanouts[k])
+                    continue;
+                ++checkedRows;
+                std::vector<std::ptrdiff_t> positions;
+                for (const VertexId local : block.neighbors(d)) {
+                    const VertexId u = block.srcVertices[local];
+                    const auto it = std::find(row.begin(), row.end(), u);
+                    ASSERT_NE(it, row.end()) << "not a neighbor";
+                    positions.push_back(it - row.begin());
+                }
+                const bool ascending =
+                    std::adjacent_find(positions.begin(), positions.end(),
+                                       std::greater_equal<>()) ==
+                    positions.end();
+                EXPECT_TRUE(ascending)
+                    << "positions must be distinct, ascending";
+            }
+        }
+    }
+    EXPECT_GT(checkedRows, 50u);
 }
 
 TEST(Sampler, GatherBatchFeaturesCopiesRows)
