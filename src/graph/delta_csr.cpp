@@ -1,6 +1,7 @@
 #include "graph/delta_csr.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -58,16 +59,23 @@ DeltaCsr::addEdge(VertexId src, VertexId dst)
         return AddEdge::PoolFull;
     if (edgeExists(src, dst))
         return AddEdge::Duplicate;
+    appendEdge(src, dst);
+    deltaEdgeCounter_.add(1);
+    return AddEdge::Added;
+}
 
+void
+DeltaCsr::appendEdge(VertexId src, VertexId dst)
+{
     VertexDelta &delta = vertices_[src];
     const EdgeId count = delta.count.load(std::memory_order_relaxed);
     const std::size_t slot =
         static_cast<std::size_t>(count) % kSegmentEdges;
     if (slot == 0) {
         // Chain needs a fresh segment. The pool is sized so this cannot
-        // run dry before the delta budget trips above.
+        // run dry before addEdge's delta budget check trips.
         GRAPHITE_ASSERT(poolCursor_ < poolSize_,
-                        "addEdge: segment pool exhausted");
+                        "appendEdge: segment pool exhausted");
         const auto seg = static_cast<std::uint32_t>(poolCursor_++);
         pool_[seg].next.store(kNullSegment, std::memory_order_relaxed);
         pool_[seg].edges[0] = dst;
@@ -86,8 +94,6 @@ DeltaCsr::addEdge(VertexId src, VertexId dst)
     // links above happen-before any reader that observes count+1.
     delta.count.store(count + 1, std::memory_order_release);
     deltaEdges_.fetch_add(1, std::memory_order_release);
-    deltaEdgeCounter_.add(1);
-    return AddEdge::Added;
 }
 
 DeltaCsr::RowView
@@ -134,22 +140,26 @@ DeltaCsr::deltaNeighborAt(const RowView &view, std::size_t i) const
 CsrGraph
 DeltaCsr::compacted() const
 {
+    // Each published count is acquire-loaded exactly once, here: a
+    // concurrent addEdge may publish more, but this row copies only the
+    // prefix it sized, and published entries never move.
     const VertexId n = numVertices();
     std::vector<EdgeId> rowPtr(static_cast<std::size_t>(n) + 1, 0);
     for (VertexId v = 0; v < n; ++v)
         rowPtr[v + 1] = rowPtr[v] + degree(v);
     std::vector<VertexId> colIdx(static_cast<std::size_t>(rowPtr[n]));
     for (VertexId v = 0; v < n; ++v) {
-        auto *out = colIdx.data() + rowPtr[v];
+        VertexId *const out = colIdx.data() + rowPtr[v];
+        VertexId *const end = colIdx.data() + rowPtr[v + 1];
         const std::span<const VertexId> row = base_.neighbors(v);
-        std::copy(row.begin(), row.end(), out);
-        auto *cursor = out + row.size();
-        forEachDeltaNeighbor(v, [&](VertexId neighbor) {
-            *cursor++ = neighbor;
-        });
+        VertexId *cursor = std::copy(row.begin(), row.end(), out);
+        forEachDeltaRun(v, static_cast<EdgeId>(end - cursor),
+                        [&](const VertexId *edges, EdgeId count) {
+                            cursor = std::copy_n(edges, count, cursor);
+                        });
         // GraphBuilder emits sorted rows; match it so compaction is
         // bitwise-identical to a from-scratch build of the edge set.
-        std::sort(out, out + degree(v));
+        std::sort(out, end);
     }
     CsrGraph graph(std::move(rowPtr), std::move(colIdx));
     GRAPHITE_ASSERT(graph.validate() == nullptr,
@@ -158,14 +168,45 @@ DeltaCsr::compacted() const
 }
 
 void
-DeltaCsr::compact()
+DeltaCsr::installCompacted(CsrGraph snapshot)
 {
     MutexLock lock(writerMutex_);
-    if (deltaEdges_.load(std::memory_order_relaxed) == 0)
-        return;
-    base_ = compacted();
+    const VertexId n = numVertices();
+    GRAPHITE_ASSERT(snapshot.numVertices() == n,
+                    "installCompacted: snapshot vertex count differs");
+    // A snapshot row holds the base row plus the first
+    // (snapshot degree - base degree) chain entries; everything past
+    // that was published during the build and is carried over.
+    std::vector<std::pair<VertexId, VertexId>> carried;
+    for (VertexId v = 0; v < n; ++v) {
+        const EdgeId baseDegree = base_.degree(v);
+        // graphite-lint: allow(assert) compaction is cold: one check
+        // per vertex per install, not per edge insert.
+        GRAPHITE_ASSERT(snapshot.degree(v) >= baseDegree,
+                        "installCompacted: snapshot row below its base");
+        const EdgeId seen = snapshot.degree(v) - baseDegree;
+        const EdgeId live =
+            vertices_[v].count.load(std::memory_order_relaxed);
+        // graphite-lint: allow(assert) cold, as above.
+        GRAPHITE_ASSERT(seen <= live,
+                        "installCompacted: snapshot ahead of the overlay");
+        if (seen == live)
+            continue;
+        EdgeId index = 0;
+        forEachDeltaRun(v, live, [&](const VertexId *edges, EdgeId count) {
+            for (EdgeId i = 0; i < count; ++i, ++index) {
+                if (index < seen)
+                    continue;
+                // graphite-lint: allow(alloc) compaction allocates; the
+                // insert path does not.
+                carried.emplace_back(v, edges[i]);
+            }
+        });
+    }
+
+    base_ = std::move(snapshot);
     baseRowsSorted_ = true;
-    for (VertexId v = 0; v < numVertices(); ++v) {
+    for (VertexId v = 0; v < n; ++v) {
         VertexDelta &delta = vertices_[v];
         delta.count.store(0, std::memory_order_relaxed);
         delta.head.store(kNullSegment, std::memory_order_relaxed);
@@ -173,9 +214,21 @@ DeltaCsr::compact()
     }
     poolCursor_ = 0;
     deltaEdges_.store(0, std::memory_order_release);
+    // addEdge checked each carried edge against base + delta when it
+    // was inserted, so none duplicates the new base or another.
+    for (const auto &[src, dst] : carried)
+        appendEdge(src, dst);
     static obs::Counter &compactionCounter =
         obs::MetricsRegistry::global().counter("graph.compactions");
     compactionCounter.add(1);
+}
+
+void
+DeltaCsr::compact()
+{
+    if (deltaEdges() == 0)
+        return;
+    installCompacted(compacted());
 }
 
 const char *

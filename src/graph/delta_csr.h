@@ -9,9 +9,12 @@
  * CsrGraph that every existing kernel can keep consuming, and inserted
  * edges accumulate in append-only per-vertex adjacency segments carved
  * from a preallocated pool. Readers see the union (base row followed by
- * the vertex's delta chain) through a lock-free protocol; an explicit
- * compact() merges the deltas into a fresh validated CSR identical to
- * a from-scratch build of the same edge set (DESIGN.md §14).
+ * the vertex's delta chain) through a lock-free protocol. Compaction
+ * merges the deltas into a fresh validated CSR identical to a
+ * from-scratch build of the same edge set (DESIGN.md §14) in two
+ * phases: compacted() builds the merged snapshot while writers keep
+ * inserting, and installCompacted() swaps it in, carrying over the
+ * edges inserted during the build.
  *
  * Concurrency contract:
  *  - addEdge() is internally serialized (writer mutex) and safe against
@@ -21,10 +24,14 @@
  *    before walking the chain. Segments never move or shrink.
  *  - degree()/neighbors()/forEachDeltaNeighbor() are wait-free and
  *    take no locks.
- *  - compact(), compacted() and validate() require that no concurrent
- *    writer is active; compact() additionally requires no concurrent
- *    readers (it swaps the base). The serving layer runs compaction
- *    from its consumer thread with updates and oracle reads excluded.
+ *  - compacted() is a reader: safe against a concurrent addEdge() and
+ *    other readers. It reads each vertex's published count once, so
+ *    the snapshot holds a published prefix of every chain.
+ *  - installCompacted() and compact() swap the base: they take the
+ *    writer mutex themselves and require no concurrent readers.
+ *  - validate() requires that no concurrent writer is active.
+ *  The serving layer builds the snapshot on its consumer thread with no
+ *  lock held and installs it with updates and oracle reads excluded.
  *
  * Steady-state inserts are allocation-free: the segment pool, chain
  * heads and per-vertex counters are all sized in the constructor, and
@@ -77,7 +84,7 @@ class DeltaCsr
     DeltaCsr(const DeltaCsr &) = delete;
     DeltaCsr &operator=(const DeltaCsr &) = delete;
 
-    /** The immutable base CSR (valid until the next compact()). */
+    /** The immutable base CSR (valid until the next install). */
     const CsrGraph &base() const { return base_; }
 
     VertexId numVertices() const { return base_.numVertices(); }
@@ -176,22 +183,11 @@ class DeltaCsr
     {
         GRAPHITE_DCHECK(v < numVertices(),
                         "forEachDeltaNeighbor: vertex out of range");
-        const VertexDelta &delta = vertices_[v];
-        EdgeId remaining = delta.count.load(std::memory_order_acquire);
-        std::uint32_t seg = delta.head.load(std::memory_order_relaxed);
-        while (remaining > 0) {
-            GRAPHITE_DCHECK(seg != kNullSegment,
-                            "delta chain shorter than count");
-            const Segment &segment = pool_[seg];
-            const EdgeId take =
-                remaining < kSegmentEdges
-                    ? remaining
-                    : static_cast<EdgeId>(kSegmentEdges);
-            for (EdgeId i = 0; i < take; ++i)
-                fn(segment.edges[i]);
-            remaining -= take;
-            seg = segment.next.load(std::memory_order_relaxed);
-        }
+        forEachDeltaRun(v, deltaDegree(v),
+                        [&](const VertexId *edges, EdgeId n) {
+                            for (EdgeId i = 0; i < n; ++i)
+                                fn(edges[i]);
+                        });
     }
 
     /**
@@ -205,16 +201,29 @@ class DeltaCsr
     /**
      * Merge base + deltas into a fresh validated CSR with sorted rows —
      * bitwise the graph a from-scratch GraphBuilder build of the same
-     * edge set produces. Pure: the overlay is not modified. Requires no
-     * concurrent writer.
+     * edge set produces. Pure: the overlay is not modified. Safe
+     * against a concurrent writer: each vertex's published count is
+     * read once, so the result merges exactly the edges published when
+     * its row was sized (a prefix of every chain).
      */
     CsrGraph compacted() const;
 
     /**
-     * Replace the base with compacted() and reset the overlay (counts
-     * zeroed, chains unlinked, pool cursor rewound — the pool storage
-     * is retained). Requires exclusive access: no concurrent readers
-     * or writers.
+     * Install @p snapshot, a compacted() result taken since the last
+     * install, as the new base. Edges inserted after the snapshot read
+     * their vertex's count are carried over: the overlay is reset
+     * (chains unlinked, pool cursor rewound, storage retained) and the
+     * carried edges re-appended in insertion order, so each row reads
+     * as the sorted snapshot row followed by its carried edges. Takes
+     * the writer mutex; requires no concurrent readers (it swaps the
+     * base).
+     */
+    void installCompacted(CsrGraph snapshot);
+
+    /**
+     * installCompacted(compacted()): merge every delta into the base.
+     * Requires exclusive access: no concurrent readers or writers, so
+     * nothing is carried and deltaEdges() is 0 afterwards.
      */
     void compact();
 
@@ -248,6 +257,34 @@ class DeltaCsr
         /** Chain tail; writer-only state. */
         std::uint32_t tail = kNullSegment;
     };
+
+    /**
+     * Walk the first @p count entries of @p v's delta chain (at most
+     * its published count) as contiguous runs: @p fn(edges, n) once per
+     * segment touched, in insertion order.
+     */
+    template <typename Fn>
+    void
+    forEachDeltaRun(VertexId v, EdgeId count, Fn &&fn) const
+    {
+        std::uint32_t seg =
+            vertices_[v].head.load(std::memory_order_relaxed);
+        while (count > 0) {
+            GRAPHITE_DCHECK(seg != kNullSegment,
+                            "delta chain shorter than count");
+            const Segment &segment = pool_[seg];
+            const EdgeId take =
+                count < kSegmentEdges ? count
+                                      : static_cast<EdgeId>(kSegmentEdges);
+            fn(segment.edges, take);
+            count -= take;
+            seg = segment.next.load(std::memory_order_relaxed);
+        }
+    }
+
+    /** Append src → dst to src's chain and publish it (no checks). */
+    void appendEdge(VertexId src, VertexId dst)
+        GRAPHITE_REQUIRES(writerMutex_);
 
     /** @p i-th delta neighbor through @p view's sequential cursor. */
     VertexId deltaNeighborAt(const RowView &view, std::size_t i) const;

@@ -40,10 +40,11 @@ RequestQueue::popBatch(InferenceRequest *out, std::size_t max,
 {
     GRAPHITE_ASSERT(max > 0, "popBatch needs max > 0");
     MutexLock lock(mutex_);
-    while (count_ == 0 && !closed_)
+    while (count_ == 0 && !closed_ && !woken_)
         nonEmpty_.wait(lock, mutex_);
+    woken_ = false;
     if (count_ == 0)
-        return 0; // closed and drained
+        return 0; // closed and drained, or woken
     // The batch deadline runs from the moment the first request is
     // available — a lone request never waits longer than the budget.
     const std::uint64_t deadline = monotonicNanos() +
@@ -77,11 +78,28 @@ RequestQueue::close()
     nonEmpty_.notify_all();
 }
 
+void
+RequestQueue::wake()
+{
+    {
+        MutexLock lock(mutex_);
+        woken_ = true;
+    }
+    nonEmpty_.notify_all();
+}
+
 bool
 RequestQueue::closed() const
 {
     MutexLock lock(mutex_);
     return closed_;
+}
+
+bool
+RequestQueue::drained() const
+{
+    MutexLock lock(mutex_);
+    return closed_ && count_ == 0;
 }
 
 std::size_t

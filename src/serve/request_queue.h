@@ -53,6 +53,8 @@ struct InferenceRequest
  * push() never blocks (false on full or closed); popBatch() blocks for
  * the first request, then drains until the batch is full, the latency
  * budget measured from that first pop expires, or the queue closes.
+ * wake() releases a consumer blocked on an empty queue without a
+ * request, so it can do work between batches.
  */
 class RequestQueue
 {
@@ -73,11 +75,19 @@ class RequestQueue
      * Blocks until at least one request is available, then keeps
      * draining until @p max requests are popped or @p budgetNs
      * nanoseconds have elapsed since the first pop — the micro-batcher
-     * deadline. Returns the number popped; 0 means closed and drained
-     * (the consumer's shutdown signal).
+     * deadline. Returns the number popped; 0 means the queue was empty
+     * and either closed or woken by wake(). drained() tells the two
+     * apart: only closed and drained is the consumer's shutdown signal.
      */
     std::size_t popBatch(InferenceRequest *out, std::size_t max,
                          std::int64_t budgetNs);
+
+    /**
+     * Make the current or next popBatch() return, 0 if nothing is
+     * queued, without waiting for a request. One wake is consumed by
+     * the popBatch() call that returns next.
+     */
+    void wake();
 
     /**
      * Close the queue: subsequent pushes fail, popBatch drains what is
@@ -87,6 +97,9 @@ class RequestQueue
 
     bool closed() const;
 
+    /** Closed and empty: no request will ever be popped again. */
+    bool drained() const;
+
     /** Instantaneous occupancy (racy by nature; for reporting). */
     std::size_t size() const;
 
@@ -94,12 +107,14 @@ class RequestQueue
 
   private:
     mutable Mutex mutex_;
-    /** Signalled on push and on close. */
+    /** Signalled on push, wake and close. */
     CondVar nonEmpty_;
     std::vector<InferenceRequest> ring_ GRAPHITE_GUARDED_BY(mutex_);
     std::size_t head_ GRAPHITE_GUARDED_BY(mutex_) = 0;
     std::size_t count_ GRAPHITE_GUARDED_BY(mutex_) = 0;
     bool closed_ GRAPHITE_GUARDED_BY(mutex_) = false;
+    /** Set by wake(), cleared by the popBatch() that returns next. */
+    bool woken_ GRAPHITE_GUARDED_BY(mutex_) = false;
 };
 
 } // namespace graphite::serve

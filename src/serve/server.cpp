@@ -396,20 +396,19 @@ InferenceServer::run()
     const std::int64_t budgetNs = config_.latencyBudgetUs * 1000;
     for (;;) {
         // Honor compaction requests between batches: this thread is
-        // the only batch forwarder, so excluding updates and oracle
-        // reads here gives compact() the exclusive access it needs.
+        // the only batch forwarder, so no batch reads the overlay while
+        // compactOverlay() installs.
         if (compactionRequested_.exchange(false,
                                           std::memory_order_acq_rel) &&
-            overlay_ != nullptr) {
-            MutexLock update(updateMutex_);
-            MutexLock oracle(oracleMutex_);
-            compactLocked();
-        }
+            overlay_ != nullptr)
+            compactOverlay();
         const std::size_t n = queue_.popBatch(
             scratch_->batch.data(), config_.maxBatch, budgetNs);
-        if (n == 0)
-            return; // closed and drained
-        forwardBatch(*scratch_, n, AggPolicy::HubExactCached);
+        if (n > 0)
+            forwardBatch(*scratch_, n, AggPolicy::HubExactCached);
+        else if (queue_.drained())
+            return;
+        // else: woken by requestCompaction() on an empty queue.
     }
 }
 
@@ -502,6 +501,9 @@ InferenceServer::requestCompaction()
     if (overlay_ == nullptr)
         return;
     compactionRequested_.store(true, std::memory_order_release);
+    // An idle consumer is blocked in popBatch; release it so it sees
+    // the request without waiting for the next read.
+    queue_.wake();
 }
 
 void
@@ -509,26 +511,40 @@ InferenceServer::compactNow()
 {
     if (overlay_ == nullptr)
         return;
-    MutexLock update(updateMutex_);
-    MutexLock oracle(oracleMutex_);
-    compactLocked();
+    compactOverlay();
 }
 
 void
-InferenceServer::compactLocked()
+InferenceServer::compactOverlay()
 {
+    MutexLock compacting(compactMutex_);
     if (overlay_->deltaEdges() == 0)
         return;
-    overlay_->compact();
-    // Rows cached before the compaction were gathered in
-    // base-then-delta order; the compacted base gathers in sorted
-    // merged order. Flush so cache-on serving stays bitwise identical
-    // to a fresh hub-exact gather (HotVertexCache::clear doc).
+    // The expensive merge holds neither the update nor the oracle
+    // mutex: insertEdge() and the oracle keep running, and the
+    // snapshot holds a published prefix of every row.
+    CsrGraph snapshot = [&] {
+        GRAPHITE_TRACE_SPAN("overlay.compact_build");
+        return overlay_->compacted();
+    }();
+    MutexLock update(updateMutex_);
+    MutexLock oracle(oracleMutex_);
+    GRAPHITE_TRACE_SPAN("overlay.compact_install");
+    const std::uint64_t begin = monotonicNanos();
+    overlay_->installCompacted(std::move(snapshot));
+    // Rows cached before the install were gathered in base-then-delta
+    // order; the new base gathers in sorted merged order. Flush so
+    // cache-on serving stays bitwise identical to a fresh hub-exact
+    // gather (HotVertexCache::clear doc).
     cache_.clear();
     compactions_.fetch_add(1, std::memory_order_relaxed);
+    auto &metrics = obs::MetricsRegistry::global();
     static obs::Counter &compactionCounter =
-        obs::MetricsRegistry::global().counter("serve.compactions");
+        metrics.counter("serve.compactions");
+    static obs::Histogram &installHist =
+        metrics.histogram("serve.compact_install_us");
     compactionCounter.increment();
+    installHist.observe((monotonicNanos() - begin) / 1000);
 }
 
 GraphStats

@@ -169,17 +169,24 @@ class InferenceServer
     DeltaCsr::AddEdge insertEdge(VertexId src, VertexId dst);
 
     /**
-     * Ask the consumer loop to compact the overlay between batches
-     * (run() performs it with updates and oracle reads excluded).
-     * No-op in frozen-CSR mode.
+     * Ask the consumer loop to compact the overlay between batches.
+     * Wakes an idle consumer, so the request is honoured without
+     * waiting for the next read (a writer refused with PoolFull gets
+     * room back). The consumer builds the merged CSR while
+     * insertEdge() and the oracle keep running, then
+     * installs it with both excluded, carrying over the edges inserted
+     * during the build (DESIGN.md §14). No-op in frozen-CSR mode.
      */
     void requestCompaction();
 
     /**
-     * Compact the overlay immediately. Caller must guarantee the
+     * Compact the overlay on the calling thread, by the same build and
+     * install as requestCompaction(). Caller must guarantee the
      * consumer loop is not mid-batch (idle, or not started, or
-     * drained); insertEdge()/serveOne() callers are excluded
-     * internally. No-op in frozen-CSR mode.
+     * drained); insertEdge()/serveOne() callers keep running during
+     * the build and are excluded from the install internally. With no
+     * concurrent insertEdge() every delta is merged (deltaEdges() is 0
+     * afterwards). No-op in frozen-CSR mode.
      */
     void compactNow();
 
@@ -280,8 +287,12 @@ class InferenceServer
     /** Re-derive the auto admission threshold from live degrees. */
     void refreshHotThreshold() GRAPHITE_REQUIRES(updateMutex_);
 
-    /** Shared compaction body (updates + oracle excluded by caller). */
-    void compactLocked() GRAPHITE_REQUIRES(updateMutex_);
+    /**
+     * The one compaction path: build the snapshot off-lock, then
+     * install it and flush the cache with updates and oracle reads
+     * excluded.
+     */
+    void compactOverlay();
 
     const CsrGraph &graph_;
     /** Overlay in dynamic mode, nullptr when serving a frozen CSR. */
@@ -296,8 +307,13 @@ class InferenceServer
     std::unique_ptr<ForwardScratch> oracleScratch_; ///< serveOne's
     /** Serializes serveOne callers (one oracle scratch). */
     Mutex oracleMutex_;
-    /** Serializes insertEdge callers and compaction vs updates. */
+    /** Serializes insertEdge callers and the install vs updates. */
     mutable Mutex updateMutex_;
+    /**
+     * Serializes compactions: an install must see the base its
+     * snapshot was built on.
+     */
+    Mutex compactMutex_;
     /** Live stats folded forward per accepted insert. */
     IncrementalGraphStats liveStats_ GRAPHITE_GUARDED_BY(updateMutex_);
     /** Reused by refreshHotThreshold (|V|, sized at construction). */

@@ -215,6 +215,168 @@ TEST(DeltaCsr, SteadyStateInsertsAreAllocFree)
         << "addEdge must not touch the heap after construction";
 }
 
+/** Insert src → (next free dst) until @p count edges are Added. */
+std::vector<VertexId>
+insertEdges(DeltaCsr &overlay, GraphBuilder &mirror, VertexId src,
+            std::size_t count, VertexId firstDst)
+{
+    std::vector<VertexId> added;
+    for (VertexId dst = firstDst; added.size() < count; ++dst) {
+        if (overlay.addEdge(src, dst % overlay.numVertices()) ==
+            DeltaCsr::AddEdge::Added) {
+            mirror.addEdge(src, dst % overlay.numVertices());
+            added.push_back(dst % overlay.numVertices());
+        }
+    }
+    return added;
+}
+
+TEST(DeltaCsr, InstallCarriesInsertsMadeAfterTheSnapshot)
+{
+    constexpr VertexId n = 200;
+    DeltaCsr overlay(generateBarabasiAlbert(n, 3, 11), 4096);
+    GraphBuilder mirror(n);
+    for (const auto &[src, dst] : edgeList(overlay.base()))
+        mirror.addEdge(src, dst);
+
+    // Before the snapshot: scattered inserts, and a hub chain that
+    // stops mid-segment.
+    constexpr VertexId kHub = 7;
+    constexpr VertexId kFresh = 150;
+    Rng rng(61);
+    for (int i = 0; i < 300; ++i) {
+        const auto src = static_cast<VertexId>(rng.next() % n);
+        const auto dst = static_cast<VertexId>(rng.next() % n);
+        if (src != kHub && src != kFresh &&
+            overlay.addEdge(src, dst) == DeltaCsr::AddEdge::Added)
+            mirror.addEdge(src, dst);
+    }
+    insertEdges(overlay, mirror, kHub, 5, 100);
+    ASSERT_EQ(overlay.deltaDegree(kFresh), 0u);
+    const CsrGraph snapshot = overlay.compacted();
+    static_assert(5 < DeltaCsr::kSegmentEdges);
+    ASSERT_EQ(overlay.deltaDegree(kHub), 5u)
+        << "the hub's snapshot prefix must end mid-segment";
+
+    // After the snapshot: the hub's chain crosses a segment boundary,
+    // a vertex with no snapshot deltas gains some, and a few more land
+    // elsewhere. These are the edges the install carries.
+    std::vector<std::vector<VertexId>> carried(n);
+    carried[kHub] = insertEdges(overlay, mirror, kHub,
+                                DeltaCsr::kSegmentEdges + 3, 20);
+    carried[kFresh] = insertEdges(overlay, mirror, kFresh, 4, 0);
+    for (int i = 0; i < 40; ++i) {
+        const auto src = static_cast<VertexId>(rng.next() % n);
+        const auto dst = static_cast<VertexId>(rng.next() % n);
+        if (src != kHub && src != kFresh &&
+            overlay.addEdge(src, dst) == DeltaCsr::AddEdge::Added) {
+            mirror.addEdge(src, dst);
+            carried[src].push_back(dst);
+        }
+    }
+    std::size_t carriedTotal = 0;
+    for (const auto &row : carried)
+        carriedTotal += row.size();
+
+    overlay.installCompacted(snapshot);
+    ASSERT_EQ(overlay.validate(), nullptr);
+    EXPECT_EQ(overlay.deltaEdges(), carriedTotal);
+    for (VertexId v = 0; v < n; ++v) {
+        std::vector<VertexId> expect(snapshot.neighbors(v).begin(),
+                                     snapshot.neighbors(v).end());
+        expect.insert(expect.end(), carried[v].begin(), carried[v].end());
+        const DeltaCsr::RowView row = overlay.neighbors(v);
+        ASSERT_EQ(row.size(), expect.size()) << "vertex " << v;
+        for (std::size_t i = 0; i < row.size(); ++i)
+            ASSERT_EQ(row[i], expect[i]) << "vertex " << v << " edge " << i;
+    }
+
+    // A final compact() merges the carried edges too: bitwise a
+    // from-scratch build of every edge ever inserted.
+    overlay.compact();
+    EXPECT_EQ(overlay.deltaEdges(), 0u);
+    const CsrGraph fresh = mirror.build();
+    ASSERT_EQ(overlay.base().numEdges(), fresh.numEdges());
+    EXPECT_EQ(0, std::memcmp(overlay.base().rowPtr().data(),
+                             fresh.rowPtr().data(),
+                             fresh.rowPtr().size() * sizeof(EdgeId)));
+    EXPECT_EQ(0, std::memcmp(overlay.base().colIdx().data(),
+                             fresh.colIdx().data(),
+                             fresh.colIdx().size() * sizeof(VertexId)));
+}
+
+TEST(DeltaCsr, CompactedUnderAConcurrentWriterIsAPrefixSnapshot)
+{
+    // The TSan target of the off-lock build: compacted() races a
+    // writer. Every snapshot must be a valid CSR (compacted() asserts
+    // it) whose rows hold the base row and sit inside the final row.
+    constexpr VertexId n = 256;
+    DeltaCsr overlay(generateBarabasiAlbert(n, 3, 12), 8192);
+    const CsrGraph base = overlay.compacted();
+    std::atomic<bool> done{false};
+    std::thread writer([&overlay, &done] {
+        Rng rng(71);
+        for (int i = 0; i < 4000; ++i) {
+            // Skewed sources grow some chains across many segments.
+            const auto src = static_cast<VertexId>(rng.next() % 32);
+            const auto dst = static_cast<VertexId>(rng.next() % n);
+            (void)overlay.addEdge(src, dst);
+        }
+        done.store(true, std::memory_order_release);
+    });
+    std::vector<CsrGraph> snapshots;
+    do {
+        snapshots.push_back(overlay.compacted());
+    } while (!done.load(std::memory_order_acquire) && snapshots.size() < 64);
+    writer.join();
+    ASSERT_EQ(overlay.validate(), nullptr);
+
+    const CsrGraph last = overlay.compacted();
+    EdgeId previous = base.numEdges();
+    for (const CsrGraph &snapshot : snapshots) {
+        ASSERT_EQ(snapshot.validate(), nullptr);
+        EXPECT_GE(snapshot.numEdges(), previous)
+            << "published edges never disappear from a later snapshot";
+        previous = snapshot.numEdges();
+        for (VertexId v = 0; v < n; ++v) {
+            const auto row = snapshot.neighbors(v);
+            const auto baseRow = base.neighbors(v);
+            const auto lastRow = last.neighbors(v);
+            ASSERT_TRUE(std::includes(row.begin(), row.end(),
+                                      baseRow.begin(), baseRow.end()))
+                << "vertex " << v << " lost a base edge";
+            ASSERT_TRUE(std::includes(lastRow.begin(), lastRow.end(),
+                                      row.begin(), row.end()))
+                << "vertex " << v << " holds an edge never inserted";
+        }
+    }
+}
+
+TEST(DeltaCsr, InstallRejectsASnapshotOfAnotherGraph)
+{
+    DeltaCsr overlay(smallGraph(), 16);
+    ASSERT_EQ(overlay.addEdge(2, 0), DeltaCsr::AddEdge::Added);
+    GraphBuilder wider(5);
+    wider.addEdge(0, 1);
+    EXPECT_DEATH(overlay.installCompacted(wider.build()),
+                 "vertex count differs");
+
+    // Vertex 0 has base row {1, 2}; a snapshot row {1} lost an edge.
+    GraphBuilder shrunk(4);
+    shrunk.addEdge(0, 1);
+    shrunk.addEdge(1, 2);
+    shrunk.addEdge(3, 0);
+    EXPECT_DEATH(overlay.installCompacted(shrunk.build()),
+                 "row below its base");
+
+    // A snapshot holding a delta this overlay never published.
+    DeltaCsr other(smallGraph(), 16);
+    ASSERT_EQ(other.addEdge(2, 1), DeltaCsr::AddEdge::Added);
+    ASSERT_EQ(other.addEdge(2, 3), DeltaCsr::AddEdge::Added);
+    EXPECT_DEATH(overlay.installCompacted(other.compacted()),
+                 "ahead of the overlay");
+}
+
 // ------------------------------------------------------------------
 // IncrementalGraphStats
 // ------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -110,6 +111,31 @@ TEST(RequestQueue, PushFailsWhenFullOrClosed)
     std::vector<InferenceRequest> batch(4);
     EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 2u);
     EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 0u); // closed+drained
+}
+
+TEST(RequestQueue, WakeReleasesAnEmptyPopWhileOpen)
+{
+    RequestQueue queue(4);
+    std::vector<InferenceRequest> batch(4);
+    std::thread waker([&queue] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        queue.wake();
+    });
+    EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 0u)
+        << "a wake releases a consumer blocked on an empty queue";
+    waker.join();
+    EXPECT_FALSE(queue.drained()) << "a woken queue is still open";
+
+    // A pending wake does not hide queued requests.
+    queue.wake();
+    ASSERT_TRUE(queue.push(makeRequest(1, 1)));
+    EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 1u);
+    ASSERT_TRUE(queue.push(makeRequest(2, 2)));
+    queue.close();
+    EXPECT_FALSE(queue.drained()) << "closed, but a request is left";
+    EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 1u);
+    EXPECT_TRUE(queue.drained());
+    EXPECT_EQ(queue.popBatch(batch.data(), 4, 0), 0u);
 }
 
 TEST(RequestQueue, BudgetCoalescesLateArrivals)
@@ -1114,6 +1140,207 @@ TEST(DynamicServing, SteadyStateChurnServingIsAllocFree)
     obs::MetricsRegistry::global().setEnabled(false);
     EXPECT_GE(server.stats().requestsServed, kRequests);
     EXPECT_EQ(server.stats().edgeInserts, 256u + 8u);
+}
+
+TEST(DynamicServing, CompactionRequestOnIdleServerIsHonoured)
+{
+    // Write-only traffic: the consumer runs but no read ever arrives.
+    // A writer refused with PoolFull asks for a compaction; the idle
+    // consumer must wake up and perform it.
+    DeltaCsr overlay(generateBarabasiAlbert(300, 4, 51), 32);
+    DenseMatrix features(overlay.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 13);
+    TestModel model(16);
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.hotCacheCapacity = 16;
+    InferenceServer server(overlay, features, model.layers(), config);
+    std::thread consumer([&server] { server.run(); });
+    // Let the consumer reach its blocking popBatch; a request made
+    // before that is seen at the top of run()'s loop either way.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    Rng rng(53);
+    auto randomInsert = [&] {
+        for (;;) {
+            const auto src = static_cast<VertexId>(rng.next() % 300);
+            const auto dst = static_cast<VertexId>(rng.next() % 300);
+            const DeltaCsr::AddEdge result = server.insertEdge(src, dst);
+            if (result == DeltaCsr::AddEdge::Added ||
+                result == DeltaCsr::AddEdge::PoolFull)
+                return result;
+        }
+    };
+    while (randomInsert() == DeltaCsr::AddEdge::Added) {
+    }
+    ASSERT_EQ(overlay.deltaEdges(), overlay.maxDeltaEdges());
+    server.requestCompaction();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.stats().compactions == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server.stats().compactions, 1u)
+        << "an idle consumer must honour requestCompaction()";
+    EXPECT_EQ(randomInsert(), DeltaCsr::AddEdge::Added)
+        << "the compaction must give the refused writer room back";
+    server.queue().close();
+    consumer.join();
+    EXPECT_EQ(server.stats().requestsServed, 0u);
+    EXPECT_EQ(overlay.validate(), nullptr);
+}
+
+TEST(DynamicServing, CarriedInstallMatchesReplayedOverlayBitwise)
+{
+    // An install whose snapshot saw only part of the inserts must
+    // serve exactly like a fresh overlay over that snapshot with the
+    // carried inserts replayed in order. The partial snapshot is made
+    // deterministic by driving compacted() + inserts +
+    // installCompacted() directly; no batch has run yet, so the hot
+    // cache holds no row gathered before the install.
+    constexpr VertexId n = 600;
+    DeltaCsr overlay(generateBarabasiAlbert(n, 5, 23), 2048);
+    DenseMatrix features(n, 16);
+    features.fillUniform(0.0f, 1.0f, 14);
+    TestModel model(16);
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 500;
+    config.hotCacheCapacity = 64;
+    // Pinned, so both servers admit the same hubs (see
+    // PostCompactionMatchesFreshServerBitwise).
+    config.hotCacheMinDegree = 20;
+    InferenceServer server(overlay, features, model.layers(), config);
+
+    Rng rng(37);
+    auto insertSome = [&](int count,
+                          std::vector<std::pair<VertexId, VertexId>> *log) {
+        for (int i = 0; i < count;) {
+            // Every third insert lands on a low-id hub, so hub rows
+            // carry edges past the snapshot.
+            const auto src = static_cast<VertexId>(
+                i % 3 == 0 ? rng.next() % 16 : rng.next() % n);
+            const auto dst = static_cast<VertexId>(rng.next() % n);
+            if (server.insertEdge(src, dst) == DeltaCsr::AddEdge::Added) {
+                if (log != nullptr)
+                    log->emplace_back(src, dst);
+                ++i;
+            }
+        }
+    };
+    insertSome(500, nullptr);
+    const CsrGraph snapshot = overlay.compacted();
+    std::vector<std::pair<VertexId, VertexId>> carried;
+    insertSome(200, &carried);
+    overlay.installCompacted(snapshot);
+    ASSERT_EQ(overlay.deltaEdges(), carried.size());
+
+    DeltaCsr replayed(snapshot, 2048);
+    TestModel replayModel(16);
+    InferenceServer reference(replayed, features, replayModel.layers(),
+                              config);
+    for (const auto &[src, dst] : carried)
+        ASSERT_EQ(reference.insertEdge(src, dst), DeltaCsr::AddEdge::Added);
+
+    std::vector<Feature> a(server.outFeatures());
+    std::vector<Feature> b(server.outFeatures());
+    for (std::uint64_t id = 0; id < 48; ++id) {
+        const auto v = static_cast<VertexId>(id < 16 ? id : (id * 13) % n);
+        server.serveOne(id, v, a.data());
+        reference.serveOne(id, v, b.data());
+        EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                                 a.size() * sizeof(Feature)))
+            << "sampled replay " << id << " differs after the install";
+        server.serveOneHubExact(id, v, a.data());
+        reference.serveOneHubExact(id, v, b.data());
+        EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                                 a.size() * sizeof(Feature)))
+            << "hub-exact replay " << id << " differs after the install";
+    }
+
+    // Cache-on serving over the installed overlay agrees too.
+    std::thread consumer([&server] { server.run(); });
+    DenseMatrix served(16, server.outFeatures());
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        InferenceRequest req = makeRequest(100 + i, static_cast<VertexId>(i));
+        req.out = served.row(i);
+        while (!server.queue().push(req))
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    waitServed(server, 2 * 48 + 16);
+    server.queue().close();
+    consumer.join();
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        reference.serveOneHubExact(100 + i, static_cast<VertexId>(i),
+                                   b.data());
+        EXPECT_EQ(0, std::memcmp(served.row(i), b.data(),
+                                 b.size() * sizeof(Feature)))
+            << "cache-on request " << i << " differs after the install";
+    }
+}
+
+TEST(DynamicServing, CompactInstallHistogramCountsEveryCompaction)
+{
+    // serve.compact_install_us records one sample per install, so the
+    // writer-visible stall is readable from the metrics alone.
+    obs::Histogram &installHist =
+        obs::MetricsRegistry::global().histogram("serve.compact_install_us");
+    obs::MetricsRegistry::global().setEnabled(true);
+    const std::uint64_t before = installHist.count();
+
+    DeltaCsr overlay(generateBarabasiAlbert(800, 6, 42), 8192);
+    DenseMatrix features(overlay.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 15);
+    TestModel model(16);
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 100;
+    config.hotCacheCapacity = 64;
+    InferenceServer server(overlay, features, model.layers(), config);
+    std::thread consumer([&server] { server.run(); });
+    std::thread updater([&server] {
+        Rng rng(47);
+        for (int i = 0; i < 1200; ++i) {
+            const auto src = static_cast<VertexId>(rng.next() % 800);
+            const auto dst = static_cast<VertexId>(rng.next() % 800);
+            (void)server.insertEdge(src, dst);
+            if (i % 300 == 299)
+                server.requestCompaction();
+        }
+    });
+    constexpr std::size_t kRequests = 256;
+    DenseMatrix served(kRequests, server.outFeatures());
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        InferenceRequest req =
+            makeRequest(i, static_cast<VertexId>((i * 7) % 800));
+        req.out = served.row(i);
+        while (!server.queue().push(req))
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    updater.join();
+    // Requests can coalesce: wait until the consumer has performed at
+    // least one before closing.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.stats().compactions == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.queue().close();
+    consumer.join();
+    // And one more through compactNow(), the other caller.
+    for (VertexId dst = 1; overlay.deltaEdges() == 0; ++dst)
+        (void)server.insertEdge(0, dst);
+    server.compactNow();
+    obs::MetricsRegistry::global().setEnabled(false);
+
+    const serve::ServeStats stats = server.stats();
+    EXPECT_GE(stats.compactions, 2u);
+    EXPECT_EQ(installHist.count() - before, stats.compactions);
+    EXPECT_EQ(overlay.deltaEdges(), 0u);
+    EXPECT_EQ(overlay.validate(), nullptr);
 }
 
 } // namespace
