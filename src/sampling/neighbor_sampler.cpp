@@ -12,7 +12,8 @@ template <GraphView G>
 void
 sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
                 std::span<const VertexId> fanouts, Rng &rng,
-                SamplerScratch &scratch, SampledTree &tree)
+                SamplerScratch &scratch, SampledTree &tree,
+                EdgeId leafDegree)
 {
     GRAPHITE_ASSERT(!fanouts.empty(), "need at least one layer fanout");
     for (const VertexId seed : seeds)
@@ -49,6 +50,8 @@ sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
         }
 
         const VertexId fanout = fanouts[k];
+        // The cut-off applies to innermost rows only; 0 disables it.
+        const EdgeId leaf = k == 0 ? leafDegree : 0;
         if (scratch.picks_.size() < fanout)
             scratch.picks_.resize(fanout);
         EdgeId *const picks = scratch.picks_.data();
@@ -69,7 +72,9 @@ sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
         for (const VertexId v : block.dstVertices) {
             const auto neighbors = graph.neighbors(v);
             const std::size_t degree = neighbors.size();
-            if (degree <= fanout) {
+            if (leaf != 0 && degree >= leaf) {
+                // Left unexpanded: the caller aggregates this row whole.
+            } else if (degree <= fanout) {
                 for (std::size_t j = 0; j < degree; ++j)
                     take(neighbors[j]);
             } else {
@@ -106,10 +111,10 @@ sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
 
 template void sampleMiniBatch(const CsrGraph &, std::span<const VertexId>,
                               std::span<const VertexId>, Rng &,
-                              SamplerScratch &, SampledTree &);
+                              SamplerScratch &, SampledTree &, EdgeId);
 template void sampleMiniBatch(const DeltaCsr &, std::span<const VertexId>,
                               std::span<const VertexId>, Rng &,
-                              SamplerScratch &, SampledTree &);
+                              SamplerScratch &, SampledTree &, EdgeId);
 
 DenseMatrix
 gatherBatchFeatures(const DenseMatrix &features,

@@ -85,12 +85,18 @@ class SamplerScratch;
  * Precondition: @p seeds are distinct (checked under GRAPHITE_CHECKS).
  * A repeated seed would share one local index.
  *
- * @param fanouts per-layer sample sizes, innermost first.
+ * @param fanouts    per-layer sample sizes, innermost first.
+ * @param leafDegree innermost-layer cut-off: a blocks[0] destination of
+ *                   degree >= leafDegree gets an empty row and draws no
+ *                   RNG numbers (the server aggregates such hubs whole,
+ *                   or serves them from its cache). 0 expands every row,
+ *                   and the tree is then the same as without a cut-off.
  */
 template <GraphView G>
 void sampleMiniBatch(const G &graph, std::span<const VertexId> seeds,
                      std::span<const VertexId> fanouts, Rng &rng,
-                     SamplerScratch &scratch, SampledTree &tree);
+                     SamplerScratch &scratch, SampledTree &tree,
+                     EdgeId leafDegree = 0);
 
 /**
  * Reusable working state of the sampler: a stamped global→local index
@@ -113,7 +119,7 @@ class SamplerScratch
                                 std::span<const VertexId> seeds,
                                 std::span<const VertexId> fanouts,
                                 Rng &rng, SamplerScratch &scratch,
-                                SampledTree &tree);
+                                SampledTree &tree, EdgeId leafDegree);
 
     /** Start a new dedup domain; O(1) except on 32-bit epoch wrap. */
     void
@@ -140,10 +146,11 @@ class SamplerScratch
 template <GraphView G>
 void
 sampleTree(const G &graph, VertexId seed, std::span<const VertexId> fanouts,
-           Rng &rng, SamplerScratch &scratch, SampledTree &tree)
+           Rng &rng, SamplerScratch &scratch, SampledTree &tree,
+           EdgeId leafDegree = 0)
 {
     sampleMiniBatch(graph, std::span<const VertexId>(&seed, 1), fanouts,
-                    rng, scratch, tree);
+                    rng, scratch, tree, leafDegree);
 }
 
 /**

@@ -317,39 +317,6 @@ HotVertexCache::invalidate(VertexId v)
     return dropped;
 }
 
-bool
-HotVertexCache::patchMeanRow(VertexId v, const Feature *addedRow,
-                             EdgeId oldDegree)
-{
-    if (!enabled())
-        return false;
-    Shard &shard = shardOf(v);
-    bool patched = false;
-    {
-        MutexLock lock(shard.mutex);
-        // Even when the patch applies, in-flight fills gathered from
-        // the pre-insert adjacency must not overwrite it later.
-        shard.epoch.fetch_add(1, std::memory_order_release);
-        const std::int32_t slot = findSlot(shard, v);
-        if (slot != kEmpty) {
-            patched = true;
-            Feature *row = shard.rows.data() +
-                           static_cast<std::size_t>(slot) * rowWidth_;
-            // (d+1)-term mean -> (d+2)-term mean including addedRow.
-            const float oldTerms =
-                1.0f + static_cast<float>(oldDegree);
-            const float invNewTerms = 1.0f / (oldTerms + 1.0f);
-            for (std::size_t c = 0; c < rowWidth_; ++c)
-                row[c] = (row[c] * oldTerms + addedRow[c]) * invNewTerms;
-        }
-    }
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter &invalidationCounter =
-        obs::MetricsRegistry::global().counter("serve.invalidations");
-    invalidationCounter.increment();
-    return patched;
-}
-
 void
 HotVertexCache::clear()
 {

@@ -1,17 +1,18 @@
 /**
  * @file
- * Degree-prioritized cache of layer-1 aggregation rows for hub
- * vertices — the serving-side use of the paper's locality insight
- * (Section 4.2): in power-law graphs a small set of high-degree hubs
- * dominates fan-in, so their aggregations are recomputed constantly.
- * Caching one aggregated row per hot hub turns a full fan-in gather
- * (degree+1 feature-row reads) into a single row read.
+ * Degree-prioritized cache of finished layer-0 rows for hub vertices —
+ * the serving-side use of the paper's locality insight (Section 4.2):
+ * in power-law graphs a small set of high-degree hubs dominates fan-in,
+ * so their rows are recomputed constantly. Caching one row per hot hub
+ * turns a full fan-in gather (degree+1 feature-row reads) plus one
+ * layer-0 GEMM row into a single row copy.
  *
- * The cached value is the *full-neighborhood* mean aggregation of the
- * input features — deterministic per vertex, independent of which
- * request sampled it — so a cached row is reusable by every request
- * that touches the hub, at a bounded deviation from any per-request
- * sampled estimate of the same mean.
+ * The cached value is the hub's layer-0 output over its *full*
+ * neighborhood, h1 = act(W0 * mean(self, neighbors) + b0) —
+ * deterministic per vertex, independent of which request reached it —
+ * so a cached row is reusable by every request that touches the hub,
+ * at a bounded deviation from any per-request sampled estimate. The
+ * server does not sample below an admitted hub at all.
  *
  * Structure: fixed capacity split over power-of-two shards; each shard
  * owns its rows, an open-addressing vertex index, and a CLOCK
@@ -46,14 +47,15 @@ namespace graphite::serve {
 template <GraphView G>
 EdgeId churnFreeDegreeThreshold(const G &graph, std::size_t capacity);
 
-/** Sharded CLOCK cache of per-hub aggregation rows. */
+/** Sharded CLOCK cache of per-hub layer-0 rows. */
 class HotVertexCache
 {
   public:
     /**
      * @param capacity  total row slots (0 disables the cache).
      * @param shards    shard count, rounded up to a power of two.
-     * @param rowWidth  floats per cached row (layer-1 input width).
+     * @param rowWidth  floats per cached row (layer 0's output
+     *                  width).
      * @param minDegree admission threshold: only vertices with
      *                  degree >= minDegree are cached.
      */
@@ -113,7 +115,7 @@ class HotVertexCache
     /**
      * Shard fill epoch of @p v, for the stale-fill protocol (DESIGN.md
      * §14): read the epoch *before* gathering v's neighborhood, then
-     * install with putIfFresh(). invalidate()/patchMeanRow() bump the
+     * install with putIfFresh(). invalidate() and clear() bump the
      * epoch, so a fill computed from pre-update adjacency can never be
      * installed after the update invalidated it.
      */
@@ -135,22 +137,6 @@ class HotVertexCache
     bool invalidate(VertexId v);
 
     /**
-     * Exact mean-aggregation patch for an inserted edge v -> u: if
-     * @p v is resident, rescale its cached row from the
-     * (@p oldDegree + 1)-term mean to include @p addedRow:
-     *
-     *   row' = (row * (oldDegree + 1) + addedRow) / (oldDegree + 2)
-     *
-     * Mathematically exact, but not bitwise identical to a re-gathered
-     * mean (different FP summation order), so the bitwise serving
-     * contract requires invalidate() instead; patching is the cheap
-     * opt-in (see ServeConfig::patchCacheOnInsert). Bumps the shard
-     * fill epoch either way. Returns true when the patch was applied.
-     */
-    bool patchMeanRow(VertexId v, const Feature *addedRow,
-                      EdgeId oldDegree);
-
-    /**
      * Drop every resident row and bump all shard fill epochs. Called
      * around overlay compaction: a compacted row gathers in sorted
      * merged order, not base-then-delta-chain order, so rows cached
@@ -167,7 +153,7 @@ class HotVertexCache
         std::uint64_t misses = 0;
         std::uint64_t puts = 0;
         std::uint64_t evictions = 0;
-        /** invalidate()/patchMeanRow() calls (edge-update traffic). */
+        /** invalidate() calls (edge-update traffic). */
         std::uint64_t invalidations = 0;
     };
 
@@ -195,7 +181,7 @@ class HotVertexCache
         std::size_t clockHand GRAPHITE_GUARDED_BY(mutex) = 0;
         std::size_t tombstones GRAPHITE_GUARDED_BY(mutex) = 0;
         /**
-         * Fill epoch: bumped by invalidate()/patchMeanRow(), read
+         * Fill epoch: bumped by invalidate() and clear(), read
          * lock-free by fillEpoch(). Atomic (not merely guarded) so
          * the pre-gather read takes no lock; mutations happen under
          * the shard mutex.

@@ -48,6 +48,24 @@ resolveHotThreshold(const G &graph, const ServeConfig &config)
     return autoHotThreshold(graph, config, degrees);
 }
 
+/** Width of the rows the hot cache holds: layer 0's outputs. */
+std::size_t
+cachedRowWidth(const std::vector<GnnLayer *> &layers)
+{
+    GRAPHITE_ASSERT(!layers.empty(), "serving needs at least one layer");
+    return layers.front()->outFeatures();
+}
+
+/** A missed hub's finished layer-0 row, to be cached. */
+struct PendingFill
+{
+    VertexId vertex;
+    /** out[0] row holding h1(vertex) once the layer-0 GEMM has run. */
+    std::size_t row;
+    /** Shard fill epoch read before the gather (stale-fill protocol). */
+    std::uint64_t epoch;
+};
+
 } // namespace
 
 /** Preallocated per-consumer working state for forwardBatch. */
@@ -68,6 +86,13 @@ struct InferenceServer::ForwardScratch
     std::vector<DenseMatrix> agg;
     /** Per-layer update outputs, reshaped per batch. */
     std::vector<DenseMatrix> out;
+    /**
+     * out[0] row holding layer-0 destination g: GEMM rows fill out[0]
+     * from the top, cache hits from the bottom.
+     */
+    std::vector<std::size_t> row0;
+    /** Cache fills of the batch, installed after the layer-0 GEMM. */
+    std::vector<PendingFill> fills;
     /** Row base of request r at layer k: dstOffset[k*(maxBatch+1)+r]. */
     std::vector<std::size_t> dstOffset;
 };
@@ -101,11 +126,10 @@ InferenceServer::InferenceServer(const CsrGraph &graph, DeltaCsr *overlay,
       })),
       queue_(config_.queueCapacity),
       cache_(config_.hotCacheCapacity, config_.hotCacheShards,
-             features.cols(), hotDegreeThreshold()),
+             cachedRowWidth(layers_), hotDegreeThreshold()),
       liveStats_(withGraph(
           [](const auto &g) { return computeGraphStats(g); }))
 {
-    GRAPHITE_ASSERT(!layers_.empty(), "serving needs at least one layer");
     GRAPHITE_ASSERT(layers_.size() == config_.fanouts.size(),
                     "one fanout per layer, innermost first");
     GRAPHITE_ASSERT(layers_.front()->inFeatures() == features_.cols(),
@@ -166,6 +190,8 @@ InferenceServer::makeScratch(std::size_t maxBatch) const
         scratch->out[k].reshape(maxBatch * dstBound[k],
                                 layers_[k]->outFeatures());
     }
+    scratch->row0.resize(maxBatch * dstBound[0]);
+    scratch->fills.resize(maxBatch * dstBound[0]);
     for (auto &tree : scratch->trees) {
         // graphite-lint: allow(alloc) cold scratch construction: the
         // worst-case reservation that keeps the serving loop heap-quiet.
@@ -212,11 +238,31 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
         metrics.histogram("serve.batch_size");
     static obs::Histogram &latencyHist =
         metrics.histogram("serve.latency_us");
+    static obs::Counter &hitsCounter = metrics.counter("serve.cache.hits");
+    static obs::Counter &missesCounter =
+        metrics.counter("serve.cache.misses");
+    static obs::Counter &gemmRowsCounter =
+        metrics.counter("serve.layer0_gemm_rows");
+    static obs::Counter &sharedRowsCounter =
+        metrics.counter("serve.layer0_shared_rows");
 
     GRAPHITE_ASSERT(n > 0 && n <= scratch.maxBatch,
                     "forwardBatch: batch size out of range");
     const std::size_t K = config_.fanouts.size();
     const std::span<const VertexId> fanouts(config_.fanouts);
+    const bool cacheActive =
+        policy == AggPolicy::HubExactCached && cache_.enabled();
+    // HubExactCached degrades to the pure sampled estimate when the
+    // cache is disabled — serving then stays bitwise identical to the
+    // serveOne() replay, the header's determinism contract. Only the
+    // explicit oracle policy takes the hub-exact path cache-free.
+    const bool hubExact =
+        cacheActive || policy == AggPolicy::HubExactUncached;
+    // The hub threshold is read once per batch: sampling and layer 0
+    // must agree on it, and a concurrent refreshHotThreshold() may
+    // raise it at any time. Degrees only grow, so a destination the
+    // sampler left unexpanded still takes the hub path below.
+    const EdgeId hubDegree = hubExact ? cache_.minDegree() : 0;
 
     // 1. Sample every request's K-hop tree independently from its id —
     // the batch is block-diagonal, so each tree (and through the
@@ -225,7 +271,7 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
     for (std::size_t r = 0; r < n; ++r) {
         Rng rng(requestSeed(scratch.batch[r].id));
         sampleTree(graph, scratch.batch[r].vertex, fanouts, rng,
-                   scratch.sampler, scratch.trees[r]);
+                   scratch.sampler, scratch.trees[r], hubDegree);
     }
 
     // 2. Per-layer destination row offsets of the concatenation.
@@ -244,75 +290,128 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
     // then one serial packed GEMM over the concatenated rows — the
     // batching win; the plan cache in GnnLayer amortises the pack.
     std::uint64_t bytes = 0;
-    const bool cacheActive =
-        policy == AggPolicy::HubExactCached && cache_.enabled();
-    // HubExactCached degrades to the pure sampled estimate when the
-    // cache is disabled — serving then stays bitwise identical to the
-    // serveOne() replay, the header's determinism contract. Only the
-    // explicit oracle policy takes the hub-exact path cache-free.
-    const bool hubExact =
-        cacheActive || policy == AggPolicy::HubExactUncached;
-    for (std::size_t k = 0; k < K; ++k) {
+    // Sampled SAGE-mean of block row i into dst: local source index i
+    // is the destination's own row, rowOf maps a local index to its
+    // input row.
+    const auto gatherSampled = [&](const FlatBlock &block, std::size_t i,
+                                   std::size_t cols, Bytes rowBytes,
+                                   auto &&rowOf, Feature *dst) {
+        const std::span<const VertexId> sampled = block.neighbors(i);
+        meanGatherRow(static_cast<VertexId>(i), sampled, rowOf, cols, dst);
+        bytes += (1 + sampled.size()) * rowBytes;
+    };
+
+    // Layer 0. A cached hub's finished row h1 is copied straight into
+    // the next free out[0] row from the bottom. Every other
+    // destination, hub misses included, is aggregated into the next
+    // agg row from the top, and one GEMM runs over those rows only,
+    // into the top of out[0]. row0 maps each destination to its row.
+    GnnLayer &layer0 = *layers_.front();
+    const std::size_t *off0 = scratch.dstOffset.data();
+    const std::size_t totalDst0 = off0[n];
+    DenseMatrix &out0 = scratch.out[0];
+    out0.reshape(totalDst0, layer0.outFeatures());
+    DenseMatrix &agg0 = scratch.agg[0];
+    agg0.reshape(totalDst0, layer0.inFeatures());
+    const Bytes featureRowBytes = features_.rowBytes();
+    std::size_t dense = 0;
+    std::size_t hits = 0;
+    std::size_t shared = 0;
+    std::size_t numFills = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        const FlatBlock &block = scratch.trees[r].blocks[0];
+        for (std::size_t i = 0; i < block.dstVertices.size(); ++i) {
+            const std::size_t g = off0[r] + i;
+            const VertexId v = block.dstVertices[i];
+            Feature *dstRow = agg0.row(dense);
+            const EdgeId deg = hubExact ? graph.degree(v) : 0;
+            if (hubExact && deg >= hubDegree) {
+                if (cacheActive) {
+                    const std::size_t hitRow = totalDst0 - 1 - hits;
+                    if (cache_.lookup(v, out0.row(hitRow))) {
+                        // Hub hit: one row copy, no gather, no GEMM.
+                        scratch.row0[g] = hitRow;
+                        ++hits;
+                        bytes += out0.rowBytes();
+                        continue;
+                    }
+                    // A hub that already missed in this batch shares
+                    // that miss's row: one gather and one GEMM row. It
+                    // counts one row read, as a hit would, so the bytes
+                    // do not depend on how requests were batched.
+                    const auto fillsEnd = scratch.fills.begin() + numFills;
+                    const auto first = std::find_if(
+                        scratch.fills.begin(), fillsEnd,
+                        [v](const PendingFill &f) { return f.vertex == v; });
+                    if (first != fillsEnd) {
+                        scratch.row0[g] = first->row;
+                        ++shared;
+                        bytes += out0.rowBytes();
+                        continue;
+                    }
+                    // Stale-fill protocol: snapshot the shard fill
+                    // epoch *before* gathering; a concurrent edge
+                    // insert on this shard bumps it, and putIfFresh
+                    // then discards this row rather than installing
+                    // pre-insert adjacency.
+                    scratch.fills[numFills++] = {v, dense,
+                                                 cache_.fillEpoch(v)};
+                }
+                fullMeanRow(graph, features_, v, dstRow);
+                bytes += (deg + 1) * featureRowBytes;
+            } else {
+                gatherSampled(block, i, layer0.inFeatures(),
+                              featureRowBytes,
+                              [&](VertexId j) {
+                                  return features_.row(
+                                      block.srcVertices[j]);
+                              },
+                              dstRow);
+            }
+            scratch.row0[g] = dense++;
+        }
+    }
+    gemmBlockSerial(agg0.row(0), dense, agg0.rowStride(),
+                    layer0.packedWeights(config_.precision), out0.row(0),
+                    out0.rowStride(), layer0.inFeatures());
+    GRAPHITE_DCHECK(layer0.bias().size() == out0.cols(),
+                    "bias width mismatch");
+    finishUpdateBlock(out0.row(0), dense, out0.rowStride(), out0.cols(),
+                      layer0.bias(), layer0.hasRelu());
+    // Fills go in only now that their rows hold h1; the epoch read
+    // before the gather still fences a concurrent insert.
+    for (std::size_t f = 0; f < numFills; ++f) {
+        const PendingFill &fill = scratch.fills[f];
+        cache_.putIfFresh(fill.vertex, out0.row(fill.row), fill.epoch);
+    }
+
+    // Layers >= 1 aggregate the previous layer's rows of the request;
+    // layer 1 finds them through row0.
+    for (std::size_t k = 1; k < K; ++k) {
         GnnLayer &layer = *layers_[k];
         const std::size_t inF = layer.inFeatures();
         const std::size_t *off =
             scratch.dstOffset.data() + k * (scratch.maxBatch + 1);
         const std::size_t *prevOff =
-            k > 0
-                ? scratch.dstOffset.data() + (k - 1) * (scratch.maxBatch + 1)
-                : nullptr;
+            scratch.dstOffset.data() + (k - 1) * (scratch.maxBatch + 1);
         const std::size_t totalDst = off[n];
         DenseMatrix &agg = scratch.agg[k];
         agg.reshape(totalDst, inF);
         DenseMatrix &outM = scratch.out[k];
         outM.reshape(totalDst, layer.outFeatures());
-        const DenseMatrix &src = k > 0 ? scratch.out[k - 1] : features_;
-        const Bytes srcRowBytes = src.rowBytes();
+        const DenseMatrix &src = scratch.out[k - 1];
 
         for (std::size_t r = 0; r < n; ++r) {
             const FlatBlock &block = scratch.trees[r].blocks[k];
-            const std::size_t numDst = block.dstVertices.size();
-            const std::size_t srcBase = k > 0 ? prevOff[r] : 0;
-            for (std::size_t i = 0; i < numDst; ++i) {
-                Feature *dstRow = agg.row(off[r] + i);
-                if (k == 0 && hubExact) {
-                    const VertexId v = block.dstVertices[i];
-                    const EdgeId deg = graph.degree(v);
-                    if (cache_.admits(deg)) {
-                        if (cacheActive && cache_.lookup(v, dstRow)) {
-                            // Hub hit: one cached row read replaces
-                            // the whole fan-in gather.
-                            bytes += srcRowBytes;
-                            continue;
-                        }
-                        // Stale-fill protocol: snapshot the shard fill
-                        // epoch *before* gathering; a concurrent edge
-                        // insert on this shard bumps it, and
-                        // putIfFresh then discards this row rather
-                        // than installing pre-insert adjacency.
-                        const std::uint64_t epoch =
-                            cacheActive ? cache_.fillEpoch(v) : 0;
-                        fullMeanRow(graph, features_, v, dstRow);
-                        bytes += (deg + 1) * srcRowBytes;
-                        if (cacheActive)
-                            cache_.putIfFresh(v, dstRow, epoch);
-                        continue;
-                    }
-                }
-                // Sampled SAGE-mean over local source indices: layer 0
-                // reads input features through srcVertices, deeper
-                // layers the previous layer's rows of this request.
-                // Local index i is the destination's own row.
-                const std::span<const VertexId> sampled =
-                    block.neighbors(i);
-                meanGatherRow(
-                    static_cast<VertexId>(i), sampled,
+            const std::size_t srcBase = prevOff[r];
+            for (std::size_t i = 0; i < block.dstVertices.size(); ++i) {
+                gatherSampled(
+                    block, i, inF, src.rowBytes(),
                     [&](VertexId j) {
-                        return k > 0 ? src.row(srcBase + j)
-                                     : src.row(block.srcVertices[j]);
+                        const std::size_t at = srcBase + j;
+                        return src.row(k == 1 ? scratch.row0[at] : at);
                     },
-                    inF, dstRow);
-                bytes += (1 + sampled.size()) * srcRowBytes;
+                    agg.row(off[r] + i));
             }
         }
 
@@ -337,7 +436,9 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
         GRAPHITE_DCHECK(
             scratch.trees[r].blocks[K - 1].dstVertices.size() == 1,
             "outermost block must hold exactly the seed");
-        const Feature *embedding = finalOut.row(finalOff[r]);
+        // A one-layer stack's outputs are layer 0's, found through row0.
+        const Feature *embedding = finalOut.row(
+            K == 1 ? scratch.row0[finalOff[r]] : finalOff[r]);
         if (req.out != nullptr)
             std::memcpy(req.out, embedding, outF * sizeof(Feature));
         const std::uint64_t elapsedNs =
@@ -350,6 +451,10 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
     requestsCounter.add(n);
     batchesCounter.increment();
     bytesCounter.add(bytes);
+    hitsCounter.add(hits);
+    missesCounter.add(numFills + shared);
+    gemmRowsCounter.add(dense);
+    sharedRowsCounter.add(shared);
     batchSizeHist.observe(n);
     // Release-publish the batch: every req.out/req.latencyUs write
     // above happens-before a reader that acquires requestsServed via
@@ -453,17 +558,10 @@ InferenceServer::insertEdge(VertexId src, VertexId dst)
     const EdgeId newDegree = overlay_->degree(src);
     liveStats_.onEdgeInserted(newDegree);
 
-    // Cache coherence: src's cached aggregation row now misses the new
-    // neighbor. Patch it in place (exact mean rescale) or drop it;
-    // both bump the shard fill epoch, so any in-flight fill gathered
-    // from pre-insert adjacency is rejected by putIfFresh.
-    if (cache_.enabled()) {
-        if (config_.patchCacheOnInsert) {
-            cache_.patchMeanRow(src, features_.row(dst), newDegree - 1);
-        } else {
-            cache_.invalidate(src);
-        }
-    }
+    // Cache coherence: src's cached row now misses the new neighbor.
+    // Dropping it bumps the shard fill epoch, so any in-flight fill
+    // gathered from pre-insert adjacency is rejected by putIfFresh.
+    cache_.invalidate(src);
 
     // Re-derive the auto admission threshold as hubs grow.
     if (config_.thresholdRefreshEvery > 0 &&

@@ -13,11 +13,13 @@
  * (gemmBlockSerial) accumulates each output row independently — so a
  * served embedding is bitwise identical to serveOne() replaying the
  * same request id offline, regardless of batch composition, as long
- * as the hot-vertex cache is off. With the cache on, hub vertices use
- * their cached *full-neighborhood* aggregation instead of the sampled
- * one: results deviate from the replay by the sampling estimate's own
- * error bound, in exchange for one row read per hub instead of a full
- * fan-in gather.
+ * as the hot-vertex cache is off. With the cache on, a hub (degree at
+ * or above the admission threshold, read once per batch) is not
+ * expanded at the innermost layer: its layer-0 output is
+ * h1 = act(W0 * fullMean + b0) over its whole neighborhood, served as
+ * one cached row instead of a sampled gather and a GEMM row. Cache-on
+ * results then differ from serveOne() by the sampling estimate's own
+ * error, and equal serveOneHubExact() bit for bit.
  *
  * The steady-state serving loop is allocation-free after warmup():
  * scratch matrices are reshape()d inside ctor-reserved worst-case
@@ -55,7 +57,10 @@ struct ServeConfig
     std::int64_t latencyBudgetUs = 200;
     /** RequestQueue ring capacity. */
     std::size_t queueCapacity = 4096;
-    /** Hot-vertex cache row slots; 0 disables the cache. */
+    /**
+     * Hot-vertex cache row slots, one finished layer-0 row per hub;
+     * 0 disables the cache.
+     */
     std::size_t hotCacheCapacity = 0;
     /** Cache shard count (rounded up to a power of two). */
     std::size_t hotCacheShards = 8;
@@ -67,15 +72,6 @@ struct ServeConfig
     EdgeId hotCacheMinDegree = 0;
     /** Update-GEMM precision (the per-precision plan-cache key). */
     Precision precision = Precision::Fp32;
-    /**
-     * Edge-insert cache policy (overlay mode): false = invalidate the
-     * source's cached row (next touch re-gathers; preserves the
-     * bitwise cache-on == hub-exact-oracle contract), true = patch the
-     * resident row in place with the exact mean update (cheaper — no
-     * re-gather — but FP summation order differs from a fresh gather,
-     * so bitwise parity is waived; see HotVertexCache::patchMeanRow).
-     */
-    bool patchCacheOnInsert = false;
     /**
      * Overlay mode: re-derive the auto admission threshold after this
      * many accepted edge inserts, so the degree gate tracks hubs as
@@ -101,7 +97,10 @@ struct ServeStats
 {
     std::uint64_t requestsServed = 0;
     std::uint64_t batchesServed = 0;
-    /** Feature-row bytes read by aggregation gathers (all layers). */
+    /**
+     * Row bytes read by aggregation gathers (all layers); a cache hit
+     * counts its one cached row.
+     */
     std::uint64_t bytesGathered = 0;
     /** Accepted edge inserts through insertEdge() (overlay mode). */
     std::uint64_t edgeInserts = 0;
@@ -159,8 +158,7 @@ class InferenceServer
     /**
      * Edge-update path (overlay mode only): insert src -> dst into the
      * overlay and keep the serving state coherent — the source's
-     * cached aggregation row is invalidated (or mean-patched, see
-     * ServeConfig::patchCacheOnInsert), live graph stats are folded
+     * cached row is invalidated, live graph stats are folded
      * forward in O(1), and the auto admission threshold is re-derived
      * every thresholdRefreshEvery accepted inserts. Thread-safe
      * against the consumer loop, serveOne() and other insertEdge()
@@ -222,11 +220,12 @@ class InferenceServer
 
     /**
      * Cache-disabled forward that mirrors the cache-on aggregation
-     * *policy*: admissible hubs use the exact full-neighborhood mean
-     * (freshly gathered, never cached), everything else the sampled
-     * estimate. This is the bitwise oracle for cache-on serving — with
-     * churn quiesced and patchCacheOnInsert off, a cache-on batch and
-     * this replay produce identical embeddings bit for bit.
+     * *policy*: admissible hubs are left unexpanded by the sampler and
+     * take the exact full-neighborhood mean at layer 0 (freshly
+     * gathered, never cached), everything else the sampled estimate.
+     * This is the bitwise oracle for cache-on serving — with churn
+     * quiesced, a cache-on batch and this replay produce identical
+     * embeddings bit for bit.
      */
     void serveOneHubExact(std::uint64_t requestId, VertexId vertex,
                           Feature *out);
@@ -237,12 +236,13 @@ class InferenceServer
     /** Preallocated per-consumer working state for forwardBatch. */
     struct ForwardScratch;
 
-    /** Layer-1 aggregation policy of one forward pass. */
+    /** Layer-0 aggregation policy of one forward pass. */
     enum class AggPolicy
     {
         /** Pure sampled estimate everywhere (the replay oracle). */
         Sampled,
-        /** Hubs take the exact mean via the hot-vertex cache. */
+        /** Hubs take the exact mean; their finished layer-0 rows
+            come from the hot-vertex cache. */
         HubExactCached,
         /** Hubs take the exact mean, freshly gathered, cache bypassed
             (the bitwise oracle for HubExactCached). */
@@ -273,7 +273,7 @@ class InferenceServer
     /**
      * Sample + aggregate + layer-stack forward for @p n requests in
      * @p scratch.batch, writing each request's embedding row and
-     * latency. @p policy selects how admissible layer-1 destinations
+     * latency. @p policy selects how admissible layer-0 destinations
      * aggregate (see AggPolicy).
      */
     void forwardBatch(ForwardScratch &scratch, std::size_t n,

@@ -295,6 +295,97 @@ TEST(Sampler, RequestSeedReplayReproducesTrees)
     }
 }
 
+TEST(Sampler, LeafDegreeLeavesInnermostHubsUnexpanded)
+{
+    // The server's hub cut-off: innermost destinations of degree >= T
+    // get empty rows; every other row, and every outer block, is
+    // sampled as without the cut-off.
+    CsrGraph g = generateBarabasiAlbert(600, 6, 71);
+    const std::vector<VertexId> fanouts = {5, 4};
+    constexpr EdgeId kLeaf = 15;
+    SamplerScratch scratch(g.numVertices());
+    std::size_t hubRows = 0;
+    std::size_t sampledRows = 0;
+    for (std::uint64_t id = 0; id < 64; ++id) {
+        const auto seed = static_cast<VertexId>((id * 13) % 600);
+        Rng rngCut(requestSeed(id));
+        SampledTree cut;
+        sampleTree(g, seed, fanouts, rngCut, scratch, cut, kLeaf);
+        Rng rngFull(requestSeed(id));
+        SampledTree full;
+        sampleTree(g, seed, fanouts, rngFull, scratch, full);
+
+        // Outer blocks are built first, before any cut-off applies.
+        EXPECT_EQ(cut.blocks[1].rowPtr, full.blocks[1].rowPtr);
+        EXPECT_EQ(cut.blocks[1].colIdx, full.blocks[1].colIdx);
+        EXPECT_EQ(cut.blocks[1].srcVertices, full.blocks[1].srcVertices);
+        const FlatBlock &block = cut.blocks[0];
+        ASSERT_EQ(block.dstVertices, full.blocks[0].dstVertices);
+        for (std::size_t d = 0; d < block.dstVertices.size(); ++d) {
+            const VertexId v = block.dstVertices[d];
+            const auto row = block.neighbors(d);
+            const std::span<const VertexId> adj = g.neighbors(v);
+            if (g.degree(v) >= kLeaf) {
+                EXPECT_TRUE(row.empty()) << "hub " << v << " was expanded";
+                ++hubRows;
+                continue;
+            }
+            ++sampledRows;
+            EXPECT_EQ(row.size(),
+                      std::min<std::size_t>(adj.size(), fanouts[0]));
+            std::set<VertexId> seen;
+            for (const VertexId local : row) {
+                const VertexId u = block.srcVertices[local];
+                EXPECT_NE(std::find(adj.begin(), adj.end(), u), adj.end())
+                    << u << " is not a neighbour of " << v;
+                EXPECT_TRUE(seen.insert(u).second);
+            }
+        }
+    }
+    EXPECT_GT(hubRows, 0u);
+    EXPECT_GT(sampledRows, 0u);
+}
+
+TEST(Sampler, ZeroLeafDegreeExpandsEveryRow)
+{
+    // leafDegree 0 is no cut-off: the tree equals the call without one,
+    // and the call with a cut-off no vertex reaches.
+    RmatParams rmat;
+    rmat.scale = 12;
+    rmat.avgDegree = 12.0;
+    rmat.seed = 73;
+    const CsrGraph g = generateRmat(rmat);
+    EdgeId maxDegree = 0;
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        maxDegree = std::max(maxDegree, g.degree(v));
+    const std::vector<VertexId> fanouts = {10, 10};
+    SamplerScratch scratch(g.numVertices());
+    SampledTree plain;
+    SampledTree zero;
+    SampledTree unreachable;
+    for (std::uint64_t id = 0; id < 1000; ++id) {
+        const auto seed = static_cast<VertexId>((id * 2654435761u) %
+                                                g.numVertices());
+        Rng rngPlain(requestSeed(id));
+        sampleTree(g, seed, fanouts, rngPlain, scratch, plain);
+        Rng rngZero(requestSeed(id));
+        sampleTree(g, seed, fanouts, rngZero, scratch, zero, 0);
+        Rng rngUnreachable(requestSeed(id));
+        sampleTree(g, seed, fanouts, rngUnreachable, scratch, unreachable,
+                   maxDegree + 1);
+        for (std::size_t k = 0; k < fanouts.size(); ++k) {
+            for (const SampledTree *other : {&zero, &unreachable}) {
+                ASSERT_EQ(plain.blocks[k].rowPtr, other->blocks[k].rowPtr);
+                ASSERT_EQ(plain.blocks[k].colIdx, other->blocks[k].colIdx);
+                ASSERT_EQ(plain.blocks[k].dstVertices,
+                          other->blocks[k].dstVertices);
+                ASSERT_EQ(plain.blocks[k].srcVertices,
+                          other->blocks[k].srcVertices);
+            }
+        }
+    }
+}
+
 TEST(Sampler, RequestSeedDecorrelatesAdjacentIds)
 {
     // Adjacent request ids must not sample correlated trees: check the

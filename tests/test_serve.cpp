@@ -4,7 +4,8 @@
  * cap, latency budget, close), hot-vertex cache residency/eviction,
  * the determinism contract (served embeddings bitwise-match an offline
  * serveOne replay of the same request id when the cache is off, and
- * stay within a bounded deviation with the cache on), the cache's
+ * with the cache on stay within a bounded deviation of it and
+ * bitwise-match the serveOneHubExact replay), the cache's counters and
  * gather-traffic reduction, and the allocation-free steady-state
  * serving loop (fp32 and bf16) under ScopedAllocGuard.
  */
@@ -70,6 +71,51 @@ makeRequest(std::uint64_t id, VertexId vertex)
     req.vertex = vertex;
     req.enqueueNs = serve::monotonicNanos();
     return req;
+}
+
+/** Spin until @p server has served at least @p target requests. */
+void
+waitServed(InferenceServer &server, std::uint64_t target)
+{
+    while (server.stats().requestsServed < target)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+}
+
+/**
+ * Push one request per entry of @p vertices, ids from @p firstId and
+ * replies into the rows of @p served with the same index, then wait
+ * until the running consumer has served them all.
+ */
+void
+serveRound(InferenceServer &server, const std::vector<VertexId> &vertices,
+           std::uint64_t firstId, DenseMatrix &served)
+{
+    const std::uint64_t target =
+        server.stats().requestsServed + vertices.size();
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        InferenceRequest req = makeRequest(firstId + i, vertices[i]);
+        req.out = served.row(firstId + i);
+        while (!server.queue().push(req))
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    waitServed(server, target);
+}
+
+/** Each reply of serveRound(…, firstId, served) equals its hub-exact
+ *  replay bit for bit. */
+void
+expectMatchesHubExact(InferenceServer &server,
+                      const std::vector<VertexId> &vertices,
+                      std::uint64_t firstId, const DenseMatrix &served)
+{
+    std::vector<Feature> replay(server.outFeatures());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        server.serveOneHubExact(firstId + i, vertices[i], replay.data());
+        EXPECT_EQ(0, std::memcmp(served.row(firstId + i), replay.data(),
+                                 replay.size() * sizeof(Feature)))
+            << "request " << firstId + i << " (vertex " << vertices[i]
+            << "): cache-on serving differs from the hub-exact replay";
+    }
 }
 
 // ------------------------------------------------------------------
@@ -543,6 +589,150 @@ TEST(InferenceServer, CacheReducesGatherTraffic)
         << "hub caching must shrink steady-state gather traffic";
 }
 
+/**
+ * Two rounds of a hub-heavy stream through a cache-on server over
+ * @p layers: the second round must hit the cache, and every reply of
+ * both rounds must equal serveOneHubExact bit for bit.
+ */
+void
+expectPostUpdateCacheMatchesReplay(std::vector<GnnLayer *> layers,
+                                   std::vector<VertexId> fanouts,
+                                   Precision precision)
+{
+    const CsrGraph graph = testGraph();
+    DenseMatrix features(graph.numVertices(), layers.front()->inFeatures());
+    features.fillUniform(0.0f, 1.0f, 21);
+    ServeConfig config;
+    config.fanouts = std::move(fanouts);
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 500;
+    config.hotCacheCapacity = 64;
+    config.precision = precision;
+    InferenceServer server(graph, features, std::move(layers), config);
+
+    std::vector<VertexId> vertices(48);
+    for (std::size_t i = 0; i < vertices.size(); ++i)
+        vertices[i] = static_cast<VertexId>((i * 3) % 48);
+    DenseMatrix served(2 * vertices.size(), server.outFeatures());
+    std::thread consumer([&server] { server.run(); });
+    serveRound(server, vertices, 0, served);
+    const std::uint64_t warmHits = server.stats().cache.hits;
+    serveRound(server, vertices, vertices.size(), served);
+    server.queue().close();
+    consumer.join();
+    EXPECT_GT(server.stats().cache.hits, warmHits)
+        << "the second round must be served from cached hub rows";
+    expectMatchesHubExact(server, vertices, 0, served);
+    expectMatchesHubExact(server, vertices, vertices.size(), served);
+}
+
+TEST(InferenceServer, PostUpdateHubCacheMatchesHubExactReplay)
+{
+    {
+        SCOPED_TRACE("48 -> 24 -> 8: layer 0 narrows its input");
+        GnnLayer hidden(48, 24, true);
+        GnnLayer output(24, 8, false);
+        hidden.initWeights(31);
+        output.initWeights(32);
+        expectPostUpdateCacheMatchesReplay({&hidden, &output}, {5, 5},
+                                           Precision::Fp32);
+    }
+    {
+        SCOPED_TRACE("three layers");
+        GnnLayer first(16, 24, true);
+        GnnLayer second(24, 12, true);
+        GnnLayer output(12, 8, false);
+        first.initWeights(33);
+        second.initWeights(34);
+        output.initWeights(35);
+        expectPostUpdateCacheMatchesReplay({&first, &second, &output},
+                                           {4, 3, 3}, Precision::Fp32);
+    }
+    {
+        SCOPED_TRACE("one layer: a hub seed's reply is its cached row");
+        GnnLayer only(16, 8, true);
+        only.initWeights(38);
+        expectPostUpdateCacheMatchesReplay({&only}, {5}, Precision::Fp32);
+    }
+    {
+        SCOPED_TRACE("bf16 update GEMMs");
+        GnnLayer hidden(48, 24, true);
+        GnnLayer output(24, 8, false);
+        hidden.initWeights(36);
+        output.initWeights(37);
+        expectPostUpdateCacheMatchesReplay({&hidden, &output}, {5, 5},
+                                           Precision::Bf16);
+    }
+}
+
+TEST(InferenceServer, CacheCountersReconcileWithLayer0Rows)
+{
+    // Every layer-0 destination row is a cache hit, a row shared with
+    // an earlier miss of the same hub in its batch, or a GEMM row; the
+    // registry's hit/miss counters are the cache's own.
+    const CsrGraph graph = testGraph();
+    DenseMatrix features(graph.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 22);
+    TestModel model(16);
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 500;
+    config.hotCacheCapacity = 64;
+    InferenceServer server(graph, features, model.layers(), config);
+
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    metrics.setEnabled(true);
+    obs::Counter &hits = metrics.counter("serve.cache.hits");
+    obs::Counter &misses = metrics.counter("serve.cache.misses");
+    obs::Counter &gemmRows = metrics.counter("serve.layer0_gemm_rows");
+    obs::Counter &sharedRows = metrics.counter("serve.layer0_shared_rows");
+    const std::uint64_t hitsBefore = hits.value();
+    const std::uint64_t missesBefore = misses.value();
+    const std::uint64_t gemmRowsBefore = gemmRows.value();
+    const std::uint64_t sharedRowsBefore = sharedRows.value();
+    const serve::ServeStats before = server.stats();
+
+    // Queued before run() starts, so every batch is full: the cold
+    // first batch misses popular hubs more than once.
+    constexpr std::size_t kRequests = 128;
+    std::vector<VertexId> vertices(kRequests);
+    DenseMatrix served(kRequests, server.outFeatures());
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        vertices[i] = static_cast<VertexId>((i * 5) % 40);
+        InferenceRequest req = makeRequest(i, vertices[i]);
+        req.out = served.row(i);
+        ASSERT_TRUE(server.queue().push(req));
+    }
+    server.queue().close();
+    server.run();
+    const serve::ServeStats after = server.stats();
+    const std::uint64_t dHits = hits.value() - hitsBefore;
+    const std::uint64_t dMisses = misses.value() - missesBefore;
+    const std::uint64_t dGemmRows = gemmRows.value() - gemmRowsBefore;
+    const std::uint64_t dShared = sharedRows.value() - sharedRowsBefore;
+    metrics.setEnabled(false);
+
+    // Layer-0 destinations are the layer-1 sources, which the hub
+    // cut-off does not touch; count them from the requests' own trees.
+    SamplerScratch scratch(graph.numVertices());
+    SampledTree tree;
+    std::uint64_t layer0Rows = 0;
+    for (std::uint64_t id = 0; id < kRequests; ++id) {
+        Rng rng(requestSeed(id));
+        sampleTree(graph, vertices[id], config.fanouts, rng, scratch, tree,
+                   server.hotDegreeThreshold());
+        layer0Rows += tree.blocks[0].dstVertices.size();
+    }
+    EXPECT_GT(dHits, 0u);
+    EXPECT_GT(dShared, 0u);
+    EXPECT_EQ(dHits + dShared + dGemmRows, layer0Rows);
+    EXPECT_EQ(dHits, after.cache.hits - before.cache.hits);
+    EXPECT_EQ(dMisses, after.cache.misses - before.cache.misses);
+    // A shared row is its first miss's row, bit for bit.
+    expectMatchesHubExact(server, vertices, 0, served);
+}
+
 /** Allocation-free steady state: warm up, then a full run() drain. */
 void
 expectAllocFreeServing(Precision precision)
@@ -644,28 +834,6 @@ TEST(HotVertexCache, InvalidateDropsRowAndRejectsStaleFills)
     EXPECT_FALSE(cache.invalidate(1234));
     EXPECT_NE(cache.fillEpoch(1234), epoch);
     EXPECT_GE(cache.stats().invalidations, 2u);
-}
-
-TEST(HotVertexCache, PatchMeanRowAppliesExactMeanUpdate)
-{
-    HotVertexCache cache(4, 1, 3, 0);
-    // Cached row = mean of (self + 2 neighbors) => oldDegree = 2.
-    const Feature cached[3] = {3.0f, 6.0f, 9.0f};
-    const Feature added[3] = {7.0f, 11.0f, 1.0f};
-    cache.put(5, cached);
-    const std::uint64_t epoch = cache.fillEpoch(5);
-    EXPECT_TRUE(cache.patchMeanRow(5, added, 2));
-    Feature out[3] = {};
-    ASSERT_TRUE(cache.lookup(5, out));
-    for (std::size_t c = 0; c < 3; ++c) {
-        const float expect = (cached[c] * 3.0f + added[c]) / 4.0f;
-        EXPECT_FLOAT_EQ(out[c], expect);
-    }
-    // The patch bumps the epoch too: a concurrent stale fill must not
-    // overwrite the patched row.
-    EXPECT_FALSE(cache.putIfFresh(5, cached, epoch));
-    // Non-resident vertices are not patched.
-    EXPECT_FALSE(cache.patchMeanRow(99, added, 4));
 }
 
 // ------------------------------------------------------------------
@@ -819,14 +987,6 @@ TEST(InferenceServer, LoadGeneratorReportsSaneNumbers)
 // ------------------------------------------------------------------
 // Dynamic-graph serving (delta-CSR overlay, DESIGN.md §14)
 // ------------------------------------------------------------------
-
-/** Spin until @p server has served at least @p target requests. */
-void
-waitServed(InferenceServer &server, std::uint64_t target)
-{
-    while (server.stats().requestsServed < target)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-}
 
 TEST(DynamicServing, CacheOnMatchesHubExactOracleUnderChurn)
 {
@@ -990,6 +1150,15 @@ TEST(DynamicServing, ThresholdRefreshTracksGrowingHubs)
     const EdgeId initial = server.hotDegreeThreshold();
     EXPECT_EQ(initial, 4u);
 
+    // Serve every vertex once, so rows admitted under the initial
+    // threshold (v2 has degree 4) are resident when it rises.
+    std::vector<VertexId> vertices(10);
+    for (VertexId v = 0; v < 10; ++v)
+        vertices[v] = v;
+    DenseMatrix served(3 * vertices.size(), server.outFeatures());
+    std::thread consumer([&server] { server.run(); });
+    serveRound(server, vertices, 0, served);
+
     // Grow v3 from degree 1 to 9: the capacity-th largest degree rises
     // to 5, and every accepted insert re-derives the threshold.
     for (VertexId u = 0; u < 10; ++u) {
@@ -1001,6 +1170,17 @@ TEST(DynamicServing, ThresholdRefreshTracksGrowingHubs)
         << "the admission gate must track hub growth";
     EXPECT_GE(server.hotDegreeThreshold(), initial)
         << "the refreshed threshold is clamped monotone";
+
+    // Under the raised threshold, cache-on serving (a fill round, then
+    // a round served from the cache) still equals the hub-exact replay.
+    const std::uint64_t hitsBefore = server.stats().cache.hits;
+    serveRound(server, vertices, vertices.size(), served);
+    serveRound(server, vertices, 2 * vertices.size(), served);
+    server.queue().close();
+    consumer.join();
+    EXPECT_GT(server.stats().cache.hits, hitsBefore);
+    expectMatchesHubExact(server, vertices, vertices.size(), served);
+    expectMatchesHubExact(server, vertices, 2 * vertices.size(), served);
     const GraphStats live = server.liveGraphStats();
     EXPECT_EQ(live.numEdges, overlay.numEdges());
     EXPECT_EQ(live.maxDegree, 9u);
