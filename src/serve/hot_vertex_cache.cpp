@@ -347,14 +347,4 @@ HotVertexCache::stats() const
     return s;
 }
 
-void
-HotVertexCache::resetStats()
-{
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    puts_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-    invalidations_.store(0, std::memory_order_relaxed);
-}
-
 } // namespace graphite::serve

@@ -94,9 +94,6 @@ class HotVertexCache
         minDegree_.store(minDegree, std::memory_order_relaxed);
     }
 
-    /** @p v passes the degree admission filter. */
-    bool admits(EdgeId degree) const { return degree >= minDegree(); }
-
     /**
      * Copy @p v's cached row into @p dst (rowWidth floats) and mark it
      * recently used. Returns false (counting a miss) when absent. A
@@ -158,7 +155,6 @@ class HotVertexCache
     };
 
     Stats stats() const;
-    void resetStats();
 
   private:
     /** Index sentinel: empty table cell. */

@@ -50,13 +50,9 @@ runServeLoad(InferenceServer &server, const LoadGenConfig &config)
                      [&graph](VertexId a, VertexId b) {
                          return graph.degree(a) > graph.degree(b);
                      });
-    const std::size_t hot =
-        config.popularVertices == 0
-            ? ranked.size()
-            : std::min(config.popularVertices, ranked.size());
-    std::vector<double> cdf(hot);
+    std::vector<double> cdf(ranked.size());
     double totalWeight = 0.0;
-    for (std::size_t i = 0; i < hot; ++i) {
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
         totalWeight +=
             std::pow(static_cast<double>(i + 1), -config.zipfExponent);
         cdf[i] = totalWeight;
@@ -67,12 +63,8 @@ runServeLoad(InferenceServer &server, const LoadGenConfig &config)
 
     const std::size_t totalRequests =
         config.warmupRequests + config.numRequests;
-    DenseMatrix localResults;
-    DenseMatrix &results =
-        config.resultsOut != nullptr ? *config.resultsOut : localResults;
-    results.resize(totalRequests, server.outFeatures());
+    DenseMatrix results(totalRequests, server.outFeatures());
     std::vector<double> latencies(totalRequests, -1.0);
-    std::vector<VertexId> vertices(totalRequests, 0);
 
     std::thread consumer([&server] { server.run(); });
 
@@ -116,8 +108,7 @@ runServeLoad(InferenceServer &server, const LoadGenConfig &config)
             static_cast<double>(rng.uniformFloat()) * totalWeight;
         const std::size_t rank = static_cast<std::size_t>(
             std::lower_bound(cdf.begin(), cdf.end(), z) - cdf.begin());
-        req.vertex = ranked[std::min(rank, hot - 1)];
-        vertices[i] = req.vertex;
+        req.vertex = ranked[std::min(rank, ranked.size() - 1)];
         req.enqueueNs = monotonicNanos();
         req.out = results.row(i);
         req.latencyUs = &latencies[i];
@@ -135,11 +126,6 @@ runServeLoad(InferenceServer &server, const LoadGenConfig &config)
     consumer.join();
     const double duration = measuredTimer.seconds();
     const ServeStats statsAfter = server.stats();
-
-    if (config.verticesOut != nullptr)
-        *config.verticesOut = std::move(vertices);
-    if (config.latenciesOut != nullptr)
-        *config.latenciesOut = latencies;
 
     LoadGenReport report;
     report.offered = config.numRequests;

@@ -11,8 +11,8 @@
  * excluded from the percentiles) and a measured phase, and reports
  * achieved QPS, exact p50/p99 latency (nth_element over recorded
  * per-request latencies, not histogram estimates), cache hit rate and
- * gather traffic — the numbers bench/serve_load.cpp and the bench
- * smoke serve section archive.
+ * gather traffic — the numbers tools/graphite_serve prints and the
+ * serving tests check.
  */
 
 #pragma once
@@ -46,23 +46,7 @@ struct LoadGenConfig
     double offeredQps = 20000.0;
     /** Zipf exponent over degree-ranked vertices (0 = uniform). */
     double zipfExponent = 0.9;
-    /** Restrict traffic to the top-N vertices by degree; 0 = all. */
-    std::size_t popularVertices = 0;
     std::uint64_t seed = 7;
-    /**
-     * Optional post-run capture (no overhead when left null): row i of
-     * @c resultsOut is request i's served embedding, @c verticesOut[i]
-     * its target vertex and @c latenciesOut[i] its latency in
-     * microseconds (-1 = dropped, warmup requests included in all
-     * three). Request i's sampling seed is its id i, so a caller can
-     * replay any captured request against an oracle server — the churn
-     * bench compares embeddings served under live edge inserts with a
-     * compacted-graph replay to measure staleness. resultsOut is
-     * resized to (warmupRequests + numRequests) x outFeatures().
-     */
-    DenseMatrix *resultsOut = nullptr;
-    std::vector<VertexId> *verticesOut = nullptr;
-    std::vector<double> *latenciesOut = nullptr;
 };
 
 /** Measured-phase results of one load run. */

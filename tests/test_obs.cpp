@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the observability layer: metrics registry merging,
- * disabled-path no-ops, trace span nesting, ring overflow, and the JSON
- * emitters' well-formedness (checked with a tiny JSON parser below).
+ * disabled-path no-ops, trace span nesting, ring overflow, the JSON
+ * emitters' well-formedness (checked with a tiny JSON parser below),
+ * and the schema of both dumps after a run over the hot paths.
  *
  * The tests exercise the process-global registry/recorder the real
  * instrumentation writes to, so every test starts by resetting both and
@@ -14,12 +15,21 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "dma/pipelined_runner.h"
+#include "gnn/gnn_layer.h"
+#include "graph/generators.h"
+#include "kernels/aggregation.h"
+#include "kernels/fused_layer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "tensor/gemm.h"
 
 namespace graphite {
 namespace {
@@ -50,10 +60,42 @@ class ObsTest : public ::testing::Test
     }
 };
 
+/** A parsed JSON value: just enough structure to check the dumps. */
+struct Json
+{
+    enum class Kind
+    {
+        Null,
+        Bool,
+        Number,
+        String,
+        Array,
+        Object
+    };
+    Kind kind = Kind::Null;
+    double number = 0.0;
+    /** The number literal is digits only (no sign, fraction, exponent). */
+    bool unsignedInteger = false;
+    /** String contents, escapes left as written. */
+    std::string text;
+    std::vector<Json> items;
+    std::vector<std::pair<std::string, Json>> members;
+
+    /** Member @p key of an object, or null when absent. */
+    const Json *
+    find(const std::string &key) const
+    {
+        for (const auto &[name, value] : members)
+            if (name == key)
+                return &value;
+        return nullptr;
+    }
+};
+
 /**
- * Minimal recursive-descent JSON validator: structure only, no value
- * extraction. Good enough to catch trailing commas, unbalanced braces
- * and unescaped strings in the emitters.
+ * Minimal recursive-descent JSON parser. Good enough to catch trailing
+ * commas, unbalanced braces and unescaped strings in the emitters, and
+ * to read their output back for the schema checks.
  */
 class JsonChecker
 {
@@ -63,8 +105,15 @@ class JsonChecker
     bool
     valid()
     {
+        Json ignored;
+        return parse(ignored);
+    }
+
+    bool
+    parse(Json &out)
+    {
         pos_ = 0;
-        if (!value())
+        if (!value(out))
             return false;
         skipSpace();
         return pos_ == text_.size();
@@ -72,26 +121,33 @@ class JsonChecker
 
   private:
     bool
-    value()
+    value(Json &out)
     {
         skipSpace();
         if (pos_ >= text_.size())
             return false;
         const char c = text_[pos_];
         if (c == '{')
-            return object();
+            return object(out);
         if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
+            return array(out);
+        if (c == '"') {
+            out.kind = Json::Kind::String;
+            return string(out.text);
+        }
         if (c == '-' || (c >= '0' && c <= '9'))
-            return number();
-        return literal("true") || literal("false") || literal("null");
+            return number(out);
+        if (literal("true") || literal("false")) {
+            out.kind = Json::Kind::Bool;
+            return true;
+        }
+        return literal("null");
     }
 
     bool
-    object()
+    object(Json &out)
     {
+        out.kind = Json::Kind::Object;
         ++pos_; // '{'
         skipSpace();
         if (peek() == '}') {
@@ -100,13 +156,15 @@ class JsonChecker
         }
         while (true) {
             skipSpace();
-            if (!string())
+            std::string key;
+            if (!string(key))
                 return false;
             skipSpace();
             if (peek() != ':')
                 return false;
             ++pos_;
-            if (!value())
+            out.members.emplace_back(std::move(key), Json{});
+            if (!value(out.members.back().second))
                 return false;
             skipSpace();
             if (peek() == ',') {
@@ -122,8 +180,9 @@ class JsonChecker
     }
 
     bool
-    array()
+    array(Json &out)
     {
+        out.kind = Json::Kind::Array;
         ++pos_; // '['
         skipSpace();
         if (peek() == ']') {
@@ -131,7 +190,8 @@ class JsonChecker
             return true;
         }
         while (true) {
-            if (!value())
+            out.items.emplace_back();
+            if (!value(out.items.back()))
                 return false;
             skipSpace();
             if (peek() == ',') {
@@ -147,11 +207,11 @@ class JsonChecker
     }
 
     bool
-    string()
+    string(std::string &out)
     {
         if (peek() != '"')
             return false;
-        ++pos_;
+        const std::size_t start = ++pos_;
         while (pos_ < text_.size() && text_[pos_] != '"') {
             if (text_[pos_] == '\\')
                 ++pos_;
@@ -159,12 +219,13 @@ class JsonChecker
         }
         if (pos_ >= text_.size())
             return false;
+        out = text_.substr(start, pos_ - start);
         ++pos_; // closing '"'
         return true;
     }
 
     bool
-    number()
+    number(Json &out)
     {
         const std::size_t start = pos_;
         if (peek() == '-')
@@ -176,7 +237,16 @@ class JsonChecker
                 text_[pos_] == '-')) {
             ++pos_;
         }
-        return pos_ > start;
+        if (pos_ == start)
+            return false;
+        const std::string token = text_.substr(start, pos_ - start);
+        out.kind = Json::Kind::Number;
+        out.number = std::strtod(token.c_str(), nullptr);
+        out.unsignedInteger =
+            std::all_of(token.begin(), token.end(), [](char c) {
+                return std::isdigit(static_cast<unsigned char>(c)) != 0;
+            });
+        return true;
     }
 
     bool
@@ -446,6 +516,125 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed)
     EXPECT_NE(json.find("traceEvents"), std::string::npos);
     EXPECT_NE(json.find("phase.a"), std::string::npos);
     EXPECT_NE(json.find("phase.b"), std::string::npos);
+}
+
+/** Member @p key of @p object as a number; fails the test if absent. */
+double
+numberAt(const Json &object, const char *key)
+{
+    const Json *member = object.find(key);
+    EXPECT_TRUE(member != nullptr && member->kind == Json::Kind::Number)
+        << "missing number '" << key << "'";
+    return member != nullptr ? member->number : 0.0;
+}
+
+/**
+ * One tiny run of each instrumented hot path (basic aggregation, GEMM,
+ * fused backward, DMA pipelined layer), dumped with writeChromeJson and
+ * writeJson. Every rule is checked on the JSON text of the two files,
+ * parsed back, so a fault in the emitters shows as well as one in the
+ * registry or recorder they serialise.
+ */
+TEST_F(ObsTest, HotPathDumpsMatchTheirSchemas)
+{
+    const CsrGraph graph = generateBarabasiAlbert(300, 4, 3);
+    const CsrGraph transposed = graph.transposed();
+    const AggregationSpec spec = gcnSpec(graph);
+    const AggregationSpec tSpec = transposeSpec(graph, spec, transposed);
+    const std::size_t n = graph.numVertices();
+    constexpr std::size_t kIn = 32;
+    constexpr std::size_t kOut = 16;
+    DenseMatrix x(n, kIn);
+    x.fillUniform(-1.0f, 1.0f, 1);
+    DenseMatrix weights(kIn, kOut);
+    weights.fillUniform(-0.5f, 0.5f, 2);
+
+    DenseMatrix agg(n, kIn);
+    aggregate(graph, x, agg, spec);
+    GemmPlan planNN;
+    planNN.pack(GemmMode::NN, weights);
+    DenseMatrix z(n, kOut);
+    gemm(GemmMode::NN, agg, planNN, z);
+    GemmPlan planNT;
+    planNT.pack(GemmMode::NT, weights);
+    DenseMatrix gradIn(n, kIn);
+    fusedLayerBackward(transposed, z, tSpec, planNT, gradIn);
+    DenseMatrix dmaAgg(n, kIn);
+    DenseMatrix dmaOut(n, kOut);
+    dma::pipelinedDmaLayer(graph, x, spec, UpdateOp{&weights, {}, true},
+                           dmaAgg, dmaOut);
+
+    const std::string tracePath = "test_obs_hot_path_trace.json";
+    const std::string metricsPath = "test_obs_hot_path_metrics.json";
+    ASSERT_TRUE(TraceRecorder::global().writeChromeJson(tracePath));
+    ASSERT_TRUE(MetricsRegistry::global().writeJson(metricsPath));
+    const std::string traceText = slurp(tracePath);
+    const std::string metricsText = slurp(metricsPath);
+    std::remove(tracePath.c_str());
+    std::remove(metricsPath.c_str());
+
+    // Trace: complete ("X") events with the fields a trace viewer
+    // needs, covering every hot path run above.
+    Json trace;
+    ASSERT_TRUE(JsonChecker(traceText).parse(trace)) << traceText;
+    const Json *events = trace.find("traceEvents");
+    ASSERT_TRUE(events != nullptr && events->kind == Json::Kind::Array);
+    ASSERT_FALSE(events->items.empty());
+    std::set<std::string> names;
+    for (const Json &event : events->items) {
+        ASSERT_EQ(event.kind, Json::Kind::Object);
+        for (const char *key : {"name", "ph", "pid", "tid", "ts", "dur"})
+            ASSERT_NE(event.find(key), nullptr) << "event lacks " << key;
+        EXPECT_EQ(event.find("ph")->text, "X");
+        EXPECT_EQ(event.find("ts")->kind, Json::Kind::Number);
+        EXPECT_EQ(event.find("dur")->kind, Json::Kind::Number);
+        names.insert(event.find("name")->text);
+    }
+    for (const char *span :
+         {"agg.basic", "gemm", "fused.backward", "dma.pipeline"})
+        EXPECT_EQ(names.count(span), 1u) << "required span " << span;
+
+    // Metrics: integer counters, and histograms whose 65 log2 buckets
+    // add up to their count with ordered quantiles inside [min, max].
+    Json metrics;
+    ASSERT_TRUE(JsonChecker(metricsText).parse(metrics)) << metricsText;
+    const Json *counters = metrics.find("counters");
+    const Json *histograms = metrics.find("histograms");
+    ASSERT_TRUE(counters != nullptr && counters->kind == Json::Kind::Object);
+    ASSERT_TRUE(histograms != nullptr &&
+                histograms->kind == Json::Kind::Object);
+    ASSERT_NE(metrics.find("gauges"), nullptr);
+    EXPECT_FALSE(counters->members.empty());
+    for (const auto &[name, value] : counters->members)
+        EXPECT_TRUE(value.kind == Json::Kind::Number &&
+                    value.unsignedInteger)
+            << "counter " << name << " is not a non-negative integer";
+    std::size_t observed = 0;
+    for (const auto &[name, hist] : histograms->members) {
+        SCOPED_TRACE("histogram " + name);
+        const Json *buckets = hist.find("log2_buckets");
+        ASSERT_TRUE(buckets != nullptr &&
+                    buckets->kind == Json::Kind::Array);
+        ASSERT_EQ(buckets->items.size(), obs::Histogram::kBuckets);
+        double bucketSum = 0.0;
+        for (const Json &bucket : buckets->items) {
+            EXPECT_TRUE(bucket.unsignedInteger);
+            bucketSum += bucket.number;
+        }
+        const double count = numberAt(hist, "count");
+        EXPECT_EQ(bucketSum, count);
+        const double p50 = numberAt(hist, "p50");
+        const double p90 = numberAt(hist, "p90");
+        const double p99 = numberAt(hist, "p99");
+        EXPECT_LE(p50, p90);
+        EXPECT_LE(p90, p99);
+        if (count > 0.0) {
+            ++observed;
+            EXPECT_LE(numberAt(hist, "min"), p50);
+            EXPECT_LE(p99, numberAt(hist, "max"));
+        }
+    }
+    EXPECT_GT(observed, 0u) << "no histogram saw a sample";
 }
 
 TEST_F(ObsTest, CrossKindNameCollisionDies)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -243,8 +244,6 @@ TEST(HotVertexCache, PutLookupRoundtrip)
 {
     HotVertexCache cache(8, 2, 4, 10);
     EXPECT_TRUE(cache.enabled());
-    EXPECT_TRUE(cache.admits(10));
-    EXPECT_FALSE(cache.admits(9));
     const Feature row[4] = {1.0f, 2.0f, 3.0f, 4.0f};
     Feature out[4] = {};
     EXPECT_FALSE(cache.lookup(7, out));
@@ -957,18 +956,10 @@ TEST(LoadGen, ExactPercentileAgreesWithHistogramOnDegenerateBuckets)
     }
 }
 
-TEST(InferenceServer, LoadGeneratorReportsSaneNumbers)
+/** One open-loop run against @p server; the report must be sane. */
+void
+expectSaneLoadReport(InferenceServer &server)
 {
-    const CsrGraph graph = testGraph();
-    DenseMatrix features(graph.numVertices(), 16);
-    features.fillUniform(0.0f, 1.0f, 11);
-    TestModel model(16);
-    ServeConfig config;
-    config.fanouts = {5, 5};
-    config.maxBatch = 16;
-    config.latencyBudgetUs = 100;
-    config.hotCacheCapacity = 64;
-    InferenceServer server(graph, features, model.layers(), config);
     serve::LoadGenConfig load;
     load.numRequests = 500;
     load.warmupRequests = 100;
@@ -982,6 +973,30 @@ TEST(InferenceServer, LoadGeneratorReportsSaneNumbers)
     EXPECT_LE(report.cacheHitRate, 1.0);
     EXPECT_GT(report.bytesGathered, 0u);
     EXPECT_EQ(report.accepted + report.dropped, 500u);
+}
+
+TEST(InferenceServer, LoadGeneratorReportsSaneNumbers)
+{
+    const CsrGraph graph = testGraph();
+    DenseMatrix features(graph.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 11);
+    TestModel model(16);
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 100;
+    config.hotCacheCapacity = 64;
+    {
+        SCOPED_TRACE("frozen CSR");
+        InferenceServer server(graph, features, model.layers(), config);
+        expectSaneLoadReport(server);
+    }
+    {
+        SCOPED_TRACE("DeltaCsr overlay");
+        DeltaCsr overlay(testGraph(), 1024);
+        InferenceServer server(overlay, features, model.layers(), config);
+        expectSaneLoadReport(server);
+    }
 }
 
 // ------------------------------------------------------------------
@@ -1191,7 +1206,9 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
     // The TSan target of the bugfix sweep: producers push requests,
     // an updater inserts edges and requests compactions, the consumer
     // serves — all concurrently. Coherence checks: stats add up, the
-    // overlay validates, and every served embedding is finite.
+    // overlay validates, every served embedding is finite, and served
+    // embeddings stay within the sampling estimate's error of a replay
+    // over the final graph.
     DeltaCsr overlay(generateBarabasiAlbert(800, 6, 42), 8192);
     DenseMatrix features(overlay.numVertices(), 16);
     features.fillUniform(0.0f, 1.0f, 10);
@@ -1208,10 +1225,11 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
     constexpr std::size_t kRequests = 512;
     DenseMatrix served(kRequests, server.outFeatures());
     std::thread consumer([&server] { server.run(); });
+    constexpr int kInsertsOffered = 1500;
     std::atomic<std::uint64_t> inserted{0};
     std::thread updater([&server, &inserted] {
         Rng rng(31);
-        for (int i = 0; i < 1500; ++i) {
+        for (int i = 0; i < kInsertsOffered; ++i) {
             const auto src = static_cast<VertexId>(rng.next() % 800);
             const auto dst = static_cast<VertexId>(rng.next() % 800);
             if (server.insertEdge(src, dst) ==
@@ -1241,7 +1259,11 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
     consumer.join();
 
     const serve::ServeStats stats = server.stats();
+    EXPECT_GT(inserted.load(), 0u)
+        << "inserts must be accepted while serving, not starved";
     EXPECT_EQ(stats.edgeInserts, inserted.load());
+    EXPECT_LE(stats.edgeInserts,
+              static_cast<std::uint64_t>(kInsertsOffered));
     EXPECT_GE(stats.requestsServed, kRequests);
     EXPECT_EQ(overlay.validate(), nullptr);
     for (std::size_t i = 0; i < kRequests; ++i)
@@ -1250,6 +1272,46 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
                 << "request " << i << " col " << c;
     const GraphStats live = server.liveGraphStats();
     EXPECT_EQ(live.numEdges, overlay.numEdges());
+
+    // Staleness: replay every served request (same id, so same
+    // sampling seed) on a cache-off oracle over the final graph, with
+    // the server's final admission threshold so its hub-exact gating
+    // matches. A reply served at time t saw the graph as of t; the
+    // oracle sees every insert. The mean relative L2 gap is bounded by
+    // the sampling estimate's own error (server.h's deviation
+    // contract); at 1.0 or past it serving returns garbage (an all-zero
+    // reply scores exactly 1.0), not stale rows.
+    const CsrGraph finalGraph = overlay.compacted();
+    ServeConfig oracleConfig = config;
+    oracleConfig.hotCacheCapacity = 0;
+    oracleConfig.hotCacheMinDegree = server.hotDegreeThreshold();
+    InferenceServer fresh(finalGraph, features, model.layers(),
+                          oracleConfig);
+    std::vector<Feature> replay(fresh.outFeatures());
+    double meanRel = 0.0;
+    double maxRel = 0.0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        fresh.serveOneHubExact(i, static_cast<VertexId>((i * 7) % 800),
+                               replay.data());
+        double gap2 = 0.0;
+        double norm2 = 0.0;
+        for (std::size_t c = 0; c < replay.size(); ++c) {
+            const double d = static_cast<double>(served.row(i)[c]) -
+                             static_cast<double>(replay[c]);
+            gap2 += d * d;
+            norm2 += static_cast<double>(replay[c]) *
+                     static_cast<double>(replay[c]);
+        }
+        const double rel =
+            norm2 > 0.0 ? std::sqrt(gap2 / norm2) : std::sqrt(gap2);
+        ASSERT_TRUE(std::isfinite(rel)) << "request " << i;
+        meanRel += rel;
+        maxRel = std::max(maxRel, rel);
+    }
+    meanRel /= static_cast<double>(kRequests);
+    EXPECT_LE(meanRel, maxRel);
+    EXPECT_LT(meanRel, 1.0)
+        << "served embeddings diverged from the final-graph replay";
 }
 
 TEST(DynamicServing, SteadyStateChurnServingIsAllocFree)
