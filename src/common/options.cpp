@@ -1,5 +1,6 @@
 #include "common/options.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -97,23 +98,70 @@ Options::getDefault(const std::string &name) const
     return entry->defaultValue;
 }
 
+namespace {
+
+/**
+ * Parse all of @p text with @p convert (a strtoll/strtod wrapper), or
+ * die naming the flag: an empty value, trailing characters and an
+ * out-of-range value are all errors.
+ */
+template <typename Convert>
+auto
+parseNumber(const std::string &name, const std::string &text,
+            const char *kind, Convert &&convert)
+{
+    char *end = nullptr;
+    errno = 0;
+    const auto value = convert(text.c_str(), &end);
+    if (text.empty() || *end != '\0')
+        fatal("--%s: '%s' is not %s", name.c_str(), text.c_str(), kind);
+    if (errno == ERANGE)
+        fatal("--%s: '%s' is out of range", name.c_str(), text.c_str());
+    return value;
+}
+
+} // namespace
+
 std::int64_t
 Options::getInt(const std::string &name) const
 {
-    return std::strtoll(getString(name).c_str(), nullptr, 0);
+    return parseNumber(name, getString(name), "an integer",
+                       [](const char *text, char **end) {
+        return std::strtoll(text, end, 0);
+    });
+}
+
+std::size_t
+Options::getCount(const std::string &name, std::int64_t minimum) const
+{
+    const std::int64_t value = getInt(name);
+    if (value < minimum) {
+        fatal("--%s must be >= %lld (got %lld)", name.c_str(),
+              static_cast<long long>(minimum),
+              static_cast<long long>(value));
+    }
+    return static_cast<std::size_t>(value);
 }
 
 double
 Options::getDouble(const std::string &name) const
 {
-    return std::strtod(getString(name).c_str(), nullptr);
+    return parseNumber(name, getString(name), "a number",
+                       [](const char *text, char **end) {
+        return std::strtod(text, end);
+    });
 }
 
 bool
 Options::getBool(const std::string &name) const
 {
-    std::string v = getString(name);
-    return v == "true" || v == "1" || v == "yes" || v == "on";
+    const std::string v = getString(name);
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    fatal("--%s: '%s' is not a boolean (true/false, 1/0, yes/no, on/off)",
+          name.c_str(), v.c_str());
 }
 
 const Options::Entry *

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,13 +41,25 @@ class Options
     /** The default registered for @p name (unchanged by parse()). */
     std::string getDefault(const std::string &name) const;
 
-    /** Integer value of @p name. */
+    /**
+     * Integer value of @p name (decimal, 0x hex or 0 octal). A value
+     * that is empty, has trailing characters or overflows is fatal,
+     * naming the flag; so are the malformed numbers and booleans below.
+     */
     std::int64_t getInt(const std::string &name) const;
+
+    /**
+     * getInt() for a count or size: a value below @p minimum is fatal,
+     * naming the flag, so a negative count never wraps to a huge
+     * unsigned one.
+     */
+    std::size_t getCount(const std::string &name,
+                         std::int64_t minimum = 0) const;
 
     /** Floating-point value of @p name. */
     double getDouble(const std::string &name) const;
 
-    /** Boolean value: true/1/yes/on are truthy. */
+    /** Boolean value: true/1/yes/on or false/0/no/off. */
     bool getBool(const std::string &name) const;
 
   private:

@@ -147,7 +147,7 @@ PipelineCounters
 runPipeline(const CsrGraph &graph, const DenseMatrix &in,
             const AggregationSpec &spec, const UpdateOp *update,
             DenseMatrix &aggOut, DenseMatrix *out,
-            std::span<const VertexId> order, const PipelineConfig &config)
+            std::span<const VertexId> order, const EngineConfig &engine)
 {
     const VertexId numVertices = graph.numVertices();
     GRAPHITE_ASSERT(in.rows() == numVertices, "row mismatch");
@@ -165,7 +165,7 @@ runPipeline(const CsrGraph &graph, const DenseMatrix &in,
     for (std::size_t t = 0; t < numThreads; ++t)
         // graphite-lint: allow(alloc) per-invocation engine setup,
         // reserve()d above and outside the pipelined block loop.
-        engines.emplace_back(config.engine);
+        engines.emplace_back(engine);
     std::vector<PipelineCounters> counters(numThreads);
 
     // Per-vertex updates all multiply the same W: pack it once for the
@@ -184,11 +184,6 @@ runPipeline(const CsrGraph &graph, const DenseMatrix &in,
             panic("DMA pipeline weight plan: %s", error);
     }
 
-    const std::size_t blockSize =
-        std::max<std::size_t>(1, config.blockSize);
-    const std::size_t task =
-        blockSize * std::max<std::size_t>(1, config.blocksPerTask);
-
     // Per-thread ping-pong state: the previously issued block whose
     // update is still owed (Algorithm 5's Q'/R bookkeeping). Current
     // and pending buffers swap instead of reallocating so the block
@@ -197,12 +192,12 @@ runPipeline(const CsrGraph &graph, const DenseMatrix &in,
     std::vector<std::vector<VertexId>> currentBlock(numThreads);
 
     GRAPHITE_TRACE_SPAN("dma.pipeline");
-    parallelFor(0, numVertices, task,
+    parallelFor(0, numVertices, kFusedBlockSize * kFusedBlocksPerTask,
                 [&](std::size_t begin, std::size_t end, std::size_t tid) {
         GRAPHITE_TRACE_SPAN("dma.block");
         ThreadEngine &te = engines[tid];
-        for (std::size_t j = begin; j < end; j += blockSize) {
-            const std::size_t blockEnd = std::min(j + blockSize, end);
+        for (std::size_t j = begin; j < end; j += kFusedBlockSize) {
+            const std::size_t blockEnd = std::min(j + kFusedBlockSize, end);
             // Build and issue this block's descriptors (lines 5-7).
             std::vector<VertexId> &block = currentBlock[tid];
             block.clear();
@@ -272,20 +267,20 @@ pipelinedDmaLayer(const CsrGraph &graph, const DenseMatrix &in,
                   const AggregationSpec &spec, const UpdateOp &update,
                   DenseMatrix &aggOut, DenseMatrix &out,
                   std::span<const VertexId> order,
-                  const PipelineConfig &config)
+                  const EngineConfig &engine)
 {
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
     return runPipeline(graph, in, spec, &update, aggOut, &out, order,
-                       config);
+                       engine);
 }
 
 PipelineCounters
 dmaAggregate(const CsrGraph &graph, const DenseMatrix &in,
              const AggregationSpec &spec, DenseMatrix &out,
-             std::span<const VertexId> order, const PipelineConfig &config)
+             std::span<const VertexId> order, const EngineConfig &engine)
 {
     return runPipeline(graph, in, spec, nullptr, out, nullptr, order,
-                       config);
+                       engine);
 }
 
 } // namespace graphite::dma

@@ -24,17 +24,6 @@
 
 namespace graphite::dma {
 
-/** Knobs of the pipelined runner (Algorithm 5 constants). */
-struct PipelineConfig
-{
-    /** Vertices per descriptor batch (B). */
-    std::size_t blockSize = 16;
-    /** Blocks per dynamically scheduled task (T). */
-    std::size_t blocksPerTask = 4;
-    /** Engine sizing. */
-    EngineConfig engine;
-};
-
 /** Counters aggregated over all threads' engines after a run. */
 struct PipelineCounters
 {
@@ -55,7 +44,7 @@ PipelineCounters pipelinedDmaLayer(const CsrGraph &graph,
                                    const UpdateOp &update,
                                    DenseMatrix &aggOut, DenseMatrix &out,
                                    std::span<const VertexId> order = {},
-                                   const PipelineConfig &config = {});
+                                   const EngineConfig &engine = {});
 
 /**
  * DMA aggregation only (no update): out[v] = aggregation of v. Used by
@@ -64,6 +53,6 @@ PipelineCounters pipelinedDmaLayer(const CsrGraph &graph,
 PipelineCounters dmaAggregate(const CsrGraph &graph, const DenseMatrix &in,
                               const AggregationSpec &spec, DenseMatrix &out,
                               std::span<const VertexId> order = {},
-                              const PipelineConfig &config = {});
+                              const EngineConfig &engine = {});
 
 } // namespace graphite::dma

@@ -156,11 +156,10 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
             fusedLayer(graph, z, spec,
                        {nullptr, bias_, relu_, nullptr, tech.precision,
                         then},
-                       out, {nullptr, outCompressed, outBf16}, schedule,
-                       tech.fused);
+                       out, {nullptr, outCompressed, outBf16}, schedule);
             return;
         }
-        aggregate(graph, z, out, spec, schedule, tech.agg);
+        aggregate(graph, z, out, spec, schedule);
         addBias(out, bias_);
         if (relu_)
             reluForward(out);
@@ -179,7 +178,7 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
         // the per-block pipeline); delayed runs take the unfused path.
         if (fusedBlocks) {
             fusedLayer(graph, in, spec, update, out,
-                       {agg, outCompressed, outBf16}, schedule, tech.fused);
+                       {agg, outCompressed, outBf16}, schedule);
             return;
         }
         // Unfused path: aggregation materialises a^k, then one big GEMM.
@@ -188,8 +187,7 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
             local = DenseMatrix(graph.numVertices(), inFeatures_);
             agg = &local;
         }
-        unfusedLayer(graph, in, spec, update, *agg, out, schedule,
-                     tech.agg);
+        unfusedLayer(graph, in, spec, update, *agg, out, schedule);
     }
     if (outCompressed)
         outCompressed->compressFrom(out);
@@ -271,7 +269,7 @@ GnnLayer::backward(const CsrGraph &transposed,
     if (projected) {
         gradScratch_.reshape(gradOut.rows(), outFeatures_);
         aggregate(transposed, gradOut, gradScratch_, transposedSpec,
-                  schedule, tech.agg);
+                  schedule);
     }
 
     // dW = aᵀ·dz (projected: Xᵀ·G) and db = colsum(dz). At bf16 both
@@ -306,7 +304,7 @@ GnnLayer::backward(const CsrGraph &transposed,
         }
         fusedLayerBackward(transposed, dz, transposedSpec,
                            packedWeightsTransposed(tech.precision), *gradIn,
-                           schedule, tech.fused);
+                           schedule);
         return;
     }
     gradScratch_.reshape(gradOut.rows(), inFeatures_);
@@ -314,8 +312,7 @@ GnnLayer::backward(const CsrGraph &transposed,
          gradScratch_);
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
-    aggregate(transposed, gradScratch_, *gradIn, transposedSpec, schedule,
-              tech.agg);
+    aggregate(transposed, gradScratch_, *gradIn, transposedSpec, schedule);
 }
 
 void

@@ -52,10 +52,6 @@ struct TechniqueConfig
      * Only meaningful with shards >= 2.
      */
     bool delayedHalo = false;
-    /** Aggregation kernel knobs (Algorithm 1 constants). */
-    AggregationConfig agg;
-    /** Fused kernel knobs (Algorithm 2 constants). */
-    FusedConfig fused;
 
     /** Named presets from the paper's evaluation. @{ */
     static TechniqueConfig basic();

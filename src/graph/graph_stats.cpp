@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <vector>
 
 #include "graph/delta_csr.h"
 
@@ -38,12 +39,12 @@ computeGraphStats(const G &graph)
 
 template <GraphView G>
 EdgeId
-degreeAtRank(const G &graph, std::size_t rank, std::vector<EdgeId> &degrees)
+degreeAtRank(const G &graph, std::size_t rank)
 {
     const VertexId n = graph.numVertices();
     if (n == 0)
         return 0;
-    degrees.resize(n);
+    std::vector<EdgeId> degrees(n);
     for (VertexId v = 0; v < n; ++v)
         degrees[v] = graph.degree(v);
     const std::size_t nth = std::min<std::size_t>(rank, n - 1);
@@ -55,53 +56,8 @@ degreeAtRank(const G &graph, std::size_t rank, std::vector<EdgeId> &degrees)
 
 template GraphStats computeGraphStats(const CsrGraph &);
 template GraphStats computeGraphStats(const DeltaCsr &);
-template EdgeId degreeAtRank(const CsrGraph &, std::size_t,
-                             std::vector<EdgeId> &);
-template EdgeId degreeAtRank(const DeltaCsr &, std::size_t,
-                             std::vector<EdgeId> &);
-
-IncrementalGraphStats::IncrementalGraphStats(const GraphStats &initial)
-    : numVertices_(initial.numVertices), numEdges_(initial.numEdges),
-      maxDegree_(initial.maxDegree)
-{
-    // Rebuild the running moments from the summary: sumSq follows from
-    // the variance identity var = sumSq/n - avg².
-    const double n = numVertices_;
-    sumDeg_ = initial.avgDegree * n;
-    sumSq_ = (initial.degreeVariance +
-              initial.avgDegree * initial.avgDegree) *
-             n;
-}
-
-void
-IncrementalGraphStats::onEdgeInserted(EdgeId newDegree)
-{
-    GRAPHITE_ASSERT(newDegree > 0,
-                    "onEdgeInserted: post-insert degree must be > 0");
-    numEdges_ += 1;
-    sumDeg_ += 1.0;
-    // d² → (d+1)² adds 2d + 1 with d = newDegree - 1.
-    sumSq_ += 2.0 * static_cast<double>(newDegree) - 1.0;
-    if (newDegree > maxDegree_)
-        maxDegree_ = newDegree;
-}
-
-GraphStats
-IncrementalGraphStats::current() const
-{
-    GraphStats stats;
-    stats.numVertices = numVertices_;
-    stats.numEdges = numEdges_;
-    stats.maxDegree = maxDegree_;
-    if (numVertices_ == 0)
-        return stats;
-    const double n = numVertices_;
-    stats.avgDegree = sumDeg_ / n;
-    stats.degreeVariance = sumSq_ / n - stats.avgDegree * stats.avgDegree;
-    stats.adjacencySparsity =
-        1.0 - static_cast<double>(numEdges_) / (n * n);
-    return stats;
-}
+template EdgeId degreeAtRank(const CsrGraph &, std::size_t);
+template EdgeId degreeAtRank(const DeltaCsr &, std::size_t);
 
 std::string
 formatGraphStats(const std::string &name, const GraphStats &stats,

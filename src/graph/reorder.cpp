@@ -49,30 +49,6 @@ localityBuckets(const G &graph)
 template LocalityBuckets localityBuckets(const CsrGraph &);
 template LocalityBuckets localityBuckets(const DeltaCsr &);
 
-const ProcessingOrder &
-LocalityOrderCache::get(const DeltaCsr &graph)
-{
-    if (stale(graph)) {
-        order_ = localityOrder(graph);
-        computedAtEdges_ = graph.numEdges();
-        ++recomputes_;
-    }
-    return order_;
-}
-
-bool
-LocalityOrderCache::stale(const DeltaCsr &graph) const
-{
-    if (recomputes_ == 0)
-        return true;
-    const EdgeId now = graph.numEdges();
-    const EdgeId grown =
-        now > computedAtEdges_ ? now - computedAtEdges_ : 0;
-    const double budget =
-        maxStaleFraction_ * static_cast<double>(computedAtEdges_);
-    return static_cast<double>(grown) > budget;
-}
-
 ProcessingOrder
 identityOrder(const CsrGraph &graph)
 {

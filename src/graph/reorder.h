@@ -20,8 +20,6 @@
 
 namespace graphite {
 
-class DeltaCsr;
-
 /** A vertex processing order: processingOrder[i] is the i-th vertex. */
 using ProcessingOrder = std::vector<VertexId>;
 
@@ -55,45 +53,6 @@ localityOrder(const G &graph)
 {
     return localityBuckets(graph).order;
 }
-
-/**
- * Staleness-bounded cache of the Algorithm 3 locality order over a
- * mutating graph (DESIGN.md §14). Recomputing the order is O(|V|+|E|),
- * far too expensive per insert, while a stale order only costs cache
- * locality, never correctness — so the policy is: reuse the cached
- * order until the overlay has absorbed more than
- * maxStaleFraction × |E at last compute| new edges, then recompute on
- * the next get(). Not thread-safe; callers serialize get() with the
- * graph's writer.
- */
-class LocalityOrderCache
-{
-  public:
-    /**
-     * @param maxStaleFraction delta-edge budget as a fraction of the
-     *        edge count at last compute (default 5%).
-     */
-    explicit LocalityOrderCache(double maxStaleFraction = 0.05)
-        : maxStaleFraction_(maxStaleFraction)
-    {
-    }
-
-    /** Cached order, recomputed when past the staleness budget. */
-    const ProcessingOrder &get(const DeltaCsr &graph);
-
-    /** True when the next get() will recompute. */
-    bool stale(const DeltaCsr &graph) const;
-
-    /** Orders computed so far (tests and staleness accounting). */
-    std::size_t recomputes() const { return recomputes_; }
-
-  private:
-    double maxStaleFraction_;
-    ProcessingOrder order_;
-    /** numEdges() the cached order was computed at; 0 = never. */
-    EdgeId computedAtEdges_ = 0;
-    std::size_t recomputes_ = 0;
-};
 
 /** Identity order 0, 1, ..., |V|-1. */
 ProcessingOrder identityOrder(const CsrGraph &graph);

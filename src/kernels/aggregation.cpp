@@ -202,14 +202,13 @@ countGather(std::uint64_t rowsPulled, std::uint64_t rowBytes,
 template <typename Rows>
 void
 aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
-                     DenseMatrix &out, const AggregationSpec &spec,
-                     const AggregationConfig &config)
+                     DenseMatrix &out, const AggregationSpec &spec)
 {
     const obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     const std::size_t width = rows.width();
 
     forEachTask(Schedule::sharded(plan), plan.graph->numVertices(),
-                config.taskSize, "agg.block",
+                kAggTaskVertices, "agg.block",
                 [&](std::size_t begin, std::size_t end) {
         const ShardId s = plan.shardOf[plan.shardMajorOrder[begin]];
         const Shard &shard = plan.shards[s];
@@ -279,8 +278,7 @@ aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
 template <typename Rows>
 void
 aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
-              const AggregationSpec &spec, const Schedule &schedule,
-              const AggregationConfig &config)
+              const AggregationSpec &spec, const Schedule &schedule)
 {
     GRAPHITE_TRACE_SPAN(schedule.plan != nullptr ? "agg.sharded"
                                                  : Rows::kAggSpan);
@@ -288,21 +286,18 @@ aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
                         out.cols() == rows.in.cols(),
                     "out shape mismatch");
     if (schedule.delayedHalo) {
-        aggregateDelayedHalo(*schedule.plan, rows, out, spec, config);
+        aggregateDelayedHalo(*schedule.plan, rows, out, spec);
         return;
     }
     const std::span<const VertexId> order = visitOrder(schedule);
 
-    forEachTask(schedule, graph.numVertices(), config.taskSize, "agg.block",
+    forEachTask(schedule, graph.numVertices(), kAggTaskVertices, "agg.block",
                 [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             const VertexId v = vertexAt(order, i);
             rows.aggregate(v, out.row(v));
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                rows.prefetch(vertexAt(order, i + config.prefetchDistance),
-                              config.prefetchLines);
-            }
+            if (i + kPrefetchDistance < end)
+                rows.prefetch(vertexAt(order, i + kPrefetchDistance));
         }
         if (obs::MetricsRegistry::global().enabled()) {
             const std::uint64_t pulled =
@@ -317,22 +312,20 @@ aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
 
 void
 aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
-          const AggregationSpec &spec, const Schedule &schedule,
-          const AggregationConfig &config)
+          const AggregationSpec &spec, const Schedule &schedule)
 {
     withRowSource(graph, in, spec, schedule, "aggregate",
                   [&](const auto &rows) {
-        aggregateRows(graph, rows, out, spec, schedule, config);
+        aggregateRows(graph, rows, out, spec, schedule);
     });
 }
 
 void
 aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                DenseMatrix &out, const AggregationSpec &spec,
-               std::span<const VertexId> order,
-               const AggregationConfig &config)
+               std::span<const VertexId> order)
 {
-    aggregate(graph, in, out, spec, order, config);
+    aggregate(graph, in, out, spec, order);
 }
 
 void

@@ -9,8 +9,9 @@
  * Output parallelism over vertex chunks needs no synchronisation; chunks
  * are scheduled dynamically to absorb power-law degree skew. The kernel
  * software-prefetches the first two cache lines of feature vectors a
- * configurable distance ahead, and the inner loop is specialised per
- * feature length the way the paper's JIT-assembled kernels are.
+ * fixed distance ahead (kernels/engine.h holds the constants), and the
+ * inner loop is specialised per feature length the way the paper's
+ * JIT-assembled kernels are.
  */
 
 #pragma once
@@ -101,20 +102,6 @@ AggregationSpec sumSpec();
 /** Unweighted element-wise max over N(v) ∪ {v} (pooling aggregator). */
 AggregationSpec maxSpec();
 
-/** Tuning knobs of the aggregation kernels. */
-struct AggregationConfig
-{
-    /** Vertices per dynamically-scheduled task (T in Algorithm 1). */
-    std::size_t taskSize = 64;
-    /** Prefetch distance in vertices (D in Algorithm 1); 0 disables. */
-    std::size_t prefetchDistance = 4;
-    /**
-     * Cache lines prefetched from each upcoming feature vector. The
-     * paper empirically uses 2 to avoid saturating the L1 fill buffers.
-     */
-    std::size_t prefetchLines = 2;
-};
-
 /**
  * The feature rows a kernel gathers, in one of their stored forms: fp32
  * rows, bf16 rows widened to fp32 in registers (half the traffic at
@@ -188,14 +175,12 @@ struct Schedule
  * agg.bytes_gathered (rows gathered × stored row bytes) and agg.flops.
  */
 void aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
-               const AggregationSpec &spec, const Schedule &schedule = {},
-               const AggregationConfig &config = {});
+               const AggregationSpec &spec, const Schedule &schedule = {});
 
 /** aggregate() over fp32 rows in a flat order (the `basic` kernel). */
 void aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, const AggregationSpec &spec,
-                    std::span<const VertexId> order = {},
-                    const AggregationConfig &config = {});
+                    std::span<const VertexId> order = {});
 
 /**
  * Serial single-vertex aggregation from fp32 rows into @p dst

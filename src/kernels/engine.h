@@ -41,6 +41,26 @@
 
 namespace graphite {
 
+/**
+ * The engine's tuning constants, picked once the way the paper picks
+ * Algorithm 1/2's (Section 4.1-4.2); the DMA pipeline (Algorithm 5)
+ * uses the same block shape. @{
+ */
+/** Vertices per dynamically scheduled aggregate task (T, Algorithm 1). */
+inline constexpr std::size_t kAggTaskVertices = 64;
+/** Prefetch distance in vertices (D, Algorithm 1). */
+inline constexpr std::size_t kPrefetchDistance = 4;
+/**
+ * Cache lines prefetched from each upcoming feature row: 2 keeps the
+ * L1 fill buffers from saturating.
+ */
+inline constexpr std::size_t kPrefetchLines = 2;
+/** Vertices per fused block (B, Algorithm 2): B rows fit in L2. */
+inline constexpr std::size_t kFusedBlockSize = 16;
+/** Fused blocks per dynamically scheduled task. */
+inline constexpr std::size_t kFusedBlocksPerTask = 4;
+/** @} */
+
 /** dst = op(dst, factor * src) over @p width fp32 lanes. */
 inline void
 combineRow(Feature *dst, const Feature *src, Feature factor,
@@ -114,15 +134,16 @@ struct DenseRows
     }
 
     /**
-     * Prefetch the first @p lines cache lines of the feature vectors
-     * vertex @p v's aggregation will gather (Algorithm 1 lines 8-9).
+     * Prefetch the first kPrefetchLines cache lines of the feature
+     * vectors vertex @p v's aggregation will gather (Algorithm 1 lines
+     * 8-9).
      */
     void
-    prefetch(VertexId v, std::size_t lines) const
+    prefetch(VertexId v) const
     {
         for (VertexId u : graph.neighbors(v)) {
             const char *base = reinterpret_cast<const char *>(in.row(u));
-            for (std::size_t l = 0; l < lines; ++l)
+            for (std::size_t l = 0; l < kPrefetchLines; ++l)
                 __builtin_prefetch(base + l * kCacheLineBytes, 0, 3);
         }
     }
@@ -190,7 +211,7 @@ struct Bf16Rows
     }
 
     void
-    prefetch(VertexId v, std::size_t) const
+    prefetch(VertexId v) const
     {
         for (VertexId u : graph.neighbors(v))
             __builtin_prefetch(in.row(u), 0, 3);
@@ -236,7 +257,7 @@ struct PackedRows
     }
 
     void
-    prefetch(VertexId v, std::size_t) const
+    prefetch(VertexId v) const
     {
         for (VertexId u : graph.neighbors(v)) {
             __builtin_prefetch(in.values(u), 0, 3);
@@ -379,9 +400,8 @@ forEachTask(const Schedule &schedule, std::size_t numVertices,
         return;
     }
     const std::vector<std::size_t> &start = schedule.plan->ownedStart;
-    const std::size_t chunk = std::max<std::size_t>(1, taskVertices);
     const auto chunksOf = [&](std::size_t s) {
-        return (start[s + 1] - start[s] + chunk - 1) / chunk;
+        return (start[s + 1] - start[s] + taskVertices - 1) / taskVertices;
     };
     std::size_t numTasks = 0;
     for (std::size_t s = 0; s + 1 < start.size(); ++s)
@@ -396,8 +416,8 @@ forEachTask(const Schedule &schedule, std::size_t numVertices,
             std::size_t first = t;
             for (; first >= chunksOf(s); ++s)
                 first -= chunksOf(s);
-            const std::size_t begin = start[s] + first * chunk;
-            task(begin, std::min(begin + chunk, start[s + 1]));
+            const std::size_t begin = start[s] + first * taskVertices;
+            task(begin, std::min(begin + taskVertices, start[s + 1]));
         }
     }, prologue);
 }

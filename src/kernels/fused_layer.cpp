@@ -29,8 +29,7 @@ void
 fusedRows(const CsrGraph &graph, const Rows &rows,
           const GemmPlan *weightPlan, std::span<const Feature> bias,
           bool relu, const GemmPlan *then, DenseMatrix &out,
-          const FusedOutputs &extra, const Schedule &schedule,
-          const FusedConfig &config)
+          const FusedOutputs &extra, const Schedule &schedule)
 {
     const std::size_t inCols = rows.in.cols();
     const std::size_t updCols = weightPlan ? weightPlan->n() : inCols;
@@ -52,10 +51,6 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
     GRAPHITE_ASSERT(!schedule.delayedHalo,
                     "fused kernels have no delayed-halo schedule");
 
-    const std::size_t blockSize = std::max<std::size_t>(1,
-                                                        config.blockSize);
-    const std::size_t taskVertices =
-        blockSize * std::max<std::size_t>(1, config.blocksPerTask);
     // Padded strides of the block-local buffers match the matrices so
     // rows can be memcpy'd wholesale.
     const std::size_t aggStride = rows.width();
@@ -82,22 +77,25 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
              (then ? updCols * out.cols() : 0));
 
     const auto reserveScratch = [&] {
-        blockScratch<0>(blockSize * aggStride);
-        blockScratch<1>(blockSize * updStride);
-        blockScratch<2>(blockSize * outStride);
+        blockScratch<0>(kFusedBlockSize * aggStride);
+        blockScratch<1>(kFusedBlockSize * updStride);
+        blockScratch<2>(kFusedBlockSize * outStride);
         reserveGemmScratch();
     };
-    forEachTask(schedule, graph.numVertices(), taskVertices, "fused.block",
+    forEachTask(schedule, graph.numVertices(),
+                kFusedBlockSize * kFusedBlocksPerTask, "fused.block",
                 [&](std::size_t begin, std::size_t end) {
         const bool metricsOn = metrics.enabled();
         const obs::TraceNs taskStart =
             metricsOn ? obs::TraceRecorder::now() : 0;
-        Feature *agg = blockScratch<0>(blockSize * aggStride);
-        Feature *upd = weightPlan ? blockScratch<1>(blockSize * updStride)
-                                  : agg;
-        Feature *res = then ? blockScratch<2>(blockSize * outStride) : upd;
-        for (std::size_t j = begin; j < end; j += blockSize) {
-            const std::size_t blockRows = std::min(j + blockSize, end) - j;
+        Feature *agg = blockScratch<0>(kFusedBlockSize * aggStride);
+        Feature *upd = weightPlan
+            ? blockScratch<1>(kFusedBlockSize * updStride) : agg;
+        Feature *res = then
+            ? blockScratch<2>(kFusedBlockSize * outStride) : upd;
+        for (std::size_t j = begin; j < end; j += kFusedBlockSize) {
+            const std::size_t blockRows =
+                std::min(j + kFusedBlockSize, end) - j;
             // Aggregation phase of the block (Algorithm 2 lines 3-7).
             for (std::size_t m = 0; m < blockRows; ++m) {
                 const std::size_t i = j + m;
@@ -109,12 +107,8 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
                     std::memcpy(extra.agg->row(v), agg + m * aggStride,
                                 aggStride * sizeof(Feature));
                 }
-                if (config.agg.prefetchDistance > 0 &&
-                    i + config.agg.prefetchDistance < end) {
-                    rows.prefetch(
-                        vertexAt(order, i + config.agg.prefetchDistance),
-                        config.agg.prefetchLines);
-                }
+                if (i + kPrefetchDistance < end)
+                    rows.prefetch(vertexAt(order, i + kPrefetchDistance));
             }
             // Update phase of the block (Algorithm 2 lines 8-10).
             if (weightPlan) {
@@ -157,8 +151,7 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
 void
 fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
            const UpdateOp &update, DenseMatrix &out,
-           const FusedOutputs &extra, const Schedule &schedule,
-           const FusedConfig &config)
+           const FusedOutputs &extra, const Schedule &schedule)
 {
     GRAPHITE_TRACE_SPAN("fused.forward");
     // The same packed operand multiplies every vertex block: the
@@ -185,7 +178,7 @@ fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
     withRowSource(graph, in, spec, schedule, "fusedLayer",
                   [&](const auto &rows) {
         fusedRows(graph, rows, plan, update.bias, update.relu, update.then,
-                  out, extra, schedule, config);
+                  out, extra, schedule);
     });
 }
 
@@ -193,17 +186,16 @@ void
 fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                     const AggregationSpec &spec, const UpdateOp &update,
                     DenseMatrix &out, std::span<const VertexId> order,
-                    const FusedConfig &config, Bf16Matrix *outBf16)
+                    Bf16Matrix *outBf16)
 {
-    fusedLayer(graph, in, spec, update, out, {.bf16 = outBf16}, order,
-               config);
+    fusedLayer(graph, in, spec, update, out, {.bf16 = outBf16}, order);
 }
 
 void
 fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                    const AggregationSpec &transposedSpec,
                    const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                   const Schedule &schedule, const FusedConfig &config)
+                   const Schedule &schedule)
 {
     GRAPHITE_TRACE_SPAN("fused.backward");
     // The commutation is only valid for a linear aggregation; Max-reduce
@@ -213,7 +205,7 @@ fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
     withRowSource(transposed, dz, transposedSpec, schedule,
                   "fusedLayerBackward", [&](const auto &rows) {
         fusedRows(transposed, rows, &weightsNT, {}, false, nullptr, gradIn,
-                  {}, schedule, config);
+                  {}, schedule);
     });
 }
 
@@ -221,12 +213,12 @@ void
 unfusedLayer(const CsrGraph &graph, FeatureRows in,
              const AggregationSpec &spec, const UpdateOp &update,
              DenseMatrix &aggOut, DenseMatrix &out,
-             const Schedule &schedule, const AggregationConfig &config)
+             const Schedule &schedule)
 {
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
     GRAPHITE_ASSERT(update.then == nullptr,
                     "the unfused layer has no chained projection");
-    aggregate(graph, in, aggOut, spec, schedule, config);
+    aggregate(graph, in, aggOut, spec, schedule);
     if (update.packedWeights)
         gemm(GemmMode::NN, aggOut, *update.packedWeights, out);
     else

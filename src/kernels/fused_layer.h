@@ -6,7 +6,8 @@
  * is compute-bound. Running them back-to-back over the whole graph makes
  * the phases alternate between starving the FPUs and starving the memory
  * system, and round-trips the full aggregation matrix a^k through DRAM.
- * The fused kernel instead alternates per *block* of B vertices:
+ * The fused kernel instead alternates per *block* of B vertices
+ * (kFusedBlockSize, kernels/engine.h):
  * aggregate B vertices into a cache-resident block buffer, immediately
  * update that block, move on. Threads drift out of phase naturally (no
  * barrier), so one core's aggregation overlaps another's update
@@ -63,17 +64,6 @@ struct UpdateOp
     const GemmPlan *then = nullptr;
 };
 
-/** Tuning knobs of the fused kernel (Algorithm 2's constants). */
-struct FusedConfig
-{
-    /** Vertices per block (B): sized so B aggregation rows fit in L2. */
-    std::size_t blockSize = 16;
-    /** Blocks per dynamically-scheduled task (T). */
-    std::size_t blocksPerTask = 4;
-    /** Aggregation prefetch knobs (shared with Algorithm 1). */
-    AggregationConfig agg;
-};
-
 /**
  * Optional outputs of the fused forward besides h^k, all written while
  * the block is cache-resident.
@@ -105,15 +95,13 @@ struct FusedOutputs
 void fusedLayer(const CsrGraph &graph, FeatureRows in,
                 const AggregationSpec &spec, const UpdateOp &update,
                 DenseMatrix &out, const FusedOutputs &extra = {},
-                const Schedule &schedule = {},
-                const FusedConfig &config = {});
+                const Schedule &schedule = {});
 
 /** fusedLayer() inference over fp32 rows in a flat order. */
 void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                          const AggregationSpec &spec, const UpdateOp &update,
                          DenseMatrix &out,
                          std::span<const VertexId> order = {},
-                         const FusedConfig &config = {},
                          Bf16Matrix *outBf16 = nullptr);
 
 /**
@@ -149,8 +137,7 @@ void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
 void fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                         const AggregationSpec &transposedSpec,
                         const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                        const Schedule &schedule = {},
-                        const FusedConfig &config = {});
+                        const Schedule &schedule = {});
 
 /**
  * Unfused reference layer: aggregation over the full graph into
@@ -160,7 +147,6 @@ void fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
 void unfusedLayer(const CsrGraph &graph, FeatureRows in,
                   const AggregationSpec &spec, const UpdateOp &update,
                   DenseMatrix &aggOut, DenseMatrix &out,
-                  const Schedule &schedule = {},
-                  const AggregationConfig &config = {});
+                  const Schedule &schedule = {});
 
 } // namespace graphite

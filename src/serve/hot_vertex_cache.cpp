@@ -41,17 +41,15 @@ churnFreeDegreeThreshold(const G &graph, std::size_t capacity)
 {
     if (capacity == 0)
         return 0;
-    std::vector<EdgeId> degrees;
-    return degreeAtRank(graph, capacity / 2, degrees);
+    return degreeAtRank(graph, capacity / 2);
 }
 
 template EdgeId churnFreeDegreeThreshold(const CsrGraph &, std::size_t);
 template EdgeId churnFreeDegreeThreshold(const DeltaCsr &, std::size_t);
 
 HotVertexCache::HotVertexCache(std::size_t capacity, std::size_t shards,
-                               std::size_t rowWidth, EdgeId minDegree)
-    : slotsPerShard_(0), rowWidth_(rowWidth), minDegree_(minDegree),
-      tableMask_(0)
+                               std::size_t rowWidth)
+    : slotsPerShard_(0), rowWidth_(rowWidth), tableMask_(0)
 {
     GRAPHITE_ASSERT(rowWidth > 0, "hot cache needs rowWidth > 0");
     if (capacity == 0)

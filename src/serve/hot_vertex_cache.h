@@ -17,8 +17,8 @@
  * Structure: fixed capacity split over power-of-two shards; each shard
  * owns its rows, an open-addressing vertex index, and a CLOCK
  * (second-chance) hand, all under one graphite::Mutex with GUARDED_BY
- * annotations. Admission is by degree threshold (the server derives it
- * from graph stats), eviction by CLOCK. All storage is allocated in
+ * annotations. The server admits by degree threshold (fixed when it is
+ * constructed); the cache evicts by CLOCK. All storage is allocated in
  * the constructor: steady-state lookup/put never touches the heap.
  */
 
@@ -56,11 +56,9 @@ class HotVertexCache
      * @param shards    shard count, rounded up to a power of two.
      * @param rowWidth  floats per cached row (layer 0's output
      *                  width).
-     * @param minDegree admission threshold: only vertices with
-     *                  degree >= minDegree are cached.
      */
     HotVertexCache(std::size_t capacity, std::size_t shards,
-                   std::size_t rowWidth, EdgeId minDegree);
+                   std::size_t rowWidth);
 
     HotVertexCache(const HotVertexCache &) = delete;
     HotVertexCache &operator=(const HotVertexCache &) = delete;
@@ -75,24 +73,6 @@ class HotVertexCache
     }
 
     std::size_t rowWidth() const { return rowWidth_; }
-
-    EdgeId
-    minDegree() const
-    {
-        return minDegree_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Raise/replace the admission threshold. Safe while lookups and
-     * puts run concurrently: admission is advisory (a row admitted
-     * under the old threshold stays resident until evicted), so a
-     * racing reader seeing either value is correct.
-     */
-    void
-    setMinDegree(EdgeId minDegree)
-    {
-        minDegree_.store(minDegree, std::memory_order_relaxed);
-    }
 
     /**
      * Copy @p v's cached row into @p dst (rowWidth floats) and mark it
@@ -199,7 +179,6 @@ class HotVertexCache
 
     std::size_t slotsPerShard_;
     std::size_t rowWidth_;
-    std::atomic<EdgeId> minDegree_;
     std::size_t tableMask_;
     std::vector<Shard> shards_;
 

@@ -14,7 +14,7 @@
  * served embedding is bitwise identical to serveOne() replaying the
  * same request id offline, regardless of batch composition, as long
  * as the hot-vertex cache is off. With the cache on, a hub (degree at
- * or above the admission threshold, read once per batch) is not
+ * or above the admission threshold fixed at construction) is not
  * expanded at the innermost layer: its layer-0 output is
  * h1 = act(W0 * fullMean + b0) over its whole neighborhood, served as
  * one cached row instead of a sampled gather and a GEMM row. Cache-on
@@ -37,7 +37,6 @@
 #include "gnn/gnn_layer.h"
 #include "graph/csr_graph.h"
 #include "graph/delta_csr.h"
-#include "graph/graph_stats.h"
 #include "sampling/neighbor_sampler.h"
 #include "serve/hot_vertex_cache.h"
 #include "serve/request_queue.h"
@@ -62,24 +61,16 @@ struct ServeConfig
      * 0 disables the cache.
      */
     std::size_t hotCacheCapacity = 0;
-    /** Cache shard count (rounded up to a power of two). */
-    std::size_t hotCacheShards = 8;
     /**
-     * Cache admission degree threshold; 0 derives one from graph
-     * stats: max(capacity-th largest degree, ceil(avg degree) + 1,
-     * max fanout + 1).
+     * Hub admission degree threshold, fixed at construction. A positive
+     * value is used as given, even with the cache off (a hub-exact
+     * oracle mirrors another server's gate that way). 0 derives it:
+     * 0 with the cache off, else max(churnFreeDegreeThreshold(graph,
+     * capacity), max fanout + 1).
      */
     EdgeId hotCacheMinDegree = 0;
     /** Update-GEMM precision (the per-precision plan-cache key). */
     Precision precision = Precision::Fp32;
-    /**
-     * Overlay mode: re-derive the auto admission threshold after this
-     * many accepted edge inserts, so the degree gate tracks hubs as
-     * they grow (0 = never; ignored when hotCacheMinDegree pins an
-     * explicit threshold). The re-derived threshold never decreases —
-     * degrees only grow under insert-only churn.
-     */
-    std::size_t thresholdRefreshEvery = 1024;
 };
 
 /**
@@ -148,21 +139,15 @@ class InferenceServer
     const DeltaCsr *overlay() const { return overlay_; }
     /** Output width of the served embeddings (last layer's). */
     std::size_t outFeatures() const;
-    /** Effective cache admission threshold (resolved when auto). */
-    EdgeId
-    hotDegreeThreshold() const
-    {
-        return hotDegreeThreshold_.load(std::memory_order_relaxed);
-    }
+    /** Hub admission threshold, resolved at construction. */
+    EdgeId hotDegreeThreshold() const { return hotDegreeThreshold_; }
 
     /**
      * Edge-update path (overlay mode only): insert src -> dst into the
-     * overlay and keep the serving state coherent — the source's
-     * cached row is invalidated, live graph stats are folded
-     * forward in O(1), and the auto admission threshold is re-derived
-     * every thresholdRefreshEvery accepted inserts. Thread-safe
-     * against the consumer loop, serveOne() and other insertEdge()
-     * callers; never blocks on the request queue.
+     * overlay and keep the serving state coherent: the source's
+     * cached row is invalidated. Thread-safe against the consumer
+     * loop, serveOne() and other insertEdge() callers; never blocks on
+     * the request queue.
      */
     DeltaCsr::AddEdge insertEdge(VertexId src, VertexId dst);
 
@@ -187,13 +172,6 @@ class InferenceServer
      * afterwards). No-op in frozen-CSR mode.
      */
     void compactNow();
-
-    /**
-     * Live graph statistics maintained incrementally across
-     * insertEdge() calls (overlay mode; in frozen-CSR mode these are
-     * the construction-time stats).
-     */
-    GraphStats liveGraphStats() const;
 
     /**
      * Prime every lazy allocation on the serving path (packed weight
@@ -284,9 +262,6 @@ class InferenceServer
     void forwardBatchOn(const G &graph, ForwardScratch &scratch,
                         std::size_t n, AggPolicy policy);
 
-    /** Re-derive the auto admission threshold from live degrees. */
-    void refreshHotThreshold() GRAPHITE_REQUIRES(updateMutex_);
-
     /**
      * The one compaction path: build the snapshot off-lock, then
      * install it and flush the cache with updates and oracle reads
@@ -300,7 +275,7 @@ class InferenceServer
     const DenseMatrix &features_;
     std::vector<GnnLayer *> layers_;
     ServeConfig config_;
-    std::atomic<EdgeId> hotDegreeThreshold_;
+    const EdgeId hotDegreeThreshold_;
     RequestQueue queue_;
     HotVertexCache cache_;
     std::unique_ptr<ForwardScratch> scratch_;       ///< run()'s state
@@ -308,18 +283,12 @@ class InferenceServer
     /** Serializes serveOne callers (one oracle scratch). */
     Mutex oracleMutex_;
     /** Serializes insertEdge callers and the install vs updates. */
-    mutable Mutex updateMutex_;
+    Mutex updateMutex_;
     /**
      * Serializes compactions: an install must see the base its
      * snapshot was built on.
      */
     Mutex compactMutex_;
-    /** Live stats folded forward per accepted insert. */
-    IncrementalGraphStats liveStats_ GRAPHITE_GUARDED_BY(updateMutex_);
-    /** Reused by refreshHotThreshold (|V|, sized at construction). */
-    std::vector<EdgeId> degreeScratch_ GRAPHITE_GUARDED_BY(updateMutex_);
-    /** Accepted inserts since the last threshold refresh. */
-    std::size_t insertsSinceRefresh_ GRAPHITE_GUARDED_BY(updateMutex_) = 0;
     /** Set by requestCompaction, consumed by run() between batches. */
     std::atomic<bool> compactionRequested_{false};
 

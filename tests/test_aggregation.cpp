@@ -101,26 +101,6 @@ TEST(Aggregation, ProcessingOrderDoesNotChangeResults)
     EXPECT_DOUBLE_EQ(identity.maxAbsDiff(random), 0.0);
 }
 
-TEST(Aggregation, PrefetchConfigDoesNotChangeResults)
-{
-    CsrGraph g = graphFor(1);
-    DenseMatrix h(g.numVertices(), 128);
-    h.fillUniform(-1.0f, 1.0f, 23);
-    AggregationSpec spec = sageSpec(g);
-
-    DenseMatrix base(g.numVertices(), 128);
-    AggregationConfig noPrefetch;
-    noPrefetch.prefetchDistance = 0;
-    aggregate(g, h, base, spec, {}, noPrefetch);
-
-    DenseMatrix deep(g.numVertices(), 128);
-    AggregationConfig deepPrefetch;
-    deepPrefetch.prefetchDistance = 16;
-    deepPrefetch.prefetchLines = 4;
-    aggregate(g, h, deep, spec, {}, deepPrefetch);
-    EXPECT_DOUBLE_EQ(base.maxAbsDiff(deep), 0.0);
-}
-
 TEST(Aggregation, IsolatedVertexAggregatesOnlyItself)
 {
     GraphBuilder builder(3);

@@ -222,6 +222,70 @@ TEST(Options, GetDefaultSurvivesParse)
     EXPECT_EQ(opts.getDefault("alpha"), "1");
 }
 
+/** Options with one option @p name (default @p value), after @p args. */
+Options
+withOption(const char *name, const char *value,
+           std::vector<const char *> args = {})
+{
+    Options opts("test");
+    opts.add(name, value, "help");
+    args.insert(args.begin(), "prog");
+    opts.parse(static_cast<int>(args.size()),
+               const_cast<char **>(args.data()));
+    return opts;
+}
+
+TEST(Options, BooleanWordsParseBothWays)
+{
+    for (const char *word : {"true", "1", "yes", "on"})
+        EXPECT_TRUE(withOption("flag", word).getBool("flag")) << word;
+    for (const char *word : {"false", "0", "no", "off"})
+        EXPECT_FALSE(withOption("flag", word).getBool("flag")) << word;
+}
+
+TEST(Options, CountsAndPrefixedIntegersParse)
+{
+    EXPECT_EQ(withOption("n", "64").getCount("n", 1), 64u);
+    EXPECT_EQ(withOption("n", "0").getCount("n"), 0u);
+    EXPECT_EQ(withOption("n", "0x10").getInt("n"), 16);
+    EXPECT_DOUBLE_EQ(withOption("q", "1e3").getDouble("q"), 1000.0);
+}
+
+TEST(OptionsDeathTest, MalformedNumbersAreFatalNamingTheFlag)
+{
+    EXPECT_DEATH(withOption("max-batch", "1", {"--max-batch=64x"})
+                     .getInt("max-batch"),
+                 "--max-batch: '64x' is not an integer");
+    EXPECT_DEATH(withOption("qps", "1", {"--qps=abc"}).getDouble("qps"),
+                 "--qps: 'abc' is not a number");
+    EXPECT_DEATH(withOption("qps", "1", {"--qps=5.0ms"}).getDouble("qps"),
+                 "--qps: '5.0ms' is not a number");
+    // An empty value can only come from a registered default.
+    EXPECT_DEATH(withOption("n", "").getInt("n"),
+                 "--n: '' is not an integer");
+    EXPECT_DEATH(withOption("n", "99999999999999999999").getInt("n"),
+                 "--n: '99999999999999999999' is out of range");
+    EXPECT_DEATH(withOption("q", "1e999").getDouble("q"),
+                 "--q: '1e999' is out of range");
+}
+
+TEST(OptionsDeathTest, UnknownBooleanWordIsFatal)
+{
+    EXPECT_DEATH(withOption("compare", "false", {"--compare=maybe"})
+                     .getBool("compare"),
+                 "--compare: 'maybe' is not a boolean");
+}
+
+TEST(OptionsDeathTest, CountBelowItsMinimumIsFatal)
+{
+    EXPECT_DEATH(withOption("requests", "1", {"--requests=-1"})
+                     .getCount("requests"),
+                 "--requests must be >= 0 \\(got -1\\)");
+    EXPECT_DEATH(withOption("max-batch", "1", {"--max-batch=0"})
+                     .getCount("max-batch", 1),
+                 "--max-batch must be >= 1 \\(got 0\\)");
+}
+
 TEST(Timer, MeasuresElapsedTime)
 {
     Timer timer;

@@ -4,8 +4,7 @@
  * simple-graph invariant, the lock-free read protocol (RowView,
  * forEachDeltaNeighbor) against concurrent writers, compact()'s
  * bitwise equivalence with a from-scratch GraphBuilder build of the
- * same edge set, pool-budget exhaustion and recovery, incremental
- * graph-stats maintenance, the staleness-bounded locality-order cache,
+ * same edge set, pool-budget exhaustion and recovery,
  * allocation-free steady-state inserts, and the GraphView parity table:
  * every algorithm templated over GraphView is bitwise equal on a
  * zero-delta overlay and on its base.
@@ -375,74 +374,6 @@ TEST(DeltaCsr, InstallRejectsASnapshotOfAnotherGraph)
     ASSERT_EQ(other.addEdge(2, 3), DeltaCsr::AddEdge::Added);
     EXPECT_DEATH(overlay.installCompacted(other.compacted()),
                  "ahead of the overlay");
-}
-
-// ------------------------------------------------------------------
-// IncrementalGraphStats
-// ------------------------------------------------------------------
-
-TEST(IncrementalGraphStats, MatchesRecomputeAfterEveryInsert)
-{
-    DeltaCsr overlay(generateBarabasiAlbert(120, 3, 7), 512);
-    IncrementalGraphStats inc(computeGraphStats(overlay));
-    Rng rng(13);
-    for (int i = 0; i < 200;) {
-        const auto src = static_cast<VertexId>(rng.next() % 120);
-        const auto dst = static_cast<VertexId>(rng.next() % 120);
-        if (overlay.addEdge(src, dst) != DeltaCsr::AddEdge::Added)
-            continue;
-        inc.onEdgeInserted(overlay.degree(src));
-        ++i;
-        if (i % 25 != 0)
-            continue;
-        const GraphStats expect = computeGraphStats(overlay);
-        const GraphStats got = inc.current();
-        EXPECT_EQ(got.numVertices, expect.numVertices);
-        EXPECT_EQ(got.numEdges, expect.numEdges);
-        EXPECT_EQ(got.maxDegree, expect.maxDegree);
-        EXPECT_NEAR(got.avgDegree, expect.avgDegree, 1e-9);
-        EXPECT_NEAR(got.degreeVariance, expect.degreeVariance, 1e-6);
-    }
-}
-
-// ------------------------------------------------------------------
-// Locality order cache over an overlay
-// ------------------------------------------------------------------
-
-TEST(LocalityOrderCache, RecomputesOnlyPastStalenessBudget)
-{
-    DeltaCsr overlay(generateBarabasiAlbert(200, 4, 22), 4096);
-    const EdgeId baseEdges = overlay.numEdges();
-    LocalityOrderCache cache(0.05);
-    EXPECT_TRUE(cache.stale(overlay));
-    const ProcessingOrder first = cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 1u);
-    EXPECT_EQ(first.size(), overlay.numVertices());
-
-    // Insert fewer than 5% of the edge count: the cached order holds.
-    const auto budget = static_cast<EdgeId>(0.05 * baseEdges);
-    Rng rng(23);
-    EdgeId added = 0;
-    while (added + 1 < budget) {
-        const auto src = static_cast<VertexId>(rng.next() % 200);
-        const auto dst = static_cast<VertexId>(rng.next() % 200);
-        if (overlay.addEdge(src, dst) == DeltaCsr::AddEdge::Added)
-            ++added;
-    }
-    EXPECT_FALSE(cache.stale(overlay));
-    (void)cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 1u);
-
-    // Crossing the budget forces one recompute, then holds again.
-    while (cache.recomputes() == 1u && !cache.stale(overlay)) {
-        const auto src = static_cast<VertexId>(rng.next() % 200);
-        const auto dst = static_cast<VertexId>(rng.next() % 200);
-        (void)overlay.addEdge(src, dst);
-    }
-    EXPECT_TRUE(cache.stale(overlay));
-    (void)cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 2u);
-    EXPECT_FALSE(cache.stale(overlay));
 }
 
 // ------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dma/descriptor.h"
 #include "dma/dma_engine.h"
 #include "dma/pipelined_runner.h"
@@ -24,7 +26,6 @@ using dma::CompletionStatus;
 using dma::DmaEngine;
 using dma::EngineConfig;
 using dma::IdxType;
-using dma::PipelineConfig;
 using dma::RedOp;
 using dma::ValType;
 
@@ -247,6 +248,15 @@ TEST(DmaEngine, QueueRespectsCapacity)
     EXPECT_TRUE(engine.enqueue(desc));
 }
 
+CsrGraph
+rmatGraph()
+{
+    RmatParams params;
+    params.scale = 8;
+    params.avgDegree = 9.0;
+    return generateRmat(params);
+}
+
 struct DmaLayerFixture
 {
     CsrGraph graph;
@@ -255,12 +265,9 @@ struct DmaLayerFixture
     DenseMatrix weights;
     std::vector<Feature> bias;
 
-    explicit DmaLayerFixture(std::size_t f)
+    explicit DmaLayerFixture(std::size_t f, CsrGraph g = rmatGraph())
+        : graph(std::move(g))
     {
-        RmatParams params;
-        params.scale = 8;
-        params.avgDegree = 9.0;
-        graph = generateRmat(params);
         spec = gcnSpec(graph);
         input = DenseMatrix(graph.numVertices(), f);
         input.fillUniform(-1.0f, 1.0f, 81);
@@ -329,12 +336,11 @@ TEST(PipelinedRunner, RespectsProcessingOrder)
 
 TEST(PipelinedRunner, SmallBlocksAndQueuePressure)
 {
-    DmaLayerFixture fx(48);
+    // 150 vertices: the last descriptor block is a partial one.
+    DmaLayerFixture fx(48, generateErdosRenyi(150, 1200, false, 83));
     const UpdateOp update{&fx.weights, fx.bias, true};
-    PipelineConfig config;
-    config.blockSize = 3;
-    config.blocksPerTask = 2;
-    config.engine.descriptorQueue = 2; // force mid-block drains
+    EngineConfig engine;
+    engine.descriptorQueue = 2; // force mid-block drains
 
     DenseMatrix refAgg(fx.graph.numVertices(), 48);
     DenseMatrix refOut(fx.graph.numVertices(), 32);
@@ -343,7 +349,7 @@ TEST(PipelinedRunner, SmallBlocksAndQueuePressure)
     DenseMatrix agg(fx.graph.numVertices(), 48);
     DenseMatrix out(fx.graph.numVertices(), 32);
     dma::pipelinedDmaLayer(fx.graph, fx.input, fx.spec, update, agg, out,
-                           {}, config);
+                           {}, engine);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
 

@@ -242,7 +242,7 @@ TEST(RequestQueue, ManyProducersOneConsumerLosesNothing)
 
 TEST(HotVertexCache, PutLookupRoundtrip)
 {
-    HotVertexCache cache(8, 2, 4, 10);
+    HotVertexCache cache(8, 2, 4);
     EXPECT_TRUE(cache.enabled());
     const Feature row[4] = {1.0f, 2.0f, 3.0f, 4.0f};
     Feature out[4] = {};
@@ -263,7 +263,7 @@ TEST(HotVertexCache, PutLookupRoundtrip)
 
 TEST(HotVertexCache, ZeroCapacityDisables)
 {
-    HotVertexCache cache(0, 4, 4, 0);
+    HotVertexCache cache(0, 4, 4);
     EXPECT_FALSE(cache.enabled());
     const Feature row[4] = {1.0f, 2.0f, 3.0f, 4.0f};
     Feature out[4] = {};
@@ -297,7 +297,7 @@ TEST(HotVertexCache, ClockSecondChanceKeepsReferencedRow)
     // One shard, three slots; traced CLOCK-hand sequence where the ref
     // bit is decisive. Fill slots 0..2 with vertices 1..3 (all
     // referenced, hand at 0).
-    HotVertexCache cache(3, 1, 1, 0);
+    HotVertexCache cache(3, 1, 1);
     Feature row[1];
     Feature out[1];
     for (VertexId v = 1; v <= 3; ++v) {
@@ -332,7 +332,7 @@ TEST(HotVertexCache, ChurnKeepsIndexConsistent)
     // evicts (tombstoning the index), which forces the in-place rehash
     // repeatedly. The resident set must stay exactly capacity-sized
     // and every hit must return the row that was put.
-    HotVertexCache cache(16, 4, 2, 0);
+    HotVertexCache cache(16, 4, 2);
     Feature row[2];
     Feature out[2];
     for (int round = 0; round < 50; ++round) {
@@ -350,7 +350,7 @@ TEST(HotVertexCache, ChurnKeepsIndexConsistent)
 
 TEST(HotVertexCache, ConcurrentMixedTrafficStaysCoherent)
 {
-    HotVertexCache cache(64, 8, 4, 0);
+    HotVertexCache cache(64, 8, 4);
     constexpr int kThreads = 4;
     std::vector<std::thread> threads;
     std::atomic<bool> failed{false};
@@ -484,6 +484,63 @@ TEST(InferenceServer, ServedEmbeddingsBitwiseMatchOfflineReplay)
     }
     // run() served kRequests; the replay loop served them once more.
     EXPECT_EQ(server.stats().requestsServed, 2 * kRequests);
+}
+
+TEST(InferenceServer, HubThresholdIsResolvedAtConstruction)
+{
+    // A frozen CSR, and an overlay whose inserts make vertices 0..39
+    // new hubs, so its degree ranks differ from its base's.
+    const CsrGraph graph = testGraph();
+    DeltaCsr overlay(testGraph(), 4096);
+    for (VertexId v = 0; v < 40; ++v) {
+        for (VertexId u = 400; u < 460; ++u)
+            (void)overlay.addEdge(v, u);
+    }
+    DenseMatrix features(graph.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 9);
+    TestModel model(16);
+    constexpr std::size_t kCapacity = 64;
+    ASSERT_NE(serve::churnFreeDegreeThreshold(graph, kCapacity),
+              serve::churnFreeDegreeThreshold(overlay, kCapacity));
+
+    // Derived: the churn-free degree, but never at or below the largest
+    // fanout. Fanout 5 sits below the churn-free degree of both graphs;
+    // fanout 900 exceeds every degree of both.
+    ASSERT_GT(serve::churnFreeDegreeThreshold(graph, kCapacity), 6u);
+    for (const VertexId fanout : {VertexId{5}, VertexId{900}}) {
+        ServeConfig config;
+        config.fanouts = {fanout, 2};
+        config.maxBatch = 4;
+        config.hotCacheCapacity = kCapacity;
+        const auto expected = [&](const auto &g) {
+            return std::max(serve::churnFreeDegreeThreshold(g, kCapacity),
+                            EdgeId{fanout} + 1);
+        };
+        const InferenceServer frozen(graph, features, model.layers(),
+                                     config);
+        EXPECT_EQ(frozen.hotDegreeThreshold(), expected(graph))
+            << "fanout " << fanout;
+        const InferenceServer dynamic(overlay, features, model.layers(),
+                                      config);
+        EXPECT_EQ(dynamic.hotDegreeThreshold(), expected(overlay))
+            << "fanout " << fanout;
+    }
+
+    // With the cache off the gate is 0 unless pinned; a pin passes
+    // through as given (the hub-exact oracle mirrors a server this way).
+    ServeConfig off;
+    off.fanouts = {5, 5};
+    off.maxBatch = 4;
+    EXPECT_EQ(InferenceServer(graph, features, model.layers(), off)
+                  .hotDegreeThreshold(),
+              0u);
+    off.hotCacheMinDegree = 17;
+    EXPECT_EQ(InferenceServer(graph, features, model.layers(), off)
+                  .hotDegreeThreshold(),
+              17u);
+    EXPECT_EQ(InferenceServer(overlay, features, model.layers(), off)
+                  .hotDegreeThreshold(),
+              17u);
 }
 
 TEST(InferenceServer, CachedHubsStayWithinBoundedError)
@@ -788,7 +845,7 @@ TEST(InferenceServer, SteadyStateServingIsAllocFreeBf16)
 
 TEST(HotVertexCache, DisabledLookupTouchesNoStats)
 {
-    HotVertexCache cache(0, 4, 4, 0);
+    HotVertexCache cache(0, 4, 4);
     Feature out[4] = {};
     for (VertexId v = 0; v < 100; ++v)
         EXPECT_FALSE(cache.lookup(v, out));
@@ -806,7 +863,7 @@ TEST(HotVertexCache, DisabledLookupTouchesNoStats)
 
 TEST(HotVertexCache, InvalidateDropsRowAndRejectsStaleFills)
 {
-    HotVertexCache cache(8, 1, 2, 0);
+    HotVertexCache cache(8, 1, 2);
     const Feature row[2] = {1.0f, 2.0f};
     Feature out[2] = {};
     cache.put(7, row);
@@ -846,7 +903,7 @@ TEST(HotVertexCache, RehashPurgesTombstonesAndKeepsResidents)
     // and verify the index never loses a resident and probes always
     // terminate (an un-purged table would fill with tombstones and
     // findSlot would spin).
-    HotVertexCache cache(8, 1, 2, 0);
+    HotVertexCache cache(8, 1, 2);
     Feature row[2];
     Feature out[2];
     std::vector<VertexId> resident;
@@ -882,7 +939,7 @@ TEST(HotVertexCache, RehashPurgesTombstonesAndKeepsResidents)
 
 TEST(HotVertexCache, ClearDropsEverythingAndBumpsEpochs)
 {
-    HotVertexCache cache(16, 4, 2, 0);
+    HotVertexCache cache(16, 4, 2);
     Feature row[2] = {1.0f, 2.0f};
     Feature out[2];
     for (VertexId v = 0; v < 16; ++v)
@@ -1136,71 +1193,6 @@ TEST(DynamicServing, PostCompactionMatchesFreshServerBitwise)
         << "compacted adjacency must equal the from-scratch build";
 }
 
-TEST(DynamicServing, ThresholdRefreshTracksGrowingHubs)
-{
-    // Base degrees: v0=6, v1=5, v2=4, v3..v9 = 1. Auto threshold with
-    // capacity 2: max(3rd-largest degree, ceil-avg+1, maxFanout+1).
-    GraphBuilder builder(10);
-    for (VertexId u = 1; u <= 6; ++u)
-        builder.addEdge(0, u);
-    for (VertexId u = 2; u <= 6; ++u)
-        builder.addEdge(1, u);
-    for (VertexId u = 3; u <= 6; ++u)
-        builder.addEdge(2, u);
-    for (VertexId v = 3; v < 10; ++v)
-        builder.addEdge(v, (v + 1) % 10);
-    DeltaCsr overlay(builder.build(), 64);
-
-    DenseMatrix features(10, 8);
-    features.fillUniform(0.0f, 1.0f, 9);
-    TestModel model(8);
-    ServeConfig config;
-    config.fanouts = {2, 2};
-    config.maxBatch = 4;
-    config.hotCacheCapacity = 2;
-    config.hotCacheShards = 1;
-    config.hotCacheMinDegree = 0;  // auto: refresh may move it
-    config.thresholdRefreshEvery = 1;
-    InferenceServer server(overlay, features, model.layers(), config);
-    const EdgeId initial = server.hotDegreeThreshold();
-    EXPECT_EQ(initial, 4u);
-
-    // Serve every vertex once, so rows admitted under the initial
-    // threshold (v2 has degree 4) are resident when it rises.
-    std::vector<VertexId> vertices(10);
-    for (VertexId v = 0; v < 10; ++v)
-        vertices[v] = v;
-    DenseMatrix served(3 * vertices.size(), server.outFeatures());
-    std::thread consumer([&server] { server.run(); });
-    serveRound(server, vertices, 0, served);
-
-    // Grow v3 from degree 1 to 9: the capacity-th largest degree rises
-    // to 5, and every accepted insert re-derives the threshold.
-    for (VertexId u = 0; u < 10; ++u) {
-        if (u == 3 || u == 4)
-            continue;
-        ASSERT_EQ(server.insertEdge(3, u), DeltaCsr::AddEdge::Added);
-    }
-    EXPECT_GE(server.hotDegreeThreshold(), 5u)
-        << "the admission gate must track hub growth";
-    EXPECT_GE(server.hotDegreeThreshold(), initial)
-        << "the refreshed threshold is clamped monotone";
-
-    // Under the raised threshold, cache-on serving (a fill round, then
-    // a round served from the cache) still equals the hub-exact replay.
-    const std::uint64_t hitsBefore = server.stats().cache.hits;
-    serveRound(server, vertices, vertices.size(), served);
-    serveRound(server, vertices, 2 * vertices.size(), served);
-    server.queue().close();
-    consumer.join();
-    EXPECT_GT(server.stats().cache.hits, hitsBefore);
-    expectMatchesHubExact(server, vertices, vertices.size(), served);
-    expectMatchesHubExact(server, vertices, 2 * vertices.size(), served);
-    const GraphStats live = server.liveGraphStats();
-    EXPECT_EQ(live.numEdges, overlay.numEdges());
-    EXPECT_EQ(live.maxDegree, 9u);
-}
-
 TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
 {
     // The TSan target of the bugfix sweep: producers push requests,
@@ -1218,7 +1210,6 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
     config.maxBatch = 16;
     config.latencyBudgetUs = 100;
     config.hotCacheCapacity = 64;
-    config.thresholdRefreshEvery = 64;
     InferenceServer server(overlay, features, model.layers(), config);
     server.warmup();
 
@@ -1270,17 +1261,13 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
         for (std::size_t c = 0; c < server.outFeatures(); ++c)
             ASSERT_TRUE(std::isfinite(served.row(i)[c]))
                 << "request " << i << " col " << c;
-    const GraphStats live = server.liveGraphStats();
-    EXPECT_EQ(live.numEdges, overlay.numEdges());
-
     // Staleness: replay every served request (same id, so same
     // sampling seed) on a cache-off oracle over the final graph, with
-    // the server's final admission threshold so its hub-exact gating
+    // the server's admission threshold so its hub-exact gating
     // matches. A reply served at time t saw the graph as of t; the
-    // oracle sees every insert. The mean relative L2 gap is bounded by
-    // the sampling estimate's own error (server.h's deviation
-    // contract); at 1.0 or past it serving returns garbage (an all-zero
-    // reply scores exactly 1.0), not stale rows.
+    // oracle sees every insert. Measured means lie in 0.002-0.074
+    // (20 Release and 20 TSan repeats); the bound is 3x the largest.
+    // Replies scaled by 0.5 score 0.5, and an all-zero reply 1.0.
     const CsrGraph finalGraph = overlay.compacted();
     ServeConfig oracleConfig = config;
     oracleConfig.hotCacheCapacity = 0;
@@ -1310,7 +1297,7 @@ TEST(DynamicServing, ConcurrentChurnWhileServingStaysCoherent)
     }
     meanRel /= static_cast<double>(kRequests);
     EXPECT_LE(meanRel, maxRel);
-    EXPECT_LT(meanRel, 1.0)
+    EXPECT_LT(meanRel, 0.22)
         << "served embeddings diverged from the final-graph replay";
 }
 
@@ -1327,7 +1314,6 @@ TEST(DynamicServing, SteadyStateChurnServingIsAllocFree)
     config.maxBatch = 16;
     config.latencyBudgetUs = 50;
     config.hotCacheCapacity = 64;
-    config.thresholdRefreshEvery = 32;
     InferenceServer server(overlay, features, model.layers(), config);
     obs::MetricsRegistry::global().setEnabled(true);
     server.warmup();

@@ -55,7 +55,7 @@ loadGraph(const Options &options)
     const DatasetId id =
         parseDatasetName(options.getString("dataset"));
     const auto shift =
-        static_cast<unsigned>(options.getInt("scale-shift"));
+        static_cast<unsigned>(options.getCount("scale-shift"));
     inform("generating %s analogue (shift %u)",
            options.getString("dataset").c_str(), shift);
     return makeDataset(id, shift).graph;
@@ -81,10 +81,7 @@ techniqueFor(const Options &options)
     const std::string precisionText = options.getString("precision");
     if (!parsePrecision(precisionText, tech.precision))
         fatal("unknown precision '%s'", precisionText.c_str());
-    const long long shards = options.getInt("shards");
-    if (shards < 0)
-        fatal("--shards must be >= 0");
-    tech.shards = static_cast<std::size_t>(shards);
+    tech.shards = options.getCount("shards");
     const std::string partitionText = options.getString("partition");
     if (!parsePartitionStrategy(partitionText, tech.partition))
         fatal("unknown partition strategy '%s'", partitionText.c_str());
@@ -111,9 +108,7 @@ runStats(const Options &options)
 {
     CsrGraph graph = loadGraph(options);
     GraphStats stats = computeGraphStats(graph);
-    std::puts(formatGraphStats("graph", stats,
-                               static_cast<std::size_t>(
-                                   options.getInt("features")))
+    std::puts(formatGraphStats("graph", stats, options.getCount("features", 1))
                   .c_str());
     // With --shards >= 2, additionally report the cache-slice partition:
     // edge cut, halo volume and shard balance for the chosen strategy.
@@ -164,26 +159,21 @@ int
 runTrain(const Options &options)
 {
     CsrGraph graph = loadGraph(options);
-    const auto classes =
-        static_cast<std::size_t>(options.getInt("classes"));
-    const auto features =
-        static_cast<std::size_t>(options.getInt("features"));
+    const std::size_t classes = options.getCount("classes", 1);
+    const std::size_t features = options.getCount("features", 1);
     SyntheticTask task = makeSyntheticTask(graph, classes, features,
                                            0.4, 11);
 
     GnnModelConfig config;
     config.kind = options.getString("model") == "sage" ? GnnKind::Sage
                                                        : GnnKind::Gcn;
-    config.featureWidths = {features,
-                            static_cast<std::size_t>(
-                                options.getInt("hidden")),
+    config.featureWidths = {features, options.getCount("hidden", 1),
                             classes};
     config.dropoutRate = options.getDouble("dropout");
     GnnModel model(graph, config);
 
     TrainerConfig trainerConfig;
-    trainerConfig.epochs =
-        static_cast<std::size_t>(options.getInt("epochs"));
+    trainerConfig.epochs = options.getCount("epochs");
     trainerConfig.learningRate =
         static_cast<float>(options.getDouble("lr"));
     trainerConfig.tech = techniqueFor(options);
@@ -213,17 +203,13 @@ int
 runInfer(const Options &options)
 {
     CsrGraph graph = loadGraph(options);
-    const auto classes =
-        static_cast<std::size_t>(options.getInt("classes"));
-    const auto features =
-        static_cast<std::size_t>(options.getInt("features"));
+    const std::size_t classes = options.getCount("classes", 1);
+    const std::size_t features = options.getCount("features", 1);
 
     GnnModelConfig config;
     config.kind = options.getString("model") == "sage" ? GnnKind::Sage
                                                        : GnnKind::Gcn;
-    config.featureWidths = {features,
-                            static_cast<std::size_t>(
-                                options.getInt("hidden")),
+    config.featureWidths = {features, options.getCount("hidden", 1),
                             classes};
     GnnModel model(graph, config);
     const std::string load = options.getString("load");
@@ -283,6 +269,12 @@ main(int argc, char **argv)
     options.add("metrics-out", "",
                 "write a metrics-registry JSON on exit");
     options.parse(argc, argv);
+    // Counts are checked before any graph is built (the modes read them
+    // again where they use them).
+    for (const char *count : {"scale-shift", "shards", "epochs"})
+        (void)options.getCount(count);
+    for (const char *width : {"features", "hidden", "classes"})
+        (void)options.getCount(width, 1);
 
     const std::string traceOut = options.getString("trace-out");
     const std::string metricsOut = options.getString("metrics-out");

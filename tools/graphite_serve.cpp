@@ -9,7 +9,7 @@
  *
  *   --latency-budget-us   micro-batch close deadline
  *   --max-batch           micro-batch size cap
- *   --hot-cache-capacity  hot-vertex aggregation cache rows (0 = off)
+ *   --hot-cache-capacity  hot-vertex cache rows (0 = off)
  *   --compare             also run a cache-off baseline at the same
  *                         offered load and print both
  *
@@ -72,11 +72,10 @@ main(int argc, char **argv)
     options.add("queue-capacity", "4096", "request queue ring slots");
     options.add("hot-cache-capacity", "512",
                 "hot-vertex cache rows (0 disables the cache)");
-    options.add("hot-cache-shards", "8", "hot-vertex cache shards");
-    options.add("hot-cache-min-degree", "-1",
-                "cache admission degree threshold (-1 = pin to the "
-                "top-capacity/2 degree rank so residency is churn-free, "
-                "0 = server auto)");
+    options.add("hot-cache-min-degree", "0",
+                "cache admission degree threshold (0 = the server "
+                "derives the churn-free one: the top-capacity/2 degree "
+                "rank, above the fanout)");
     options.add("precision", "fp32", "serving GEMM precision: fp32|bf16");
     options.add("compare", "false",
                 "also run a cache-off baseline at the same load");
@@ -84,66 +83,25 @@ main(int argc, char **argv)
     options.add("seed", "7", "workload and training seed");
     options.parse(argc, argv);
 
-    obs::MetricsRegistry::global().setEnabled(true);
-
+    // Every flag is read before any graph is built, so a negative
+    // count is refused by name instead of wrapping to a huge size.
     RmatParams params;
-    params.scale = static_cast<unsigned>(options.getInt("scale"));
+    params.scale = static_cast<unsigned>(options.getCount("scale"));
     params.avgDegree = options.getDouble("avg-degree");
     params.seed = static_cast<std::uint64_t>(options.getInt("seed"));
-    const CsrGraph graph = generateRmat(params);
-    const GraphStats stats = computeGraphStats(graph);
-    inform("graph: %u vertices, %llu edges, max degree %llu",
-           graph.numVertices(),
-           static_cast<unsigned long long>(graph.numEdges()),
-           static_cast<unsigned long long>(stats.maxDegree));
-
-    const auto featureWidth =
-        static_cast<std::size_t>(options.getInt("feature-width"));
-    const auto classes =
-        static_cast<std::size_t>(options.getInt("classes"));
-    SyntheticTask task = makeSyntheticTask(
-        graph, classes, featureWidth, 0.3,
-        static_cast<std::uint64_t>(options.getInt("seed")) + 1);
-
-    MiniBatchConfig trainConfig;
-    trainConfig.batchSize = 512;
-    const auto fanout = static_cast<VertexId>(options.getInt("fanout"));
-    trainConfig.fanouts = {fanout, fanout};
-    trainConfig.seed = static_cast<std::uint64_t>(options.getInt("seed"));
-    MiniBatchTrainer trainer(
-        graph, task.features, task.labels,
-        {featureWidth,
-         static_cast<std::size_t>(options.getInt("hidden-width")),
-         classes},
-        trainConfig);
-    const auto epochs = static_cast<std::size_t>(options.getInt("epochs"));
-    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        const MiniBatchEpochStats epochStats = trainer.trainEpoch();
-        inform("epoch %zu: loss %.4f", epoch, epochStats.loss);
-    }
+    const std::size_t featureWidth = options.getCount("feature-width", 1);
+    const std::size_t hiddenWidth = options.getCount("hidden-width", 1);
+    const std::size_t classes = options.getCount("classes", 1);
+    const std::size_t epochs = options.getCount("epochs");
+    const auto fanout = static_cast<VertexId>(options.getCount("fanout"));
 
     serve::ServeConfig serveConfig;
-    serveConfig.fanouts = trainConfig.fanouts;
-    serveConfig.maxBatch =
-        static_cast<std::size_t>(options.getInt("max-batch"));
+    serveConfig.fanouts = {fanout, fanout};
+    serveConfig.maxBatch = options.getCount("max-batch", 1);
     serveConfig.latencyBudgetUs = options.getInt("latency-budget-us");
-    serveConfig.queueCapacity =
-        static_cast<std::size_t>(options.getInt("queue-capacity"));
-    serveConfig.hotCacheCapacity =
-        static_cast<std::size_t>(options.getInt("hot-cache-capacity"));
-    serveConfig.hotCacheShards =
-        static_cast<std::size_t>(options.getInt("hot-cache-shards"));
-    const int minDegreeFlag = options.getInt("hot-cache-min-degree");
-    if (minDegreeFlag > 0) {
-        serveConfig.hotCacheMinDegree =
-            static_cast<EdgeId>(minDegreeFlag);
-    } else if (minDegreeFlag < 0 && serveConfig.hotCacheCapacity > 0) {
-        // Churn-free default: see DESIGN.md §13 — the server's auto
-        // threshold sizes the admissible set ≈ capacity, and the
-        // resulting eviction churn puts hub re-gathers on the p99 tail.
-        serveConfig.hotCacheMinDegree = serve::churnFreeDegreeThreshold(
-            graph, serveConfig.hotCacheCapacity);
-    }
+    serveConfig.queueCapacity = options.getCount("queue-capacity", 1);
+    serveConfig.hotCacheCapacity = options.getCount("hot-cache-capacity");
+    serveConfig.hotCacheMinDegree = options.getCount("hot-cache-min-degree");
     const std::string precision = options.getString("precision");
     if (precision == "bf16")
         serveConfig.precision = Precision::Bf16;
@@ -151,13 +109,37 @@ main(int argc, char **argv)
         fatal("unknown precision '%s'", precision.c_str());
 
     serve::LoadGenConfig loadConfig;
-    loadConfig.numRequests =
-        static_cast<std::size_t>(options.getInt("requests"));
-    loadConfig.warmupRequests =
-        static_cast<std::size_t>(options.getInt("warmup-requests"));
+    loadConfig.numRequests = options.getCount("requests");
+    loadConfig.warmupRequests = options.getCount("warmup-requests");
     loadConfig.offeredQps = options.getDouble("qps");
     loadConfig.zipfExponent = options.getDouble("zipf");
-    loadConfig.seed = static_cast<std::uint64_t>(options.getInt("seed"));
+    loadConfig.seed = params.seed;
+    const bool compare = options.getBool("compare");
+    const std::string metricsPath = options.getString("metrics");
+
+    obs::MetricsRegistry::global().setEnabled(true);
+
+    const CsrGraph graph = generateRmat(params);
+    const GraphStats stats = computeGraphStats(graph);
+    inform("graph: %u vertices, %llu edges, max degree %llu",
+           graph.numVertices(),
+           static_cast<unsigned long long>(graph.numEdges()),
+           static_cast<unsigned long long>(stats.maxDegree));
+
+    SyntheticTask task = makeSyntheticTask(graph, classes, featureWidth,
+                                           0.3, params.seed + 1);
+
+    MiniBatchConfig trainConfig;
+    trainConfig.batchSize = 512;
+    trainConfig.fanouts = serveConfig.fanouts;
+    trainConfig.seed = params.seed;
+    MiniBatchTrainer trainer(graph, task.features, task.labels,
+                             {featureWidth, hiddenWidth, classes},
+                             trainConfig);
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+        const MiniBatchEpochStats epochStats = trainer.trainEpoch();
+        inform("epoch %zu: loss %.4f", epoch, epochStats.loss);
+    }
 
     {
         serve::InferenceServer server(graph, task.features,
@@ -176,7 +158,7 @@ main(int argc, char **argv)
                     report);
     }
 
-    if (options.getBool("compare") && serveConfig.hotCacheCapacity > 0) {
+    if (compare && serveConfig.hotCacheCapacity > 0) {
         serve::ServeConfig offConfig = serveConfig;
         offConfig.hotCacheCapacity = 0;
         serve::InferenceServer server(graph, task.features,
@@ -186,7 +168,6 @@ main(int argc, char **argv)
         printReport("cache-off", report);
     }
 
-    const std::string metricsPath = options.getString("metrics");
     if (!metricsPath.empty())
         obs::MetricsRegistry::global().writeJson(metricsPath);
     return 0;
