@@ -60,8 +60,9 @@ main(int argc, char **argv)
             layers += stats.layerSeconds;
             loss = stats.loss;
         }
-        std::printf("sampled  : %.2fs total (%.2fs sampling+staging = "
-                    "%.0f%%, %.2fs layers), final loss %.4f\n",
+        std::printf("sampled  : %.2fs total (%.2fs sampling = %.0f%%, "
+                    "%.2fs layers incl. feature gathers), final loss "
+                    "%.4f\n",
                     timer.seconds(), sampling,
                     sampling / (sampling + layers) * 100.0, layers,
                     loss);

@@ -14,6 +14,21 @@
 namespace graphite {
 
 /**
+ * splitmix64: one step of Vigna's generator from state @p x, i.e. the
+ * finalizer applied to x + the golden-ratio increment. A bijective
+ * avalanche, shared by Rng's seeding, the per-request sampling seeds,
+ * the hot cache's shard hash and the Hash partitioner.
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    std::uint64_t z = x + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
  * xoshiro256** generator seeded via splitmix64. Fast enough to sit inside
  * the dropout inner loop, with 256 bits of state.
  */
@@ -24,13 +39,9 @@ class Rng
     Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
         // splitmix64 expansion of the seed into the four state words.
-        std::uint64_t x = seed;
         for (auto &word : state_) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
+            word = splitmix64(seed);
+            seed += 0x9e3779b97f4a7c15ull;
         }
     }
 

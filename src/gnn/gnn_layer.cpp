@@ -61,7 +61,7 @@ GnnLayer::packedWeights(Precision precision) const
     const auto slot = static_cast<std::size_t>(precision);
     GRAPHITE_ASSERT(slot < kNumPrecisions, "unknown precision");
     MutexLock lock(planMutex_);
-    if (weightsAliased_ || packedNNVersion_[slot] != weightsVersion_) {
+    if (packedNNVersion_[slot] != weightsVersion_) {
         packedNN_[slot].pack(GemmMode::NN, weights_, precision);
         packedNNVersion_[slot] = weightsVersion_;
     }
@@ -74,11 +74,26 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
     const auto slot = static_cast<std::size_t>(precision);
     GRAPHITE_ASSERT(slot < kNumPrecisions, "unknown precision");
     MutexLock lock(planMutex_);
-    if (weightsAliased_ || packedNTVersion_[slot] != weightsVersion_) {
+    if (packedNTVersion_[slot] != weightsVersion_) {
         packedNT_[slot].pack(GemmMode::NT, weights_, precision);
         packedNTVersion_[slot] = weightsVersion_;
     }
     return packedNT_[slot];
+}
+
+void
+GnnLayer::updateRows(const DenseMatrix &agg, std::size_t rows,
+                     DenseMatrix &out, Precision precision) const
+{
+    GRAPHITE_DCHECK(agg.cols() == inFeatures_ &&
+                        out.cols() == outFeatures_ && rows <= agg.rows() &&
+                        rows <= out.rows(),
+                    "updateRows shape mismatch");
+    gemmBlockSerial(agg.row(0), rows, agg.rowStride(),
+                    packedWeights(precision), out.row(0), out.rowStride(),
+                    inFeatures_);
+    finishUpdateBlock(out.row(0), rows, out.rowStride(), outFeatures_,
+                      bias_, relu_);
 }
 
 namespace {
@@ -272,13 +287,10 @@ GnnLayer::backward(const CsrGraph &transposed,
                   schedule);
     }
 
-    // dW = aᵀ·dz (projected: Xᵀ·G) and db = colsum(dz). At bf16 both
-    // GEMM operands are rounded at pack time; accumulation stays fp32.
-    dwPlanScratch_.pack(GemmMode::TN, projected ? gradScratch_ : gradOut,
-                        tech.precision);
-    gemm(GemmMode::TN, projected ? *ctx.input : ctx.agg, dwPlanScratch_,
-         weightGrad_, GemmAccumulate::Overwrite);
-    columnSum(gradOut, biasGrad_, colSumScratch_);
+    if (projected)
+        parameterGradients(*ctx.input, gradScratch_, gradOut, tech.precision);
+    else
+        parameterGradients(ctx.agg, gradOut, gradOut, tech.precision);
 
     if (!gradIn)
         return;
@@ -313,6 +325,16 @@ GnnLayer::backward(const CsrGraph &transposed,
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
     aggregate(transposed, gradScratch_, *gradIn, transposedSpec, schedule);
+}
+
+void
+GnnLayer::parameterGradients(const DenseMatrix &a, const DenseMatrix &g,
+                             const DenseMatrix &dz, Precision precision)
+{
+    dwPlanScratch_.pack(GemmMode::TN, g, precision);
+    gemm(GemmMode::TN, a, dwPlanScratch_, weightGrad_,
+         GemmAccumulate::Overwrite);
+    columnSum(dz, biasGrad_, colSumScratch_);
 }
 
 void

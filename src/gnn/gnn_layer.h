@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "compress/compressed_matrix.h"
@@ -120,27 +121,32 @@ class GnnLayer
     /** Glorot-uniform weight init, zero bias. */
     void initWeights(std::uint64_t seed);
 
-    /**
-     * Mutable weight access permanently downgrades the packed-plan
-     * cache to repack-per-use: the returned reference can be retained
-     * and written through at any later point (the optimizer and
-     * checkpoint loader do exactly that), so no version counter can
-     * see those writes. Internal mutators (initWeights, sgdStep) keep
-     * precise invalidation instead.
-     */
-    DenseMatrix &
-    weights()
-    {
-        weightsAliased_ = true;
-        return weights_;
-    }
     const DenseMatrix &weights() const { return weights_; }
-    std::vector<Feature> &bias() { return bias_; }
     const std::vector<Feature> &bias() const { return bias_; }
 
     /**
+     * The one way to write W and b from outside the layer: runs
+     * @p edit(W, b) — a DenseMatrix & and a std::span<Feature> — and
+     * then bumps the weight version, so every cached pack is rebuilt on
+     * its next use. The optimizer and the checkpoint loader go through
+     * it; the edit must keep W's shape. Not safe to call concurrently
+     * with a forward (the packedWeights() contract).
+     */
+    template <typename Edit>
+    void
+    updateParameters(Edit &&edit)
+    {
+        edit(weights_, std::span<Feature>(bias_));
+        GRAPHITE_ASSERT(weights_.rows() == inFeatures_ &&
+                            weights_.cols() == outFeatures_,
+                        "updateParameters changed the weight shape");
+        ++weightsVersion_;
+    }
+
+    /**
      * W packed for the forward/update GEMM (NN mode) at @p precision,
-     * repacked lazily after any weight mutation and otherwise reused
+     * repacked lazily after a parameter change (initWeights, sgdStep,
+     * updateParameters — each bumps the version) and otherwise reused
      * across blocks, layer calls and epochs — the amortisation the
      * packed micro-kernel design exists for. Each precision has its own
      * cache slot, so concurrent callers may mix precisions freely. Not
@@ -152,6 +158,17 @@ class GnnLayer
     /** W packed for the dX backward GEMM (NT mode), cached likewise. */
     const GemmPlan &
     packedWeightsTransposed(Precision precision = Precision::Fp32) const;
+
+    /**
+     * The update of @p rows aggregated rows on the calling thread:
+     * out[0..rows) = act(agg[0..rows) · W + b), through gemmBlockSerial
+     * over packedWeights(@p precision) and finishUpdateBlock. Each row
+     * is computed on its own, so a row's result does not depend on the
+     * others in the call. The server and MiniBatchTrainer run their
+     * sampled blocks through it; it never enters the thread pool.
+     */
+    void updateRows(const DenseMatrix &agg, std::size_t rows,
+                    DenseMatrix &out, Precision precision) const;
 
     /**
      * True when this layer projects first under @p tech: fusion on, a
@@ -241,7 +258,22 @@ class GnnLayer
                   const PartitionPlan *transposedPlan,
                   const TechniqueConfig &tech);
 
-    /** SGD parameter update from the last backward()'s gradients. */
+    /**
+     * The parameter gradients of one step, into weightGrad() and
+     * biasGrad(): dW = @p aᵀ · @p g through a pooled GEMM at
+     * @p precision (bf16 rounds both operands at pack time; the
+     * accumulation stays fp32), and db = columnSum(@p dz). backward()
+     * passes (a^k, dz, dz) when the layer aggregates first and
+     * (X, Aggᵀ(dz), dz) when it projects; MiniBatchTrainer passes its
+     * block's (agg, dz, dz).
+     */
+    void parameterGradients(const DenseMatrix &a, const DenseMatrix &g,
+                            const DenseMatrix &dz, Precision precision);
+
+    /**
+     * SGD parameter update from the gradients of the last backward() or
+     * parameterGradients().
+     */
     void sgdStep(float learningRate);
 
     const DenseMatrix &weightGrad() const { return weightGrad_; }
@@ -275,10 +307,11 @@ class GnnLayer
     DenseMatrix weightGrad_;
     std::vector<Feature> biasGrad_;
 
-    /** Bumped by internal weight mutators (initWeights, sgdStep). */
+    /**
+     * Bumped by every parameter mutator (initWeights, sgdStep,
+     * updateParameters); a cached pack older than it is rebuilt.
+     */
     std::uint64_t weightsVersion_ = 0;
-    /** A mutable reference escaped: packs can never be trusted again. */
-    bool weightsAliased_ = false;
     /** Plan-cache slots, one per Precision enumerator. */
     static constexpr std::size_t kNumPrecisions = 2;
     /**

@@ -1,6 +1,5 @@
 #include "gnn/minibatch_trainer.h"
 
-
 #include "common/assert.h"
 #include "common/timer.h"
 #include "kernels/mean_gather.h"
@@ -34,51 +33,32 @@ MiniBatchTrainer::MiniBatchTrainer(const CsrGraph &graph,
     contexts_.resize(layers_.size());
 }
 
-void
-MiniBatchTrainer::sampleBatch(const std::vector<VertexId> &seeds, Rng &rng)
-{
-    sampleMiniBatch(graph_, seeds, config_.fanouts, rng, sampler_, tree_);
-    contexts_[0].input =
-        gatherBatchFeatures(features_, tree_.inputVertices());
-}
-
 double
-MiniBatchTrainer::forwardBatch(DenseMatrix &lossGrad)
+MiniBatchTrainer::forwardBatch()
 {
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const FlatBlock &block = tree_.blocks[k];
         BlockContext &ctx = contexts_[k];
-        // Layer k's input is the previous layer's output (kept alive:
-        // the backward pass needs every layer's activation). Both are
-        // indexed by the block's local source ids.
-        const DenseMatrix &input =
-            k == 0 ? ctx.input : contexts_[k - 1].output;
         const std::size_t numDst = block.dstVertices.size();
-        GnnLayer &layer = *layers_[k];
+        const GnnLayer &layer = *layers_[k];
 
         // GraphSAGE-mean over the sampled neighborhood plus self; GCN
         // symmetric norms are ill-defined on sampled bipartite blocks
-        // (DGL's sampled SAGE uses the mean too).
-        ctx.agg.resize(numDst, layer.inFeatures());
+        // (DGL's sampled SAGE uses the mean too). Layer 0 reads the
+        // feature table by the block's global source ids; layer k > 0
+        // the previous layer's output (kept alive: the backward pass
+        // needs every layer's activation), by local source id.
+        const auto rowOf = [&](VertexId j) {
+            return k == 0 ? features_.row(block.srcVertices[j])
+                          : contexts_[k - 1].output.row(j);
+        };
+        ctx.agg.reshape(numDst, layer.inFeatures());
         for (std::size_t d = 0; d < numDst; ++d) {
-            meanGatherRow(
-                static_cast<VertexId>(d), block.neighbors(d),
-                [&](VertexId j) { return input.row(j); },
-                layer.inFeatures(), ctx.agg.row(d));
+            meanGatherRow(static_cast<VertexId>(d), block.neighbors(d),
+                          rowOf, layer.inFeatures(), ctx.agg.row(d));
         }
-        ctx.output.resize(numDst, layer.outFeatures());
-        // Serial packed update over the whole sampled block; the packed
-        // weights come from the layer's cache (repacked only after the
-        // in-loop SGD update mutates W).
-        gemmBlockSerial(ctx.agg.row(0), numDst, ctx.agg.rowStride(),
-                        layer.packedWeights(config_.precision),
-                        ctx.output.row(0), ctx.output.rowStride(),
-                        layer.inFeatures());
-        GRAPHITE_ASSERT(layer.bias().size() == layer.outFeatures(),
-                        "bias width mismatch");
-        finishUpdateBlock(ctx.output.row(0), numDst,
-                          ctx.output.rowStride(), layer.outFeatures(),
-                          layer.bias(), layer.hasRelu());
+        ctx.output.reshape(numDst, layer.outFeatures());
+        layer.updateRows(ctx.agg, numDst, ctx.output, config_.precision);
     }
 
     const BlockContext &last = contexts_.back();
@@ -86,58 +66,45 @@ MiniBatchTrainer::forwardBatch(DenseMatrix &lossGrad)
     std::vector<std::int32_t> batchLabels(seeds.size());
     for (std::size_t i = 0; i < seeds.size(); ++i)
         batchLabels[i] = labels_[seeds[i]];
-    lossGrad.resize(last.output.rows(), last.output.cols());
+    DenseMatrix &lossGrad = contexts_.back().grad;
+    lossGrad.reshape(last.output.rows(), last.output.cols());
     return softmaxCrossEntropy(last.output, batchLabels, lossGrad);
 }
 
 void
-MiniBatchTrainer::backwardBatch(DenseMatrix lossGrad)
+MiniBatchTrainer::backwardBatch()
 {
-    DenseMatrix gradOut = std::move(lossGrad);
     for (std::size_t k = layers_.size(); k-- > 0;) {
         BlockContext &ctx = contexts_[k];
         GnnLayer &layer = *layers_[k];
+        DenseMatrix &dz = ctx.grad;
         if (layer.hasRelu())
-            reluBackward(ctx.output, gradOut);
+            reluBackward(ctx.output, dz);
 
-        // dW = aggᵀ·dz, db = colsum(dz).
-        DenseMatrix weightGrad(layer.inFeatures(), layer.outFeatures());
-        gemm(GemmMode::TN, ctx.agg, gradOut, weightGrad);
-        std::vector<Feature> biasGrad(layer.outFeatures(), 0.0f);
-        for (std::size_t r = 0; r < gradOut.rows(); ++r) {
-            const Feature *row = gradOut.row(r);
-            for (std::size_t c = 0; c < biasGrad.size(); ++c)
-                biasGrad[c] += row[c];
-        }
-
-        DenseMatrix dAgg(gradOut.rows(), layer.inFeatures());
-        gemm(GemmMode::NT, gradOut,
-             layer.packedWeightsTransposed(config_.precision), dAgg);
-
-        // Parameter update (plain SGD per mini-batch).
-        DenseMatrix &weights = layer.weights();
-        for (std::size_t r = 0; r < weights.rows(); ++r) {
-            Feature *w = weights.row(r);
-            const Feature *g = weightGrad.row(r);
-            for (std::size_t c = 0; c < weights.cols(); ++c)
-                w[c] -= config_.learningRate * g[c];
-        }
-        for (std::size_t c = 0; c < biasGrad.size(); ++c)
-            layer.bias()[c] -= config_.learningRate * biasGrad[c];
+        // dW = aggᵀ·dz and db = colsum(dz), then dAgg = dz·Wᵀ from the
+        // pre-update W, then the plain SGD step of this mini-batch.
+        layer.parameterGradients(ctx.agg, dz, dz, config_.precision);
+        dAgg_.reshape(dz.rows(), layer.inFeatures());
+        gemm(GemmMode::NT, dz,
+             layer.packedWeightsTransposed(config_.precision), dAgg_);
+        layer.sgdStep(config_.learningRate);
 
         if (k == 0)
             break;
-        // dx over the block's sources: push each destination's scaled
-        // gradient back along its sampled edges, then onto its own row
-        // (destination d is local source d).
+        // dx over the block's sources, into the previous layer's
+        // output gradient: push each destination's scaled gradient back
+        // along its sampled edges, then onto its own row (destination d
+        // is local source d).
         const FlatBlock &block = tree_.blocks[k];
         const std::size_t numDst = block.dstVertices.size();
         const std::size_t inF = layer.inFeatures();
-        DenseMatrix dSrc(block.srcVertices.size(), inF);
+        DenseMatrix &dSrc = contexts_[k - 1].grad;
+        dSrc.reshape(block.srcVertices.size(), inF);
+        dSrc.zero();
         auto push = [&](std::size_t d, VertexId j) {
             const Feature scale =
                 1.0f / (1.0f + static_cast<float>(block.neighbors(d).size()));
-            const Feature *from = dAgg.row(d);
+            const Feature *from = dAgg_.row(d);
             Feature *to = dSrc.row(j);
             for (std::size_t c = 0; c < inF; ++c)
                 to[c] += scale * from[c];
@@ -148,7 +115,6 @@ MiniBatchTrainer::backwardBatch(DenseMatrix lossGrad)
         }
         for (std::size_t d = 0; d < numDst; ++d)
             push(d, static_cast<VertexId>(d));
-        gradOut = std::move(dSrc);
     }
 }
 
@@ -161,13 +127,12 @@ MiniBatchTrainer::trainEpoch()
     double lossSum = 0.0;
     for (const auto &seeds : batches) {
         Timer sampling;
-        sampleBatch(seeds, rng_);
+        sampleMiniBatch(graph_, seeds, config_.fanouts, rng_, sampler_, tree_);
         stats.samplingSeconds += sampling.seconds();
 
         Timer layerTimer;
-        DenseMatrix lossGrad;
-        lossSum += forwardBatch(lossGrad);
-        backwardBatch(std::move(lossGrad));
+        lossSum += forwardBatch();
+        backwardBatch();
         stats.layerSeconds += layerTimer.seconds();
     }
     stats.loss = lossSum / static_cast<double>(batches.size());
@@ -181,9 +146,8 @@ MiniBatchTrainer::evaluateLoss()
     const auto batches = makeEpochBatches(graph_, config_.batchSize, rng);
     double lossSum = 0.0;
     for (const auto &seeds : batches) {
-        sampleBatch(seeds, rng);
-        DenseMatrix lossGrad;
-        lossSum += forwardBatch(lossGrad);
+        sampleMiniBatch(graph_, seeds, config_.fanouts, rng, sampler_, tree_);
+        lossSum += forwardBatch();
     }
     return lossSum / static_cast<double>(batches.size());
 }

@@ -2,9 +2,10 @@
  * @file
  * Sampled mini-batch training — the GPU-era regime the paper's Figure 2
  * profiles (and argues against for CPUs). Each step samples a K-hop
- * neighborhood for a batch of seed vertices (Eq. 3), gathers the input
- * features, runs the layer stack over the bipartite blocks, and updates
- * the parameters from the batch loss.
+ * neighborhood for a batch of seed vertices (Eq. 3), runs the layer
+ * stack over the bipartite blocks (layer 0 gathers the input features
+ * straight from the feature table), and updates the parameters from
+ * the batch loss through GnnLayer's own gradient and SGD members.
  *
  * This trainer exists (a) to drive the Figure 2 experiment with a real
  * end-to-end training loop and (b) as the baseline a downstream user
@@ -44,9 +45,12 @@ struct MiniBatchConfig
 struct MiniBatchEpochStats
 {
     double loss = 0.0;
-    /** Seconds spent sampling + building blocks + gathering features. */
+    /** Seconds spent sampling and building blocks. */
     double samplingSeconds = 0.0;
-    /** Seconds spent in the GNN layer compute. */
+    /**
+     * Seconds spent in the GNN layer compute, layer 0's gather of the
+     * input features included.
+     */
     double layerSeconds = 0.0;
 };
 
@@ -99,15 +103,12 @@ class MiniBatchTrainer
 
   private:
     /**
-     * Sample @p seeds' blocks into tree_ and gather the batch's input
-     * features into contexts_[0].input (the cost Figure 2 attributes to
-     * sampling and mini-batching).
+     * Forward tree_; returns the loss, fills the contexts and leaves
+     * the loss gradient in contexts_.back().grad.
      */
-    void sampleBatch(const std::vector<VertexId> &seeds, Rng &rng);
-    /** Forward tree_; returns the loss and fills the contexts. */
-    double forwardBatch(DenseMatrix &lossGrad);
+    double forwardBatch();
     /** Backward + SGD step over tree_ from the loss gradient. */
-    void backwardBatch(DenseMatrix lossGrad);
+    void backwardBatch();
 
     const CsrGraph &graph_;
     const DenseMatrix &features_;
@@ -120,14 +121,19 @@ class MiniBatchTrainer
     SampledTree tree_;
     /** @} */
 
-    // Per-batch forward state, innermost layer first.
+    /**
+     * Per-batch state, innermost layer first, reshaped in place from
+     * batch to batch.
+     */
     struct BlockContext
     {
-        DenseMatrix input;  ///< gathered/propagated source features
         DenseMatrix agg;    ///< block aggregation output
         DenseMatrix output; ///< post-activation destination features
+        DenseMatrix grad;   ///< dL/d(output), then dz in place
     };
     std::vector<BlockContext> contexts_;
+    /** dAgg = dz·Wᵀ of the layer being backpropagated. */
+    DenseMatrix dAgg_;
 };
 
 } // namespace graphite

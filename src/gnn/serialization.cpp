@@ -85,14 +85,15 @@ loadModel(GnnModel &model, const std::string &path)
             (relu != 0) != layer.hasRelu()) {
             fatal("checkpoint layer %zu shape mismatch", k);
         }
-        DenseMatrix &weights = layer.weights();
-        for (std::size_t r = 0; r < weights.rows(); ++r) {
-            in.read(reinterpret_cast<char *>(weights.row(r)),
-                    weights.cols() * sizeof(Feature));
-        }
-        auto &bias = layer.bias();
-        in.read(reinterpret_cast<char *>(bias.data()),
-                bias.size() * sizeof(Feature));
+        layer.updateParameters([&](DenseMatrix &weights,
+                                   std::span<Feature> bias) {
+            for (std::size_t r = 0; r < weights.rows(); ++r) {
+                in.read(reinterpret_cast<char *>(weights.row(r)),
+                        weights.cols() * sizeof(Feature));
+            }
+            in.read(reinterpret_cast<char *>(bias.data()),
+                    bias.size() * sizeof(Feature));
+        });
     }
     if (!in)
         fatal("truncated checkpoint '%s'", path.c_str());

@@ -83,16 +83,9 @@ Trainer::trainEpoch()
     EpochStats stats;
     {
         GRAPHITE_TRACE_SPAN("epoch.loss");
-        if (config_.trainMask.empty()) {
-            stats.loss = softmaxCrossEntropy(*logits, labels_,
-                                             lossGradScratch_);
-            stats.trainAccuracy = accuracy(*logits, labels_);
-        } else {
-            stats.loss = softmaxCrossEntropyMasked(
-                *logits, labels_, config_.trainMask, lossGradScratch_);
-            stats.trainAccuracy =
-                accuracyMasked(*logits, labels_, config_.trainMask);
-        }
+        stats.loss = softmaxCrossEntropy(*logits, labels_, lossGradScratch_,
+                                         config_.trainMask);
+        stats.trainAccuracy = accuracy(*logits, labels_, config_.trainMask);
     }
     if (config_.checkNumerics)
         sweep(lossGradScratch_, "loss gradient");
@@ -129,9 +122,7 @@ Trainer::evaluate() const
 {
     const DenseMatrix &logits =
         model_.inference(inputFeatures_, config_.tech);
-    if (config_.evalMask.empty())
-        return accuracy(logits, labels_);
-    return accuracyMasked(logits, labels_, config_.evalMask);
+    return accuracy(logits, labels_, config_.evalMask);
 }
 
 SyntheticTask

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,16 +14,6 @@ namespace graphite {
 namespace {
 
 constexpr ShardId kNoShard = ~ShardId{0};
-
-/** splitmix64 finaliser: the deterministic hash of the Hash strategy. */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Hash assignment: owned lists in ascending id order. */
 void

@@ -131,12 +131,9 @@ gatherBatchFeatures(const DenseMatrix &features,
 std::uint64_t
 requestSeed(std::uint64_t requestId)
 {
-    // splitmix64 finalizer: a bijective avalanche so consecutive request
-    // ids yield statistically independent sampling streams.
-    std::uint64_t z = requestId + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    // A bijective avalanche, so consecutive request ids yield
+    // statistically independent sampling streams.
+    return splitmix64(requestId);
 }
 
 std::vector<std::vector<VertexId>>

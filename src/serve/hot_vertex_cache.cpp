@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "graph/csr_graph.h"
 #include "graph/delta_csr.h"
 #include "graph/graph_stats.h"
@@ -12,17 +13,6 @@
 namespace graphite::serve {
 
 namespace {
-
-/** splitmix64 finalizer: avalanche vertex ids into shard/table bits. */
-std::uint64_t
-mixHash(VertexId v)
-{
-    std::uint64_t z = static_cast<std::uint64_t>(v) +
-                      0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 std::size_t
 ceilPow2(std::size_t v)
@@ -81,21 +71,21 @@ HotVertexCache::shardOf(VertexId v)
 {
     // Shard selection uses the high hash bits, the table probe the low
     // ones, so the two index spaces stay uncorrelated.
-    const std::uint64_t h = mixHash(v);
+    const std::uint64_t h = splitmix64(v);
     return shards_[(h >> 32) & (shards_.size() - 1)];
 }
 
 const HotVertexCache::Shard &
 HotVertexCache::shardOf(VertexId v) const
 {
-    const std::uint64_t h = mixHash(v);
+    const std::uint64_t h = splitmix64(v);
     return shards_[(h >> 32) & (shards_.size() - 1)];
 }
 
 std::int32_t
 HotVertexCache::findSlot(const Shard &shard, VertexId v) const
 {
-    std::size_t i = mixHash(v) & tableMask_;
+    std::size_t i = splitmix64(v) & tableMask_;
     for (;;) {
         const std::int32_t cell = shard.table[i];
         if (cell == kEmpty)
@@ -116,7 +106,7 @@ HotVertexCache::rehashShard(Shard &shard)
         cell = kEmpty;
     shard.tombstones = 0;
     for (std::size_t slot = 0; slot < shard.used; ++slot) {
-        std::size_t i = mixHash(shard.slotVertex[slot]) & tableMask_;
+        std::size_t i = splitmix64(shard.slotVertex[slot]) & tableMask_;
         while (shard.table[i] != kEmpty)
             i = (i + 1) & tableMask_;
         shard.table[i] = static_cast<std::int32_t>(slot);
@@ -171,7 +161,7 @@ HotVertexCache::putLocked(Shard &shard, VertexId v, const Feature *row)
             // Unlink the victim from the index.
             const VertexId victim =
                 shard.slotVertex[static_cast<std::size_t>(slot)];
-            std::size_t i = mixHash(victim) & tableMask_;
+            std::size_t i = splitmix64(victim) & tableMask_;
             while (shard.table[i] != slot) {
                 GRAPHITE_DCHECK(shard.table[i] != kEmpty,
                                 "evicted vertex missing from table");
@@ -184,7 +174,7 @@ HotVertexCache::putLocked(Shard &shard, VertexId v, const Feature *row)
         shard.slotVertex[static_cast<std::size_t>(slot)] = v;
         // Link the new resident: first empty or tombstone cell on
         // v's probe chain.
-        std::size_t i = mixHash(v) & tableMask_;
+        std::size_t i = splitmix64(v) & tableMask_;
         while (shard.table[i] != kEmpty &&
                shard.table[i] != kTombstone)
             i = (i + 1) & tableMask_;
@@ -271,7 +261,7 @@ HotVertexCache::invalidate(VertexId v)
             dropped = true;
             const auto s = static_cast<std::size_t>(slot);
             // Tombstone v's table cell.
-            std::size_t i = mixHash(v) & tableMask_;
+            std::size_t i = splitmix64(v) & tableMask_;
             while (shard.table[i] != slot) {
                 GRAPHITE_DCHECK(shard.table[i] != kEmpty,
                                 "resident vertex missing from table");
@@ -289,7 +279,7 @@ HotVertexCache::invalidate(VertexId v)
                 std::memcpy(shard.rows.data() + s * rowWidth_,
                             shard.rows.data() + last * rowWidth_,
                             rowWidth_ * sizeof(Feature));
-                std::size_t j = mixHash(moved) & tableMask_;
+                std::size_t j = splitmix64(moved) & tableMask_;
                 while (shard.table[j] !=
                        static_cast<std::int32_t>(last)) {
                     GRAPHITE_DCHECK(shard.table[j] != kEmpty,

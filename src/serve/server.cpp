@@ -7,8 +7,6 @@
 #include "kernels/mean_gather.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/gemm.h"
-#include "tensor/row_ops.h"
 
 namespace graphite::serve {
 
@@ -122,18 +120,11 @@ InferenceServer::InferenceServer(const CsrGraph &graph, DeltaCsr *overlay,
                     "one fanout per layer, innermost first");
     GRAPHITE_ASSERT(layers_.front()->inFeatures() == features_.cols(),
                     "layer 0 input width must match the feature table");
-    for (std::size_t k = 0; k < layers_.size(); ++k) {
-        // graphite-lint: allow(assert) cold ctor contract checks, once
-        // per layer, not per request.
-        GRAPHITE_ASSERT(layers_[k]->bias().size() ==
-                            layers_[k]->outFeatures(),
-                        "bias width mismatch");
-        if (k + 1 < layers_.size()) {
-            // graphite-lint: allow(assert) cold ctor contract check.
-            GRAPHITE_ASSERT(layers_[k]->outFeatures() ==
-                                layers_[k + 1]->inFeatures(),
-                            "layer stack width mismatch");
-        }
+    for (std::size_t k = 0; k + 1 < layers_.size(); ++k) {
+        // graphite-lint: allow(assert) cold ctor contract check.
+        GRAPHITE_ASSERT(layers_[k]->outFeatures() ==
+                            layers_[k + 1]->inFeatures(),
+                        "layer stack width mismatch");
     }
     scratch_ = makeScratch(config_.maxBatch);
     oracleScratch_ = makeScratch(1);
@@ -286,7 +277,7 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
     // destination, hub misses included, is aggregated into the next
     // agg row from the top, and one GEMM runs over those rows only,
     // into the top of out[0]. row0 maps each destination to its row.
-    GnnLayer &layer0 = *layers_.front();
+    const GnnLayer &layer0 = *layers_.front();
     const std::size_t *off0 = scratch.dstOffset.data();
     const std::size_t totalDst0 = off0[n];
     DenseMatrix &out0 = scratch.out[0];
@@ -351,13 +342,7 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
             scratch.row0[g] = dense++;
         }
     }
-    gemmBlockSerial(agg0.row(0), dense, agg0.rowStride(),
-                    layer0.packedWeights(config_.precision), out0.row(0),
-                    out0.rowStride(), layer0.inFeatures());
-    GRAPHITE_DCHECK(layer0.bias().size() == out0.cols(),
-                    "bias width mismatch");
-    finishUpdateBlock(out0.row(0), dense, out0.rowStride(), out0.cols(),
-                      layer0.bias(), layer0.hasRelu());
+    layer0.updateRows(agg0, dense, out0, config_.precision);
     // Fills go in only now that their rows hold h1; the epoch read
     // before the gather still fences a concurrent insert.
     for (std::size_t f = 0; f < numFills; ++f) {
@@ -368,7 +353,7 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
     // Layers >= 1 aggregate the previous layer's rows of the request;
     // layer 1 finds them through row0.
     for (std::size_t k = 1; k < K; ++k) {
-        GnnLayer &layer = *layers_[k];
+        const GnnLayer &layer = *layers_[k];
         const std::size_t inF = layer.inFeatures();
         const std::size_t *off =
             scratch.dstOffset.data() + k * (scratch.maxBatch + 1);
@@ -395,13 +380,7 @@ InferenceServer::forwardBatchOn(const G &graph, ForwardScratch &scratch,
             }
         }
 
-        gemmBlockSerial(agg.row(0), totalDst, agg.rowStride(),
-                        layer.packedWeights(config_.precision),
-                        outM.row(0), outM.rowStride(), inF);
-        GRAPHITE_DCHECK(layer.bias().size() == outM.cols(),
-                        "bias width mismatch");
-        finishUpdateBlock(outM.row(0), totalDst, outM.rowStride(),
-                          outM.cols(), layer.bias(), layer.hasRelu());
+        layer.updateRows(agg, totalDst, outM, config_.precision);
     }
 
     // 4. Deliver: the outermost layer has exactly one destination row

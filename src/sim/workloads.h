@@ -17,6 +17,7 @@
 
 #include "graph/csr_graph.h"
 #include "graph/reorder.h"
+#include "kernels/engine.h"
 #include "sim/machine.h"
 
 namespace graphite::sim {
@@ -59,12 +60,16 @@ struct LayerWorkload
      */
     unsigned addrParity = 0;
 
-    /** Kernel shape knobs (Algorithms 1/2 constants). @{ */
-    std::size_t taskSize = 64;
-    std::size_t blockSize = 16;
-    std::size_t blocksPerTask = 4;
-    std::size_t prefetchDistance = 4;
-    std::size_t prefetchLines = 2;
+    /**
+     * Kernel shape knobs (Algorithms 1/2 constants), defaulting to the
+     * engine's (kernels/engine.h); the ablation benches override them.
+     * @{
+     */
+    std::size_t taskSize = kAggTaskVertices;
+    std::size_t blockSize = kFusedBlockSize;
+    std::size_t blocksPerTask = kFusedBlocksPerTask;
+    std::size_t prefetchDistance = kPrefetchDistance;
+    std::size_t prefetchLines = kPrefetchLines;
     /** @} */
 
     /** Cost model: aggregation cycles per gathered cache line. */

@@ -154,15 +154,26 @@ dropoutBackward(DenseMatrix &grad, double rate,
 double
 softmaxCrossEntropy(const DenseMatrix &logits,
                     std::span<const std::int32_t> labels,
-                    DenseMatrix &gradOut)
+                    DenseMatrix &gradOut, std::span<const std::uint8_t> mask)
 {
     GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
+    GRAPHITE_ASSERT(mask.empty() || mask.size() == logits.rows(),
+                    "mask count mismatch");
     GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
                         gradOut.cols() == logits.cols(),
                     "grad shape mismatch");
-    const std::size_t rows = logits.rows();
+    std::size_t selected = logits.rows();
+    if (!mask.empty()) {
+        // Unselected rows keep a zero gradient.
+        selected = static_cast<std::size_t>(
+            std::count_if(mask.begin(), mask.end(),
+                          [](std::uint8_t m) { return m != 0; }));
+        gradOut.zero();
+    }
+    if (selected == 0)
+        return 0.0;
     const std::size_t classes = logits.cols();
-    const double invRows = 1.0 / static_cast<double>(rows);
+    const double invCount = 1.0 / static_cast<double>(selected);
 
     // Grow-only per-thread scratch: the loss runs once per epoch from
     // the training loop, and reusing the reduction buffer keeps the
@@ -173,67 +184,11 @@ softmaxCrossEntropy(const DenseMatrix &logits,
     // workers' lambda they would resolve to each worker's own (empty)
     // instance. Hand the workers the caller's buffer via a pointer.
     double *const partials = partialLoss.data();
-    parallelFor(0, rows, 256,
-                [&](std::size_t begin, std::size_t end, std::size_t tid) {
-        double loss = 0.0;
-        for (std::size_t r = begin; r < end; ++r) {
-            const Feature *in = logits.row(r);
-            Feature *g = gradOut.row(r);
-            Feature maxLogit = in[0];
-            for (std::size_t c = 1; c < classes; ++c)
-                maxLogit = std::max(maxLogit, in[c]);
-            double denom = 0.0;
-            for (std::size_t c = 0; c < classes; ++c)
-                denom += std::exp(double{in[c]} - double{maxLogit});
-            const auto label = static_cast<std::size_t>(labels[r]);
-            GRAPHITE_ASSERT(label < classes, "label out of range");
-            for (std::size_t c = 0; c < classes; ++c) {
-                const double p =
-                    std::exp(double{in[c]} - double{maxLogit}) / denom;
-                g[c] = static_cast<Feature>(
-                    (p - (c == label ? 1.0 : 0.0)) * invRows);
-                if (c == label)
-                    loss -= std::log(std::max(p, 1e-30));
-            }
-        }
-        partials[tid] += loss;
-    });
-    double total = 0.0;
-    for (double part : partialLoss)
-        total += part;
-    return total * invRows;
-}
-
-double
-softmaxCrossEntropyMasked(const DenseMatrix &logits,
-                          std::span<const std::int32_t> labels,
-                          std::span<const std::uint8_t> mask,
-                          DenseMatrix &gradOut)
-{
-    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
-    GRAPHITE_ASSERT(mask.size() == logits.rows(), "mask count mismatch");
-    GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
-                        gradOut.cols() == logits.cols(),
-                    "grad shape mismatch");
-    std::size_t masked = 0;
-    for (std::uint8_t m : mask)
-        masked += m != 0;
-    gradOut.zero();
-    if (masked == 0)
-        return 0.0;
-    const std::size_t classes = logits.cols();
-    const double invCount = 1.0 / static_cast<double>(masked);
-
-    // Same reused reduction scratch (and thread_local capture caveat)
-    // as the unmasked variant above.
-    thread_local std::vector<double> partialLoss;
-    partialLoss.assign(ThreadPool::global().numThreads(), 0.0);
-    double *const partials = partialLoss.data();
     parallelFor(0, logits.rows(), 256,
                 [&](std::size_t begin, std::size_t end, std::size_t tid) {
         double loss = 0.0;
         for (std::size_t r = begin; r < end; ++r) {
-            if (!mask[r])
+            if (!mask.empty() && !mask[r])
                 continue;
             const Feature *in = logits.row(r);
             Feature *g = gradOut.row(r);
@@ -263,34 +218,16 @@ softmaxCrossEntropyMasked(const DenseMatrix &logits,
 }
 
 double
-accuracy(const DenseMatrix &logits, std::span<const std::int32_t> labels)
+accuracy(const DenseMatrix &logits, std::span<const std::int32_t> labels,
+         std::span<const std::uint8_t> mask)
 {
     GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
-    std::size_t correct = 0;
-    for (std::size_t r = 0; r < logits.rows(); ++r) {
-        const Feature *row = logits.row(r);
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < logits.cols(); ++c) {
-            if (row[c] > row[best])
-                best = c;
-        }
-        correct += best == static_cast<std::size_t>(labels[r]);
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(logits.rows());
-}
-
-double
-accuracyMasked(const DenseMatrix &logits,
-               std::span<const std::int32_t> labels,
-               std::span<const std::uint8_t> mask)
-{
-    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
-    GRAPHITE_ASSERT(mask.size() == logits.rows(), "mask count mismatch");
+    GRAPHITE_ASSERT(mask.empty() || mask.size() == logits.rows(),
+                    "mask count mismatch");
     std::size_t correct = 0;
     std::size_t counted = 0;
     for (std::size_t r = 0; r < logits.rows(); ++r) {
-        if (!mask[r])
+        if (!mask.empty() && !mask[r])
             continue;
         ++counted;
         const Feature *row = logits.row(r);

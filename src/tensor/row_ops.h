@@ -29,11 +29,12 @@ void reluForward(DenseMatrix &x);
  * @p numRows rows of @p stride floats in place, and re-zero each row's
  * padding tail (block scratch may carry stale values from an earlier,
  * wider layer, and rows are copied — and possibly compressed — at full
- * stride). The fused kernels run it per block inside their tasks; the
- * server and MiniBatchTrainer run it after gemmBlockSerial, where it
- * keeps them off the thread pool (the server forwards concurrently from
- * its consumer and serveOne callers, and ThreadPool::runOnAll must not
- * be entered from two threads at once).
+ * stride). The fused kernels run it per block inside their tasks;
+ * GnnLayer::updateRows (the server's and MiniBatchTrainer's sampled
+ * blocks) runs it after gemmBlockSerial, where it keeps them off the
+ * thread pool (the server forwards concurrently from its consumer and
+ * serveOne callers, and ThreadPool::runOnAll must not be entered from
+ * two threads at once).
  */
 inline void
 finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
@@ -87,37 +88,28 @@ void columnSum(const DenseMatrix &x, std::span<Feature> out,
                std::vector<Feature> &scratch);
 
 /**
- * Softmax + cross-entropy over rows.
+ * Softmax + cross-entropy over the rows @p mask selects (mask[r] != 0;
+ * an empty mask selects every row). A mask is the train split of a
+ * node-classification task: only selected rows add to the loss and get
+ * a gradient, and unselected rows' gradients are zero.
  *
  * @param logits   |V| x numClasses scores.
  * @param labels   per-row class ids.
- * @param gradOut  filled with d(loss)/d(logits) (softmax - onehot) / |V|.
- * @return mean loss.
+ * @param gradOut  filled with d(loss)/d(logits),
+ *                 (softmax - onehot) / (selected rows).
+ * @return mean loss over the selected rows (0 if none).
  */
 double softmaxCrossEntropy(const DenseMatrix &logits,
                            std::span<const std::int32_t> labels,
-                           DenseMatrix &gradOut);
+                           DenseMatrix &gradOut,
+                           std::span<const std::uint8_t> mask = {});
 
 /**
- * Masked softmax cross-entropy: only rows with mask[r] != 0 contribute
- * to the loss and receive gradient (the train-split regime of
- * node-classification benchmarks; labelled vertices are a subset).
- * Unmasked rows' gradients are zero. Normalised by the masked count.
- *
- * @return mean loss over the masked rows (0 if none are masked).
+ * Fraction of the rows @p mask selects (all for an empty mask) whose
+ * argmax equals the label; 1.0 if none are selected.
  */
-double softmaxCrossEntropyMasked(const DenseMatrix &logits,
-                                 std::span<const std::int32_t> labels,
-                                 std::span<const std::uint8_t> mask,
-                                 DenseMatrix &gradOut);
-
-/** Fraction of rows whose argmax equals the label. */
 double accuracy(const DenseMatrix &logits,
-                std::span<const std::int32_t> labels);
-
-/** Accuracy over the rows with mask[r] != 0 (1.0 if none). */
-double accuracyMasked(const DenseMatrix &logits,
-                      std::span<const std::int32_t> labels,
-                      std::span<const std::uint8_t> mask);
+                std::span<const std::int32_t> labels,
+                std::span<const std::uint8_t> mask = {});
 
 } // namespace graphite

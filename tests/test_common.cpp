@@ -13,6 +13,7 @@
 #include "common/options.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "sampling/neighbor_sampler.h"
 
 namespace graphite {
 namespace {
@@ -76,6 +77,17 @@ TEST(AlignedBuffer, ResizeZeroes)
     ASSERT_EQ(a.size(), 32u);
     for (int v : a)
         EXPECT_EQ(v, 0);
+}
+
+TEST(Rng, Splitmix64MatchesKnownValues)
+{
+    // Reference values of Vigna's splitmix64 from state 0 and 1; the
+    // per-request sampling seeds, the hot cache's shard hash and Rng's
+    // seeding all derive from it, so none of them may move.
+    EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ull);
+    EXPECT_EQ(requestSeed(0), splitmix64(0));
+    EXPECT_EQ(Rng(1).next(), 0xb3f2af6d0fc710c5ull);
 }
 
 TEST(Rng, DeterministicForSameSeed)

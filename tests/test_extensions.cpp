@@ -247,7 +247,9 @@ TEST(Adam, WeightDecayShrinksWeights)
     adamConfig.learningRate = 0.1f;
     adamConfig.weightDecay = 0.5f;
     AdamOptimizer adam(model, adamConfig);
-    model.layer(0).weights().fillUniform(1.0f, 1.0f, 0); // all ones
+    model.layer(0).updateParameters([](DenseMatrix &w, std::span<Feature>) {
+        w.fillUniform(1.0f, 1.0f, 0); // all ones
+    });
     // weightGrad is zero-initialised (no backward ran).
     double before = 0.0;
     for (std::size_t c = 0; c < 4; ++c)
@@ -388,8 +390,13 @@ TEST(MiniBatchTrainer, FullFanoutBatchMatchesFullBatchSage)
     MiniBatchTrainer trainer(g, task.features, task.labels, widths,
                              config);
     for (std::size_t k = 0; k < model.numLayers(); ++k) {
-        trainer.layer(k).weights() = model.layer(k).weights();
-        trainer.layer(k).bias() = model.layer(k).bias();
+        const GnnLayer &from = model.layer(k);
+        trainer.layer(k).updateParameters(
+            [&](DenseMatrix &w, std::span<Feature> bias) {
+                w = from.weights();
+                std::copy(from.bias().begin(), from.bias().end(),
+                          bias.begin());
+            });
     }
 
     const TechniqueConfig tech = TechniqueConfig::basic();
@@ -502,8 +509,7 @@ TEST(MaskedTraining, UnmaskedRowsGetZeroGradient)
     std::vector<std::int32_t> labels = {0, 1, 2, 0, 1, 2};
     std::vector<std::uint8_t> mask = {1, 0, 1, 0, 0, 1};
     DenseMatrix grad(6, 3);
-    const double loss =
-        softmaxCrossEntropyMasked(logits, labels, mask, grad);
+    const double loss = softmaxCrossEntropy(logits, labels, grad, mask);
     EXPECT_GT(loss, 0.0);
     for (std::size_t r = 0; r < 6; ++r) {
         double rowSum = 0.0;

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "gnn/gnn_model.h"
 #include "gnn/trainer.h"
@@ -23,6 +25,18 @@
 
 namespace graphite {
 namespace {
+
+static_assert(std::is_same_v<decltype(std::declval<GnnLayer &>().weights()),
+                             const DenseMatrix &>,
+              "a layer's weights are written only through its mutators");
+
+/** W[r, c] = @p value, through the layer's one parameter mutator. */
+void
+setWeight(GnnLayer &layer, std::size_t r, std::size_t c, Feature value)
+{
+    layer.updateParameters(
+        [&](DenseMatrix &w, std::span<Feature>) { w.at(r, c) = value; });
+}
 
 CsrGraph
 testGraph()
@@ -124,13 +138,12 @@ TEST(GnnLayer, WeightGradientMatchesFiniteDifference)
     const float eps = 1e-3f;
     for (std::size_t r = 0; r < 3; ++r) {
         for (std::size_t c = 0; c < 2; ++c) {
-            Feature &w = model.layer(0).weights().at(r, c);
-            const Feature orig = w;
-            w = orig + eps;
+            const Feature orig = model.layer(0).weights().at(r, c);
+            setWeight(model.layer(0), r, c, orig + eps);
             const double lossPlus = lossOf();
-            w = orig - eps;
+            setWeight(model.layer(0), r, c, orig - eps);
             const double lossMinus = lossOf();
-            w = orig;
+            setWeight(model.layer(0), r, c, orig);
             const double numeric = (lossPlus - lossMinus) / (2.0 * eps);
             EXPECT_NEAR(analytic.at(r, c), numeric,
                         5e-3 * std::max(1.0, std::abs(numeric)))
@@ -171,13 +184,12 @@ TEST(GnnLayer, TwoLayerGradientMatchesFiniteDifference)
 
     const float eps = 1e-3f;
     for (std::size_t r = 0; r < 2; ++r) {
-        Feature &w = model.layer(0).weights().at(r, 1);
-        const Feature orig = w;
-        w = orig + eps;
+        const Feature orig = model.layer(0).weights().at(r, 1);
+        setWeight(model.layer(0), r, 1, orig + eps);
         const double lossPlus = lossOf();
-        w = orig - eps;
+        setWeight(model.layer(0), r, 1, orig - eps);
         const double lossMinus = lossOf();
-        w = orig;
+        setWeight(model.layer(0), r, 1, orig);
         const double numeric = (lossPlus - lossMinus) / (2.0 * eps);
         EXPECT_NEAR(analytic.at(r, 1), numeric,
                     1e-2 * std::max(1.0, std::abs(numeric)));
@@ -298,8 +310,8 @@ TEST(Trainer, CheckNumericsDetectsPoisonedWeights)
     // before the epoch's stats are reported as if nothing happened.
     {
         GnnModel model(g, config);
-        model.layer(0).weights().at(0, 0) =
-            std::numeric_limits<float>::quiet_NaN();
+        setWeight(model.layer(0), 0, 0,
+                  std::numeric_limits<float>::quiet_NaN());
         TrainerConfig tc;
         tc.checkNumerics = true;
         Trainer trainer(model, task.features, task.labels, tc);
@@ -310,8 +322,8 @@ TEST(Trainer, CheckNumericsDetectsPoisonedWeights)
     // throw), which is exactly why the opt-in sweep exists.
     {
         GnnModel model(g, config);
-        model.layer(0).weights().at(0, 0) =
-            std::numeric_limits<float>::quiet_NaN();
+        setWeight(model.layer(0), 0, 0,
+                  std::numeric_limits<float>::quiet_NaN());
         TrainerConfig tc;
         Trainer trainer(model, task.features, task.labels, tc);
         EXPECT_NO_THROW(trainer.trainEpoch());
@@ -531,8 +543,10 @@ TEST_P(ProjectedLayerParity, MatchesAggregateFirstOracles)
     const bool fp32 = precision == Precision::Fp32;
     GnnLayer layer(fin, fout, fp32);
     layer.initWeights(72);
-    for (std::size_t c = 0; c < fout; ++c)
-        layer.bias()[c] = 0.05f * static_cast<float>(c) - 0.1f;
+    layer.updateParameters([](DenseMatrix &, std::span<Feature> bias) {
+        for (std::size_t c = 0; c < bias.size(); ++c)
+            bias[c] = 0.05f * static_cast<float>(c) - 0.1f;
+    });
     DenseMatrix x(n, fin);
     x.fillUniform(-1.0f, 1.0f, 73);
     DenseMatrix dh(n, fout);
@@ -545,9 +559,8 @@ TEST_P(ProjectedLayerParity, MatchesAggregateFirstOracles)
 
     DenseMatrix agg(n, fin);
     DenseMatrix oracle(n, fout);
-    const GnnLayer &constLayer = layer; // keeps the plan cache precise
     unfusedLayer(sg.g, x, sg.spec,
-                 {&constLayer.weights(), layer.bias(), layer.hasRelu()},
+                 {&layer.weights(), layer.bias(), layer.hasRelu()},
                  agg, oracle);
     const LayerRun basic = runLayer(layer, sg, x, dh,
                                     TechniqueConfig::basic(),

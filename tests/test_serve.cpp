@@ -23,6 +23,7 @@
 
 #include "common/alloc_guard.h"
 #include "common/rng.h"
+#include "gnn/minibatch_trainer.h"
 #include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -484,6 +485,68 @@ TEST(InferenceServer, ServedEmbeddingsBitwiseMatchOfflineReplay)
     }
     // run() served kRequests; the replay loop served them once more.
     EXPECT_EQ(server.stats().requestsServed, 2 * kRequests);
+}
+
+// Layers trained by MiniBatchTrainer serve like freshly built ones: the
+// trainer's SGD steps go through the layer, so the packed weights are
+// built once and then only read, by the consumer loop and by serveOne()
+// callers at the same time. (A repack per forward would rewrite a plan
+// another thread is reading; TSan reports that race.)
+TEST(InferenceServer, TrainedLayersServeBitwiseBesideConcurrentReplay)
+{
+    const CsrGraph graph = testGraph();
+    DenseMatrix features(graph.numVertices(), 16);
+    features.fillUniform(0.0f, 1.0f, 19);
+    std::vector<std::int32_t> labels(graph.numVertices());
+    for (VertexId v = 0; v < graph.numVertices(); ++v)
+        labels[v] = static_cast<std::int32_t>(v % 8);
+    MiniBatchConfig trainConfig;
+    trainConfig.batchSize = 256;
+    trainConfig.fanouts = {5, 5};
+    MiniBatchTrainer trainer(graph, features, labels, {16, 24, 8},
+                             trainConfig);
+    ASSERT_GT(trainer.trainEpoch().loss, 0.0);
+
+    ServeConfig config;
+    config.fanouts = {5, 5};
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 500;
+    config.hotCacheCapacity = 0; // determinism mode
+    InferenceServer server(graph, features, trainer.layerPointers(),
+                           config);
+
+    constexpr std::size_t kRequests = 128;
+    const auto vertexOf = [&graph](std::size_t i) {
+        return static_cast<VertexId>((i * 53) % graph.numVertices());
+    };
+    DenseMatrix served(kRequests, server.outFeatures());
+    DenseMatrix replay(kRequests, server.outFeatures());
+    std::atomic<bool> stop{false};
+    std::thread consumer([&server] { server.run(); });
+    // The replay runs beside the consumer until it has drained.
+    std::thread oracle([&] {
+        do {
+            for (std::size_t i = 0; i < kRequests; ++i)
+                server.serveOne(i, vertexOf(i), replay.row(i));
+        } while (!stop.load(std::memory_order_acquire));
+    });
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        InferenceRequest req = makeRequest(i, vertexOf(i));
+        req.out = served.row(i);
+        while (!server.queue().push(req))
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    server.queue().close();
+    consumer.join();
+    stop.store(true, std::memory_order_release);
+    oracle.join();
+
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(0, std::memcmp(served.row(i), replay.row(i),
+                                 server.outFeatures() * sizeof(Feature)))
+            << "request " << i
+            << " served embedding differs from the concurrent replay";
+    }
 }
 
 TEST(InferenceServer, HubThresholdIsResolvedAtConstruction)

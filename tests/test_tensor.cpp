@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <tuple>
@@ -524,10 +525,34 @@ TEST(RowOps, SoftmaxCrossEntropyMaskedParallelReductionMatchesSerial)
         mask[i] = static_cast<std::uint8_t>(i % 5 != 0);
     }
     DenseMatrix grad(rows, classes);
-    const double loss =
-        softmaxCrossEntropyMasked(logits, labels, mask, grad);
+    const double loss = softmaxCrossEntropy(logits, labels, grad, mask);
     const double ref = serialCrossEntropy(logits, labels, mask.data());
     EXPECT_NEAR(loss, ref, 1e-9 * ref);
+
+    // An all-ones mask is the unmasked loss, bit for bit: the training
+    // loop's unmasked path must not move.
+    const std::vector<std::uint8_t> all(rows, 1);
+    DenseMatrix gradAll(rows, classes);
+    DenseMatrix gradNone(rows, classes);
+    const double lossAll = softmaxCrossEntropy(logits, labels, gradAll, all);
+    const double lossNone = softmaxCrossEntropy(logits, labels, gradNone);
+    EXPECT_EQ(std::memcmp(&lossAll, &lossNone, sizeof(double)), 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(std::memcmp(gradAll.row(r), gradNone.row(r),
+                              classes * sizeof(Feature)),
+                  0)
+            << "row " << r;
+    }
+    EXPECT_EQ(accuracy(logits, labels, all), accuracy(logits, labels));
+
+    // No selected row: loss 0, a zero gradient, accuracy 1.
+    const std::vector<std::uint8_t> none(rows, 0);
+    EXPECT_EQ(softmaxCrossEntropy(logits, labels, grad, none), 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < classes; ++c)
+            ASSERT_EQ(grad.at(r, c), 0.0f);
+    }
+    EXPECT_EQ(accuracy(logits, labels, none), 1.0);
 }
 
 TEST(RowOps, PerfectLogitsGiveLowLossAndFullAccuracy)

@@ -89,6 +89,19 @@ techniqueFor(const Options &options)
     return tech;
 }
 
+GnnKind
+modelFor(const Options &options)
+{
+    const std::string name = options.getString("model");
+    if (name == "gcn")
+        return GnnKind::Gcn;
+    if (name == "sage")
+        return GnnKind::Sage;
+    if (name == "gin")
+        return GnnKind::Gin;
+    fatal("--model: unknown model '%s' (gcn | sage | gin)", name.c_str());
+}
+
 int
 runConvert(const Options &options)
 {
@@ -165,8 +178,7 @@ runTrain(const Options &options)
                                            0.4, 11);
 
     GnnModelConfig config;
-    config.kind = options.getString("model") == "sage" ? GnnKind::Sage
-                                                       : GnnKind::Gcn;
+    config.kind = modelFor(options);
     config.featureWidths = {features, options.getCount("hidden", 1),
                             classes};
     config.dropoutRate = options.getDouble("dropout");
@@ -207,8 +219,7 @@ runInfer(const Options &options)
     const std::size_t features = options.getCount("features", 1);
 
     GnnModelConfig config;
-    config.kind = options.getString("model") == "sage" ? GnnKind::Sage
-                                                       : GnnKind::Gcn;
+    config.kind = modelFor(options);
     config.featureWidths = {features, options.getCount("hidden", 1),
                             classes};
     GnnModel model(graph, config);
@@ -255,7 +266,7 @@ main(int argc, char **argv)
     options.add("delayed-halo", "false",
                 "delayed cross-shard aggregation (halo gathered once "
                 "per shard; fp-tolerant)");
-    options.add("model", "gcn", "gcn | sage");
+    options.add("model", "gcn", "gcn | sage | gin");
     options.add("features", "64", "input feature width");
     options.add("hidden", "128", "hidden feature width");
     options.add("classes", "8", "label classes");

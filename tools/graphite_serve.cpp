@@ -103,10 +103,9 @@ main(int argc, char **argv)
     serveConfig.hotCacheCapacity = options.getCount("hot-cache-capacity");
     serveConfig.hotCacheMinDegree = options.getCount("hot-cache-min-degree");
     const std::string precision = options.getString("precision");
-    if (precision == "bf16")
-        serveConfig.precision = Precision::Bf16;
-    else if (precision != "fp32")
-        fatal("unknown precision '%s'", precision.c_str());
+    if (!parsePrecision(precision, serveConfig.precision))
+        fatal("--precision: unknown precision '%s' (fp32 | bf16)",
+              precision.c_str());
 
     serve::LoadGenConfig loadConfig;
     loadConfig.numRequests = options.getCount("requests");
