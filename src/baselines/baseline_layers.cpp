@@ -44,16 +44,14 @@ namespace {
 void
 finishUpdate(const UpdateOp &update, DenseMatrix &aggOut, DenseMatrix &out)
 {
+    GRAPHITE_ASSERT(!update.dropout.on(), "baseline layers have no dropout");
     // An epoch-cached weight plan (GnnLayer's) skips the per-call pack;
     // otherwise gemm packs internally for this call only.
     if (update.packedWeights)
         gemm(GemmMode::NN, aggOut, *update.packedWeights, out);
     else
         gemm(GemmMode::NN, aggOut, *update.weights, out);
-    if (!update.bias.empty())
-        addBias(out, update.bias);
-    if (update.relu)
-        reluForward(out);
+    finishRows(out, update.bias, update.relu, {});
 }
 
 } // namespace

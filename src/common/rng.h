@@ -3,8 +3,8 @@
  * Deterministic, fast pseudo-random number generation.
  *
  * All stochastic pieces of the library (graph generators, dropout, feature
- * sparsification, sampling) draw from this RNG so that experiments are
- * reproducible from a single seed.
+ * sparsification, sampling) draw from these generators so that
+ * experiments are reproducible from a single seed.
  */
 
 #pragma once
@@ -17,7 +17,8 @@ namespace graphite {
  * splitmix64: one step of Vigna's generator from state @p x, i.e. the
  * finalizer applied to x + the golden-ratio increment. A bijective
  * avalanche, shared by Rng's seeding, the per-request sampling seeds,
- * the hot cache's shard hash and the Hash partitioner.
+ * the hot cache's shard hash, the Hash partitioner and dropout's row
+ * keys.
  */
 inline std::uint64_t
 splitmix64(std::uint64_t x)
@@ -29,8 +30,7 @@ splitmix64(std::uint64_t x)
 }
 
 /**
- * xoshiro256** generator seeded via splitmix64. Fast enough to sit inside
- * the dropout inner loop, with 256 bits of state.
+ * xoshiro256** generator seeded via splitmix64, with 256 bits of state.
  */
 class Rng
 {

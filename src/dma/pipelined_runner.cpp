@@ -270,6 +270,7 @@ pipelinedDmaLayer(const CsrGraph &graph, const DenseMatrix &in,
                   const EngineConfig &engine)
 {
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
+    GRAPHITE_ASSERT(!update.dropout.on(), "the DMA pipeline has no dropout");
     return runPipeline(graph, in, spec, &update, aggOut, &out, order,
                        engine);
 }

@@ -151,7 +151,7 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                   DenseMatrix &out, CompressedMatrix *outCompressed,
                   Bf16Matrix *outBf16, std::span<const VertexId> order,
                   const PartitionPlan *plan, const TechniqueConfig &tech,
-                  const LayerChain &chain) const
+                  const LayerChain &chain, const DropoutOp &dropout) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
     const Schedule schedule = layerSchedule(graph, order, plan, tech);
@@ -170,14 +170,12 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
         if (fusedBlocks) {
             fusedLayer(graph, z, spec,
                        {nullptr, bias_, relu_, nullptr, tech.precision,
-                        then},
+                        then, dropout},
                        out, {nullptr, outCompressed, outBf16}, schedule);
             return;
         }
         aggregate(graph, z, out, spec, schedule);
-        addBias(out, bias_);
-        if (relu_)
-            reluForward(out);
+        finishRows(out, bias_, relu_, dropout);
     } else {
         GRAPHITE_ASSERT(!chain.inProjected,
                         "projected input to an aggregate-first layer");
@@ -188,7 +186,7 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
             in = *inBf16;
         const UpdateOp update{&weights_, bias_, relu_,
                               &packedWeights(tech.precision),
-                              tech.precision, then};
+                              tech.precision, then, dropout};
         // Fusion has no delayed-halo variant (the replica phase breaks
         // the per-block pipeline); delayed runs take the unfused path.
         if (fusedBlocks) {
@@ -224,7 +222,7 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const LayerChain &chain) const
 {
     forward(graph, spec, in, inCompressed, inBf16, nullptr, out,
-            outCompressed, outBf16, order, plan, tech, chain);
+            outCompressed, outBf16, order, plan, tech, chain, {});
 }
 
 void
@@ -232,11 +230,14 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
                           const CompressedMatrix *inCompressed,
                           const Bf16Matrix *inBf16, LayerContext &ctx,
-                          bool compressOutput,
+                          bool compressOutput, bool bf16Output,
                           std::span<const VertexId> order,
                           const PartitionPlan *plan,
-                          const TechniqueConfig &tech) const
+                          const TechniqueConfig &tech,
+                          const DropoutOp &dropout) const
 {
+    GRAPHITE_ASSERT(relu_ || !dropout.on(),
+                    "dropout needs the ReLU its backward folds into");
     const VertexId n = graph.numVertices();
     // A projecting layer's backward needs its input, not a^k.
     const bool projects = projectsFirst(spec, tech);
@@ -254,9 +255,14 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
         }
         outCompressed = &ctx.outputCompressed;
     }
+    ctx.hasBf16 = bf16Output;
+    if (bf16Output)
+        ctx.outputBf16.reshape(n, outFeatures_);
+    ctx.dropoutScale = dropout.scale;
     forward(graph, spec, in, inCompressed, inBf16,
             projects ? nullptr : &ctx.agg, ctx.output, outCompressed,
-            nullptr, order, plan, tech, {});
+            bf16Output ? &ctx.outputBf16 : nullptr, order, plan, tech, {},
+            dropout);
 }
 
 void
@@ -271,10 +277,10 @@ GnnLayer::backward(const CsrGraph &transposed,
     GRAPHITE_ASSERT(gradOut.rows() == ctx.output.rows() &&
                         gradOut.cols() == outFeatures_,
                     "gradOut shape mismatch");
-    // dz = dh ⊙ ReLU'(h); ctx.output is post-activation so zeros mark
-    // clipped positions.
+    // dz = h > 0 ? dh·s : 0; ctx.output is post-activation and
+    // post-dropout, so zeros mark clipped and dropped positions alike.
     if (relu_)
-        reluBackward(ctx.output, gradOut);
+        reluBackward(ctx.output, gradOut, ctx.dropoutScale);
 
     const Schedule schedule =
         layerSchedule(transposed, order, transposedPlan, tech);

@@ -11,14 +11,15 @@
  * linear, so the two agree up to rounding, and the gather reads F_out-
  * wide rows instead of F_in-wide ones.
  *
- * Backward math, aggregate first (a = Agg(h_prev) saved by the forward):
- *   dz      = dh ⊙ ReLU'(h)
+ * Backward math, aggregate first (a = Agg(h_prev) saved by the forward;
+ * s the survivor scale of the layer's dropout, 1 without one):
+ *   dz      = h > 0 ? dh·s : 0
  *   dW      = aᵀ · dz          db = colsum(dz)
  *   da      = dz · Wᵀ
  *   dh_prev = Aggᵀ(da)   — aggregation along the transposed graph with
  *                          the transposed factor map.
  * Projected first (the input X = h_prev saved instead of a):
- *   dz      = dh ⊙ ReLU'(h)
+ *   dz      = h > 0 ? dh·s : 0
  *   G       = Aggᵀ(dz)   — once, F_out wide
  *   dW      = Xᵀ · G           db = colsum(dz)
  *   dh_prev = G · Wᵀ
@@ -40,6 +41,7 @@
 #include "kernels/aggregation.h"
 #include "tensor/dense_matrix.h"
 #include "tensor/gemm_plan.h"
+#include "tensor/row_ops.h"
 
 namespace graphite {
 
@@ -70,15 +72,16 @@ struct LayerContext
      * which is rewritten before the backward pass.
      */
     const DenseMatrix *input = nullptr;
-    /** Layer output h^k (post-activation). */
+    /** Layer output h^k (post-activation, post-dropout). */
     DenseMatrix output;
+    /** Survivor scale of the dropout applied to output; 1 without. */
+    float dropoutScale = 1.0f;
     /** Compressed copy of output, maintained when compression is on. */
     CompressedMatrix outputCompressed;
     bool hasCompressed = false;
     /**
-     * Bf16 copy of output (post-dropout), maintained by GnnModel when
-     * the precision technique is on so the next layer gathers at half
-     * width.
+     * Bf16 copy of output (post-dropout), written when the precision
+     * technique is on so the next layer gathers at half width.
      */
     Bf16Matrix outputBf16;
     bool hasBf16 = false;
@@ -214,21 +217,22 @@ class GnnLayer
 
     /**
      * Training forward: fills @p ctx with a^k (projecting: the input
-     * record instead) and h^k, plus the packed copy when
-     * @p compressOutput (the next layer gathers h^k under compression).
-     * @p inBf16, when non-null under the Bf16 precision technique,
-     * supplies the half-width gather source; ctx.outputBf16 is the
-     * *model's* responsibility (conversion must happen after
-     * inter-layer dropout).
+     * record instead) and h^k, with @p dropout (needs the ReLU, whose
+     * backward undoes it) applied to each row as it is finished, plus
+     * packed / bf16 copies of the post-dropout rows when
+     * @p compressOutput / @p bf16Output, written as in
+     * forwardInference. @p inBf16, when non-null under the Bf16
+     * precision technique, supplies the half-width gather source.
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
                          const CompressedMatrix *inCompressed,
                          const Bf16Matrix *inBf16, LayerContext &ctx,
-                         bool compressOutput,
+                         bool compressOutput, bool bf16Output,
                          std::span<const VertexId> order,
                          const PartitionPlan *plan,
-                         const TechniqueConfig &tech) const;
+                         const TechniqueConfig &tech,
+                         const DropoutOp &dropout = {}) const;
 
     /**
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills
@@ -283,7 +287,7 @@ class GnnLayer
     /**
      * The body both forwards share: picks the direction, the gather
      * source and the schedule once, then runs fused or unfused; @p agg
-     * (training, aggregate first) keeps a^k for backprop.
+     * and @p dropout are training's (a^k kept when aggregating first).
      */
     void forward(const CsrGraph &graph, const AggregationSpec &spec,
                  const DenseMatrix &dense,
@@ -292,7 +296,7 @@ class GnnLayer
                  DenseMatrix &out, CompressedMatrix *outCompressed,
                  Bf16Matrix *outBf16, std::span<const VertexId> order,
                  const PartitionPlan *plan, const TechniqueConfig &tech,
-                 const LayerChain &chain) const;
+                 const LayerChain &chain, const DropoutOp &dropout) const;
 
     /** Z = @p in · W through the cached plan, into projected_. */
     const DenseMatrix &project(const DenseMatrix &in,

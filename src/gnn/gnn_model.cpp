@@ -11,6 +11,10 @@ GnnModel::GnnModel(const CsrGraph &graph, GnnModelConfig config)
 {
     GRAPHITE_ASSERT(config_.featureWidths.size() >= 2,
                     "need at least input and output widths");
+    if (!(config_.dropoutRate >= 0.0 && config_.dropoutRate < 1.0)) {
+        fatal("dropout rate must be in [0, 1) (got %g)",
+              config_.dropoutRate);
+    }
     switch (config_.kind) {
       case GnnKind::Gcn:
         spec_ = gcnSpec(graph);
@@ -33,7 +37,6 @@ GnnModel::GnnModel(const CsrGraph &graph, GnnModelConfig config)
         layers_.back()->initWeights(config_.seed + k);
     }
     contexts_.resize(numLayers);
-    dropoutMasks_.resize(numLayers);
 }
 
 std::span<const VertexId>
@@ -223,32 +226,20 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
                                    ? &contexts_[k - 1].outputBf16
                                    : nullptr);
         }
+        // Inter-layer dropout on hidden activations, applied as each
+        // row is finished, so the copies the next layer gathers carry
+        // its sparsity (what makes compression pay off in training —
+        // paper Section 2.2).
+        const DropoutOp dropout = k + 1 < layers_.size()
+            ? DropoutOp::at(config_.dropoutRate,
+                            config_.seed * 1315423911ull + dropoutEpoch_ +
+                                k * 2654435761ull)
+            : DropoutOp{};
         layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
                                     contexts_[k],
-                                    tech.compression && gathered, order,
-                                    plan, tech);
-        // Inter-layer dropout on hidden activations; the packed copy is
-        // rebuilt afterwards so the next layer sees the post-dropout
-        // sparsity (which is exactly what makes compression pay off in
-        // training — paper Section 2.2).
-        if (k + 1 < layers_.size() && config_.dropoutRate > 0.0) {
-            dropoutForward(contexts_[k].output, config_.dropoutRate,
-                           config_.seed * 1315423911ull + dropoutEpoch_ +
-                               k * 2654435761ull,
-                           dropoutMasks_[k]);
-            if (contexts_[k].hasCompressed)
-                contexts_[k].outputCompressed.compressFrom(
-                    contexts_[k].output);
-        }
-        // Bf16 copies are made *after* dropout so the next layer's
-        // half-width gathers see the post-dropout activations (same
-        // reasoning as the compressed rebuild above).
-        contexts_[k].hasBf16 = bf16Flow && gathered;
-        if (contexts_[k].hasBf16) {
-            contexts_[k].outputBf16.reshape(contexts_[k].output.rows(),
-                                            layers_[k]->outFeatures());
-            contexts_[k].outputBf16.fromDense(contexts_[k].output);
-        }
+                                    tech.compression && gathered,
+                                    bf16Flow && gathered, order, plan, tech,
+                                    dropout);
     }
     return contexts_.back().output;
 }
@@ -261,21 +252,15 @@ GnnModel::trainBackward(DenseMatrix &lossGrad, const TechniqueConfig &tech)
     const PartitionPlan *transposedPlan = transposedPartitionPlanFor(tech);
     DenseMatrix *gradOut = &lossGrad;
     for (std::size_t k = layers_.size(); k-- > 0;) {
-        const bool needGradIn = k > 0;
         // gradOut is gradBufs_[(k + 1) % 2] (or the caller's lossGrad
-        // at the top layer), so writing parity k never aliases it.
-        DenseMatrix *gradIn = needGradIn ? &gradBufs_[k % 2] : nullptr;
+        // at the top layer), so writing parity k never aliases it. The
+        // dropout between layers k-1 and k needs no pass here: layer
+        // k-1's ReLU backward applies its survivor scale.
+        DenseMatrix *gradIn = k > 0 ? &gradBufs_[k % 2] : nullptr;
         layers_[k]->backward(transposed_, transposedSpec_, contexts_[k],
                              *gradOut, gradIn, order, transposedPlan,
                              tech);
-        if (needGradIn) {
-            // Undo the inter-layer dropout between layer k-1 and k.
-            if (config_.dropoutRate > 0.0) {
-                dropoutBackward(*gradIn, config_.dropoutRate,
-                                dropoutMasks_[k - 1]);
-            }
-            gradOut = gradIn;
-        }
+        gradOut = gradIn;
     }
 }
 

@@ -25,7 +25,10 @@ struct GnnModelConfig
     GnnKind kind = GnnKind::Gcn;
     /** Widths: [F_input, F_hidden..., F_output]; layers = size()-1. */
     std::vector<std::size_t> featureWidths;
-    /** Dropout rate applied to hidden activations during training. */
+    /**
+     * Dropout rate applied to hidden activations during training; the
+     * model refuses a rate outside [0, 1) at construction.
+     */
     double dropoutRate = 0.5;
     std::uint64_t seed = 7;
 };
@@ -68,8 +71,10 @@ class GnnModel
 
     /**
      * Full-batch training forward: keeps every layer's context alive
-     * for the backward pass. Dropout (rate from the config) is applied
-     * to hidden activations; masks are saved for the backward pass.
+     * for the backward pass. Dropout (rate from the config, keep
+     * decisions a function of the epoch, layer, vertex and column) is
+     * applied to hidden activations as their rows are finished; no
+     * mask is kept, the backward folds it into the ReLU backward.
      *
      * @return reference to the last layer's output (the logits).
      */
@@ -150,7 +155,6 @@ class GnnModel
 
     // Training state.
     std::vector<LayerContext> contexts_;
-    std::vector<std::vector<std::uint64_t>> dropoutMasks_;
     /** One lazily-built partition plan, keyed on (shards, strategy). */
     struct CachedPartitionPlan
     {

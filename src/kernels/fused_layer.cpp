@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm.h"
-#include "tensor/row_ops.h"
 
 namespace graphite {
 
@@ -19,18 +18,19 @@ namespace {
  * commuted form restores the same shape; see fusedLayerBackward): per
  * block of the schedule's tasks, @p rows fills the cache-resident
  * aggregation block, @p weightPlan (shared read-only by every task's
- * micro-kernel; null for the identity update) multiplies it, bias and
- * ReLU finish it, @p then (the chained next-layer plan, or null)
- * multiplies the finished block, and the result is written to @p out
- * and the optional @p extra outputs.
+ * micro-kernel; null for the identity update) multiplies it, @p update's
+ * bias, ReLU and dropout finish it, its chained next-layer plan (or
+ * null) multiplies the finished block, and the result is written to
+ * @p out and the optional @p extra outputs.
  */
 template <typename Rows>
 void
 fusedRows(const CsrGraph &graph, const Rows &rows,
-          const GemmPlan *weightPlan, std::span<const Feature> bias,
-          bool relu, const GemmPlan *then, DenseMatrix &out,
-          const FusedOutputs &extra, const Schedule &schedule)
+          const GemmPlan *weightPlan, const UpdateOp &update,
+          DenseMatrix &out, const FusedOutputs &extra,
+          const Schedule &schedule)
 {
+    const GemmPlan *then = update.then;
     const std::size_t inCols = rows.in.cols();
     const std::size_t updCols = weightPlan ? weightPlan->n() : inCols;
     if (weightPlan) {
@@ -115,8 +115,14 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
                 gemmBlockSerial(agg, blockRows, aggStride, *weightPlan, upd,
                                 updStride, inCols);
             }
-            finishUpdateBlock(upd, blockRows, updStride, updCols, bias,
-                              relu);
+            finishUpdateBlock(upd, blockRows, updStride, updCols,
+                              update.bias, update.relu);
+            if (update.dropout.on()) {
+                for (std::size_t m = 0; m < blockRows; ++m) {
+                    dropoutRow(upd + m * updStride, updCols,
+                               vertexAt(order, j + m), update.dropout);
+                }
+            }
             if (then) {
                 gemmBlockSerial(upd, blockRows, updStride, *then, res,
                                 outStride, updCols);
@@ -177,8 +183,7 @@ fusedLayer(const CsrGraph &graph, FeatureRows in, const AggregationSpec &spec,
                     "a chained projection has no compressed/bf16 copy");
     withRowSource(graph, in, spec, schedule, "fusedLayer",
                   [&](const auto &rows) {
-        fusedRows(graph, rows, plan, update.bias, update.relu, update.then,
-                  out, extra, schedule);
+        fusedRows(graph, rows, plan, update, out, extra, schedule);
     });
 }
 
@@ -204,8 +209,8 @@ fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                     "fused backward requires a sum-reduce aggregation");
     withRowSource(transposed, dz, transposedSpec, schedule,
                   "fusedLayerBackward", [&](const auto &rows) {
-        fusedRows(transposed, rows, &weightsNT, {}, false, nullptr, gradIn,
-                  {}, schedule);
+        fusedRows(transposed, rows, &weightsNT, {.relu = false}, gradIn, {},
+                  schedule);
     });
 }
 
@@ -223,10 +228,7 @@ unfusedLayer(const CsrGraph &graph, FeatureRows in,
         gemm(GemmMode::NN, aggOut, *update.packedWeights, out);
     else
         gemm(GemmMode::NN, aggOut, *update.weights, out);
-    if (!update.bias.empty())
-        addBias(out, update.bias);
-    if (update.relu)
-        reluForward(out);
+    finishRows(out, update.bias, update.relu, update.dropout);
 }
 
 } // namespace graphite

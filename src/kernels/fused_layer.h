@@ -23,6 +23,7 @@
 #include "kernels/aggregation.h"
 #include "tensor/dense_matrix.h"
 #include "tensor/gemm_plan.h"
+#include "tensor/row_ops.h"
 
 namespace graphite {
 
@@ -62,6 +63,13 @@ struct UpdateOp
      * copies of h).
      */
     const GemmPlan *then = nullptr;
+    /**
+     * Inter-layer dropout of the finished rows (training; off by
+     * default), applied after bias and ReLU and before @c then and the
+     * compressed/bf16 copies. Only fusedLayer and unfusedLayer apply it;
+     * the baselines and the DMA pipeline assert it is off.
+     */
+    DropoutOp dropout = {};
 };
 
 /**
@@ -85,12 +93,13 @@ struct FusedOutputs
  * Fused aggregation + update (Algorithm 2): per block of B vertices,
  * aggregate the block from @p in's stored form into a cache-resident
  * buffer, then run the update's micro-GEMM at its precision (none for
- * the identity update), bias and ReLU — and the chained projection
- * when update.then is set — straight into @p out (|V| x F_out, or
- * |V| x then->n()). Blocks are carved from @p schedule's tasks (flat
- * or shard-major; not delayed halo). Results are bit-identical across
- * schedules: gemmBlockSerial results do not depend on how rows are
- * grouped into blocks.
+ * the identity update), bias, ReLU and dropout — and the chained
+ * projection when update.then is set — straight into @p out
+ * (|V| x F_out, or |V| x then->n()). Blocks are carved from
+ * @p schedule's tasks (flat or shard-major; not delayed halo). Results
+ * are bit-identical across schedules: gemmBlockSerial results do not
+ * depend on how rows are grouped into blocks, and dropout's keep
+ * decisions depend on the vertex, not on its block.
  */
 void fusedLayer(const CsrGraph &graph, FeatureRows in,
                 const AggregationSpec &spec, const UpdateOp &update,

@@ -4,42 +4,36 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "common/rng.h"
 #include "parallel/thread_pool.h"
 
 namespace graphite {
 
-void
-addBias(DenseMatrix &out, std::span<const Feature> bias)
+DropoutOp
+DropoutOp::at(double rate, std::uint64_t seed)
 {
-    GRAPHITE_ASSERT(bias.size() == out.cols(), "bias width mismatch");
-    parallelFor(0, out.rows(), 256,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t r = begin; r < end; ++r) {
-            Feature *rowData = out.row(r);
-            #pragma omp simd
-            for (std::size_t c = 0; c < out.cols(); ++c)
-                rowData[c] += bias[c];
-        }
-    });
+    GRAPHITE_ASSERT(rate >= 0.0 && rate < 1.0, "dropout rate out of range");
+    // rate < 1, so rate · 2^32 (exact: a power-of-two scaling) < 2^32.
+    return {static_cast<std::uint32_t>(rate * 4294967296.0),
+            static_cast<float>(1.0 / (1.0 - rate)), splitmix64(seed)};
 }
 
 void
-reluForward(DenseMatrix &x)
+finishRows(DenseMatrix &x, std::span<const Feature> bias, bool relu,
+           const DropoutOp &dropout)
 {
+    GRAPHITE_ASSERT(bias.empty() || bias.size() == x.cols(),
+                    "bias width mismatch");
     parallelFor(0, x.rows(), 256,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t r = begin; r < end; ++r) {
-            Feature *rowData = x.row(r);
-            #pragma omp simd
-            for (std::size_t c = 0; c < x.cols(); ++c)
-                rowData[c] = std::max(rowData[c], 0.0f);
-        }
+        finishUpdateBlock(x.row(begin), end - begin, x.rowStride(),
+                          x.cols(), bias, relu);
+        for (std::size_t r = begin; r < end && dropout.on(); ++r)
+            dropoutRow(x.row(r), x.cols(), r, dropout);
     });
 }
 
 void
-reluBackward(const DenseMatrix &activated, DenseMatrix &grad)
+reluBackward(const DenseMatrix &activated, DenseMatrix &grad, float scale)
 {
     GRAPHITE_ASSERT(activated.rows() == grad.rows() &&
                         activated.cols() == grad.cols(),
@@ -51,7 +45,7 @@ reluBackward(const DenseMatrix &activated, DenseMatrix &grad)
             Feature *g = grad.row(r);
             #pragma omp simd
             for (std::size_t c = 0; c < grad.cols(); ++c)
-                g[c] = act[c] > 0.0f ? g[c] : 0.0f;
+                g[c] = act[c] > 0.0f ? g[c] * scale : 0.0f;
         }
     });
 }
@@ -92,65 +86,6 @@ columnSum(const DenseMatrix &x, std::span<Feature> out,
     }
 }
 
-namespace {
-std::size_t
-maskWords(const DenseMatrix &x)
-{
-    return (x.rows() * x.rowStride() + 63) / 64;
-}
-} // namespace
-
-void
-dropoutForward(DenseMatrix &x, double rate, std::uint64_t seed,
-               std::vector<std::uint64_t> &mask)
-{
-    GRAPHITE_ASSERT(rate >= 0.0 && rate < 1.0, "dropout rate out of range");
-    mask.assign(maskWords(x), 0);
-    const float scale = static_cast<float>(1.0 / (1.0 - rate));
-    // Each parallel task owns a disjoint row range, hence disjoint mask
-    // words as long as task boundaries are 64-element aligned; rows are
-    // stride-padded to 16 floats, so use 4-row granularity at minimum.
-    parallelFor(0, x.rows(), 256,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        Rng rng(seed ^ (begin * 0x9e3779b97f4a7c15ull));
-        for (std::size_t r = begin; r < end; ++r) {
-            Feature *rowData = x.row(r);
-            const std::size_t base = r * x.rowStride();
-            for (std::size_t c = 0; c < x.cols(); ++c) {
-                if (rng.uniform() < rate) {
-                    rowData[c] = 0.0f;
-                } else {
-                    rowData[c] *= scale;
-                    const std::size_t bit = base + c;
-                    mask[bit / 64] |= std::uint64_t{1} << (bit % 64);
-                }
-            }
-        }
-    });
-}
-
-void
-dropoutBackward(DenseMatrix &grad, double rate,
-                const std::vector<std::uint64_t> &mask)
-{
-    GRAPHITE_ASSERT(mask.size() == maskWords(grad),
-                    "dropout mask size mismatch");
-    const float scale = static_cast<float>(1.0 / (1.0 - rate));
-    parallelFor(0, grad.rows(), 256,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t r = begin; r < end; ++r) {
-            Feature *rowData = grad.row(r);
-            const std::size_t base = r * grad.rowStride();
-            for (std::size_t c = 0; c < grad.cols(); ++c) {
-                const std::size_t bit = base + c;
-                const bool kept =
-                    (mask[bit / 64] >> (bit % 64)) & 1;
-                rowData[c] = kept ? rowData[c] * scale : 0.0f;
-            }
-        }
-    });
-}
-
 double
 softmaxCrossEntropy(const DenseMatrix &logits,
                     std::span<const std::int32_t> labels,
@@ -175,17 +110,27 @@ softmaxCrossEntropy(const DenseMatrix &logits,
     const std::size_t classes = logits.cols();
     const double invCount = 1.0 / static_cast<double>(selected);
 
-    // Grow-only per-thread scratch: the loss runs once per epoch from
-    // the training loop, and reusing the reduction buffer keeps the
-    // steady-state epoch allocation-free (test_alloc_guard.cpp).
-    thread_local std::vector<double> partialLoss;
-    partialLoss.assign(ThreadPool::global().numThreads(), 0.0);
+    // Grow-only per-thread scratch, so steady-state epochs allocate
+    // nothing (test_alloc_guard.cpp): a partial loss per fixed-size row
+    // chunk, reduced in chunk order as in columnSum, then a row of exp
+    // values per worker, each exp taken once for the sum and for p
+    // (rows 8 doubles, one cache line, apart: workers share no line).
+    constexpr std::size_t kChunkRows = 256;
+    const std::size_t expStride = classes + 8;
+    const std::size_t numChunks = (logits.rows() + kChunkRows - 1) /
+                                  kChunkRows;
+    const std::size_t numThreads = ThreadPool::global().numThreads();
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < numChunks + numThreads * expStride)
+        scratch.resize(numChunks + numThreads * expStride);
     // thread_local names are not captured by [&]: inside the pool
     // workers' lambda they would resolve to each worker's own (empty)
-    // instance. Hand the workers the caller's buffer via a pointer.
-    double *const partials = partialLoss.data();
-    parallelFor(0, logits.rows(), 256,
+    // instance. Hand the workers the caller's buffer via pointers.
+    double *const partials = scratch.data();
+    double *const expRows = partials + numChunks;
+    parallelFor(0, logits.rows(), kChunkRows,
                 [&](std::size_t begin, std::size_t end, std::size_t tid) {
+        double *const exps = expRows + tid * expStride;
         double loss = 0.0;
         for (std::size_t r = begin; r < end; ++r) {
             if (!mask.empty() && !mask[r])
@@ -196,24 +141,25 @@ softmaxCrossEntropy(const DenseMatrix &logits,
             for (std::size_t c = 1; c < classes; ++c)
                 maxLogit = std::max(maxLogit, in[c]);
             double denom = 0.0;
-            for (std::size_t c = 0; c < classes; ++c)
-                denom += std::exp(double{in[c]} - double{maxLogit});
+            for (std::size_t c = 0; c < classes; ++c) {
+                exps[c] = std::exp(double{in[c]} - double{maxLogit});
+                denom += exps[c];
+            }
             const auto label = static_cast<std::size_t>(labels[r]);
             GRAPHITE_ASSERT(label < classes, "label out of range");
             for (std::size_t c = 0; c < classes; ++c) {
-                const double p =
-                    std::exp(double{in[c]} - double{maxLogit}) / denom;
+                const double p = exps[c] / denom;
                 g[c] = static_cast<Feature>(
                     (p - (c == label ? 1.0 : 0.0)) * invCount);
                 if (c == label)
                     loss -= std::log(std::max(p, 1e-30));
             }
         }
-        partials[tid] += loss;
+        partials[begin / kChunkRows] = loss; // chunk-aligned ranges
     });
     double total = 0.0;
-    for (double part : partialLoss)
-        total += part;
+    for (std::size_t chunk = 0; chunk < numChunks; ++chunk)
+        total += partials[chunk];
     return total * invCount;
 }
 

@@ -13,15 +13,10 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "tensor/dense_matrix.h"
 
 namespace graphite {
-
-/** out[r, :] += bias for every row. */
-void addBias(DenseMatrix &out, std::span<const Feature> bias);
-
-/** In-place ReLU: x = max(x, 0). The paper's activation (Table 2). */
-void reluForward(DenseMatrix &x);
 
 /**
  * The update's block finisher, serial on the calling thread: apply
@@ -58,22 +53,68 @@ finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
 }
 
 /**
- * ReLU backward: grad[r, c] = 0 wherever activated[r, c] == 0.
- * @p activated is the *post*-ReLU forward output.
+ * Inverted dropout whose keep decision for element (v, c) is a pure
+ * function of (seed, vertex v, column c), so any visit order, block
+ * grouping or shard split drops the same elements, and no mask is
+ * kept: after a ReLU, h is > 0 exactly where the element was kept and
+ * its ReLU output was > 0, so reluBackward with the survivor scale is
+ * the whole backward. Rate quantization: an element is dropped when
+ * its 32-bit hash is below threshold = floor(rate · 2^32), so the rate
+ * in effect is threshold / 2^32, at most 2^-32 below the one asked for.
+ * Survivors are multiplied by scale = float(1 / (1 - rate)). The
+ * default op is off.
  */
-void reluBackward(const DenseMatrix &activated, DenseMatrix &grad);
+struct DropoutOp
+{
+    std::uint32_t threshold = 0;
+    float scale = 1.0f;
+    /** Mixed seed the row keys are derived from. */
+    std::uint64_t key = 0;
+
+    /** The op at @p rate, which must lie in [0, 1), for @p seed. */
+    static DropoutOp at(double rate, std::uint64_t seed);
+
+    bool on() const { return threshold != 0; }
+};
 
 /**
- * Inverted dropout: zero each element with probability @p rate and scale
- * survivors by 1/(1-rate). Writes the survival mask (1 bit per element,
- * row-major, rowStride-padded) into @p mask for the backward pass.
+ * The one dropout kernel: apply @p op to the first @p cols floats of
+ * @p row, the row of vertex @p vertex.
  */
-void dropoutForward(DenseMatrix &x, double rate, std::uint64_t seed,
-                    std::vector<std::uint64_t> &mask);
+inline void
+dropoutRow(Feature *row, std::size_t cols, std::uint64_t vertex,
+           const DropoutOp &op)
+{
+    const auto rowKey =
+        static_cast<std::uint32_t>(splitmix64(op.key ^ vertex));
+    const std::uint32_t threshold = op.threshold;
+    const float scale = op.scale;
+    #pragma omp simd
+    for (std::size_t c = 0; c < cols; ++c) {
+        // murmur3's 32-bit finalizer over the row key and the column.
+        std::uint32_t h =
+            rowKey ^ static_cast<std::uint32_t>(c) * 0x9e3779b9u;
+        h = (h ^ (h >> 16)) * 0x85ebca6bu;
+        h = (h ^ (h >> 13)) * 0xc2b2ae35u;
+        h ^= h >> 16;
+        row[c] = h < threshold ? 0.0f : row[c] * scale;
+    }
+}
 
-/** Dropout backward: apply the saved mask and the 1/(1-rate) scale. */
-void dropoutBackward(DenseMatrix &grad, double rate,
-                     const std::vector<std::uint64_t> &mask);
+/**
+ * finishUpdateBlock, then @p dropout, over every row of @p x (row r is
+ * vertex r) in one pooled pass: the unfused paths' update finish.
+ */
+void finishRows(DenseMatrix &x, std::span<const Feature> bias, bool relu,
+                const DropoutOp &dropout);
+
+/**
+ * ReLU backward with the dropout backward folded in:
+ * grad = activated > 0 ? grad · @p scale : 0, for @p activated the
+ * post-ReLU, post-dropout output and @p scale its survivor scale.
+ */
+void reluBackward(const DenseMatrix &activated, DenseMatrix &grad,
+                  float scale = 1.0f);
 
 /**
  * Parallel column sum: out[c] = Σ_r x[r, c] — the bias-gradient

@@ -421,8 +421,7 @@ TEST(Bf16FusedLayer, InferenceMatchesUnfusedComposition)
     aggregate(g, packed, agg, spec);
     DenseMatrix ref(g.numVertices(), fOut);
     gemm(GemmMode::NN, agg, plan, ref);
-    addBias(ref, bias);
-    reluForward(ref);
+    finishRows(ref, bias, true, {});
 
     Bf16Matrix outBf16(g.numVertices(), fOut);
     DenseMatrix out(g.numVertices(), fOut);

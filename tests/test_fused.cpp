@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "graph/generators.h"
+#include "graph/partition/partitioner.h"
 #include "graph/reorder.h"
 #include "kernels/engine.h"
 #include "kernels/fused_layer.h"
@@ -197,6 +199,59 @@ TEST(FusedLayer, NoReluPassesNegativesThrough)
         }
     }
     EXPECT_TRUE(sawNegative);
+}
+
+// Dropout's keep decisions are a function of (seed, vertex, column):
+// the fused block finish gives the same post-dropout rows under flat
+// order, locality order and four shards, and the unfused layer drops
+// exactly the elements the kept mask names, scaling the rest.
+TEST(FusedLayer, DropoutIsTheSameUnderEveryScheduleAndUnfused)
+{
+    LayerFixture fx(64, 48);
+    const VertexId n = fx.graph.numVertices();
+    UpdateOp update = fx.update();
+    update.dropout = DropoutOp::at(0.5, 5);
+    const ProcessingOrder order = localityOrder(fx.graph);
+    const PartitionPlan plan = makePartitionPlan(fx.graph, {.numShards = 4});
+
+    DenseMatrix flat(n, 48);
+    fusedLayer(fx.graph, fx.input, fx.spec, update, flat);
+    for (const Schedule &schedule :
+         {Schedule(order), Schedule::sharded(plan)}) {
+        DenseMatrix out(n, 48);
+        fusedLayer(fx.graph, fx.input, fx.spec, update, out, {}, schedule);
+        for (VertexId v = 0; v < n; ++v) {
+            ASSERT_EQ(std::memcmp(out.row(v), flat.row(v),
+                                  48 * sizeof(Feature)),
+                      0)
+                << "vertex " << v;
+        }
+    }
+
+    DenseMatrix kept(n, 48);
+    kept.fillUniform(1.0f, 1.0f, 0);
+    finishRows(kept, {}, false, update.dropout);
+    DenseMatrix agg(n, 64);
+    DenseMatrix fusedNoDrop(n, 48);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), fusedNoDrop);
+    DenseMatrix unfused(n, 48);
+    unfusedLayer(fx.graph, fx.input, fx.spec, update, agg, unfused);
+    DenseMatrix unfusedNoDrop(n, 48);
+    unfusedLayer(fx.graph, fx.input, fx.spec, fx.update(), agg,
+                 unfusedNoDrop);
+    const float scale = update.dropout.scale;
+    std::size_t dropped = 0;
+    for (VertexId v = 0; v < n; ++v) {
+        for (std::size_t c = 0; c < 48; ++c) {
+            const bool keep = kept.at(v, c) != 0.0f;
+            dropped += !keep;
+            ASSERT_EQ(flat.at(v, c),
+                      keep ? fusedNoDrop.at(v, c) * scale : 0.0f);
+            ASSERT_EQ(unfused.at(v, c),
+                      keep ? unfusedNoDrop.at(v, c) * scale : 0.0f);
+        }
+    }
+    EXPECT_NEAR(static_cast<double>(dropped) / (n * 48.0), 0.5, 0.02);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
@@ -216,6 +217,27 @@ TEST(GnnModel, AllTechniquePathsProduceSameLogits)
         const DenseMatrix out = model.inference(features, tech);
         EXPECT_LT(base.maxAbsDiff(out), 1e-3)
             << "technique " << tech.label();
+    }
+}
+
+// A dropout rate outside [0, 1) is a configuration error the model
+// refuses by name at construction: not an abort deep in a kernel, and
+// not a silent run without dropout (NaN and negative rates).
+TEST(GnnModel, RejectsDropoutRateOutsideUnitInterval)
+{
+    // fatal() exits through the static destructors, which join the
+    // global pool's workers: a plain fork() child has none to join, so
+    // the death statement runs in a re-executed process instead.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const CsrGraph g = generateErdosRenyi(20, 60, false, 46);
+    for (const double rate :
+         {1.5, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+        GnnModelConfig config;
+        config.featureWidths = {6, 4};
+        config.dropoutRate = rate;
+        EXPECT_EXIT(GnnModel(g, config), testing::ExitedWithCode(1),
+                    "dropout rate must be in \\[0, 1\\)")
+            << rate;
     }
 }
 
@@ -501,7 +523,7 @@ runLayer(GnnLayer &layer, const ScheduledGraph &sg, const DenseMatrix &x,
     }
     LayerContext ctx;
     layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ctx, false,
-                          order, plan, tech);
+                          false, order, plan, tech);
     LayerRun run;
     run.out = ctx.output;
     DenseMatrix grad = dh;
@@ -706,6 +728,92 @@ counterDelta(const char *name, Fn &&fn)
  * 2·|V|·F_in·F_out flops, so with row widths that need no padding the
  * gathered bytes drop by exactly F_in/F_out against basic().
  */
+/** Every stored float of @p a and @p b is bitwise equal. */
+void
+expectBitwiseEqual(const DenseMatrix &a, const DenseMatrix &b)
+{
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        ASSERT_EQ(std::memcmp(a.row(r), b.row(r), a.cols() * sizeof(Feature)),
+                  0)
+            << "row " << r;
+    }
+}
+
+// The dropout backward is the ReLU backward with the survivor scale (no
+// mask is kept): a layer trained with dropout gets bitwise the output
+// and gradients of the same layer without it whose output and incoming
+// gradient were masked and scaled by hand — aggregating first and
+// projecting first, fused (flat) and unfused (delayed halo).
+TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
+{
+    const ScheduledGraph sg(GnnKind::Gcn,
+                            generateErdosRenyi(300, 2400, false, 51));
+    const VertexId n = sg.g.numVertices();
+    const DropoutOp dropout = DropoutOp::at(0.5, 52);
+    for (const auto &[fIn, fOut] : {std::pair{16, 24}, std::pair{24, 16}}) {
+        for (const bool delayed : {false, true}) {
+            SCOPED_TRACE(testing::Message() << fIn << "->" << fOut
+                                            << (delayed ? " delayed" : ""));
+            GnnLayer layer(fIn, fOut, true);
+            layer.initWeights(53);
+            TechniqueConfig tech = TechniqueConfig::withFusion();
+            const PartitionPlan *plan = nullptr;
+            const PartitionPlan *planT = nullptr;
+            if (delayed) {
+                tech.shards = 4;
+                tech.delayedHalo = true;
+                plan = &sg.plan;
+                planT = &sg.planT;
+            }
+            DenseMatrix x(n, fIn);
+            x.fillUniform(-1.0f, 1.0f, 54);
+            DenseMatrix dh(n, fOut);
+            dh.fillUniform(-1.0f, 1.0f, 55);
+            DenseMatrix kept(n, fOut);
+            kept.fillUniform(1.0f, 1.0f, 0);
+            finishRows(kept, {}, false, dropout);
+
+            LayerContext ctx;
+            layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ctx,
+                                  false, false, {}, plan, tech, dropout);
+            DenseMatrix grad = dh;
+            DenseMatrix gradIn(n, fIn);
+            layer.backward(sg.gt, sg.specT, ctx, grad, &gradIn, {}, planT,
+                           tech);
+            const DenseMatrix weightGrad = layer.weightGrad();
+            DenseMatrix biasGrad(1, fOut);
+            std::copy(layer.biasGrad().begin(), layer.biasGrad().end(),
+                      biasGrad.row(0));
+
+            LayerContext ref;
+            layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ref,
+                                  false, false, {}, plan, tech);
+            DenseMatrix refGrad = dh;
+            for (VertexId v = 0; v < n; ++v) {
+                for (int c = 0; c < fOut; ++c) {
+                    const bool keep = kept.at(v, c) != 0.0f;
+                    ref.output.at(v, c) =
+                        keep ? ref.output.at(v, c) * dropout.scale : 0.0f;
+                    refGrad.at(v, c) =
+                        keep ? refGrad.at(v, c) * dropout.scale : 0.0f;
+                }
+            }
+            expectBitwiseEqual(ctx.output, ref.output);
+            DenseMatrix refGradIn(n, fIn);
+            layer.backward(sg.gt, sg.specT, ref, refGrad, &refGradIn, {},
+                           planT, tech);
+            expectBitwiseEqual(weightGrad, layer.weightGrad());
+            DenseMatrix refBiasGrad(1, fOut);
+            std::copy(layer.biasGrad().begin(), layer.biasGrad().end(),
+                      refBiasGrad.row(0));
+            expectBitwiseEqual(biasGrad, refBiasGrad);
+            expectBitwiseEqual(gradIn, refGradIn);
+        }
+    }
+}
+
 TEST(ProjectedLayerCounters, BytesAndFlopsFollowTheDirection)
 {
     const CsrGraph g = generateBarabasiAlbert(300, 4, 77);

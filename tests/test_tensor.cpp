@@ -372,7 +372,7 @@ TEST(RowOps, ReluClampsNegatives)
     DenseMatrix x(3, 20);
     x.fillUniform(-1.0f, 1.0f, 9);
     DenseMatrix copy = x;
-    reluForward(x);
+    finishRows(x, {}, true, {});
     for (std::size_t r = 0; r < 3; ++r) {
         for (std::size_t c = 0; c < 20; ++c) {
             EXPECT_EQ(x.at(r, c), std::max(copy.at(r, c), 0.0f));
@@ -399,7 +399,7 @@ TEST(RowOps, AddBiasBroadcastsAcrossRows)
     std::vector<Feature> bias(8);
     for (std::size_t c = 0; c < 8; ++c)
         bias[c] = static_cast<Feature>(c);
-    addBias(x, bias);
+    finishRows(x, bias, false, {});
     for (std::size_t r = 0; r < 4; ++r) {
         for (std::size_t c = 0; c < 8; ++c)
             EXPECT_EQ(x.at(r, c), static_cast<Feature>(c));
@@ -408,40 +408,70 @@ TEST(RowOps, AddBiasBroadcastsAcrossRows)
 
 TEST(RowOps, DropoutZerosAtRateAndScalesSurvivors)
 {
-    DenseMatrix x(200, 64);
-    x.fillUniform(1.0f, 2.0f, 10);
-    DenseMatrix orig = x;
-    std::vector<std::uint64_t> mask;
-    dropoutForward(x, 0.5, 11, mask);
-    std::size_t zeros = 0;
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        for (std::size_t c = 0; c < x.cols(); ++c) {
-            if (x.at(r, c) == 0.0f) {
-                ++zeros;
-            } else {
-                EXPECT_NEAR(x.at(r, c), orig.at(r, c) * 2.0f, 1e-5);
+    for (const double rate : {0.1, 0.4, 0.5}) {
+        SCOPED_TRACE(rate);
+        const DropoutOp op = DropoutOp::at(rate, 11);
+        // The stated quantization: threshold = floor(rate · 2^32).
+        EXPECT_EQ(op.threshold,
+                  static_cast<std::uint32_t>(std::ldexp(rate, 32)));
+        EXPECT_EQ(op.scale, static_cast<float>(1.0 / (1.0 - rate)));
+        DenseMatrix x(200, 64);
+        x.fillUniform(1.0f, 2.0f, 10);
+        const DenseMatrix orig = x;
+        finishRows(x, {}, false, op);
+        std::size_t zeros = 0;
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+            for (std::size_t c = 0; c < x.cols(); ++c) {
+                if (x.at(r, c) == 0.0f)
+                    ++zeros;
+                else
+                    ASSERT_EQ(x.at(r, c), orig.at(r, c) * op.scale);
             }
         }
+        // 12,800 draws: one standard deviation is at most 0.0045.
+        EXPECT_NEAR(static_cast<double>(zeros) / (200 * 64), rate, 0.02);
     }
-    EXPECT_NEAR(static_cast<double>(zeros) / (200 * 64), 0.5, 0.03);
+    EXPECT_FALSE(DropoutOp::at(0.0, 11).on());
+    EXPECT_FALSE(DropoutOp{}.on());
 }
 
-TEST(RowOps, DropoutBackwardAppliesSameMask)
+// The dropout backward is the ReLU backward with the survivor scale: on
+// any post-dropout h it equals the explicit kept mask and scale
+// followed by the plain ReLU backward, bit for bit — also where h holds
+// zeros, negatives (no ReLU before the dropout) and NaN.
+TEST(RowOps, ReluBackwardWithScaleMatchesMaskThenReluOracle)
 {
-    DenseMatrix x(50, 32);
-    x.fillUniform(1.0f, 2.0f, 12);
-    std::vector<std::uint64_t> mask;
-    dropoutForward(x, 0.4, 13, mask);
-    DenseMatrix grad(50, 32);
-    grad.fillUniform(1.0f, 1.0f, 0); // all ones
-    dropoutBackward(grad, 0.4, mask);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        for (std::size_t c = 0; c < x.cols(); ++c) {
-            if (x.at(r, c) == 0.0f)
-                EXPECT_EQ(grad.at(r, c), 0.0f);
-            else
-                EXPECT_NEAR(grad.at(r, c), 1.0f / 0.6f, 1e-5);
+    const std::size_t rows = 300;
+    const std::size_t cols = 40;
+    const DropoutOp op = DropoutOp::at(0.4, 17);
+    DenseMatrix h(rows, cols);
+    h.fillUniform(-1.0f, 1.0f, 18);
+    for (std::size_t r = 0; r < rows; ++r) {
+        h.at(r, r % cols) = 0.0f;
+        h.at(r, (r + 7) % cols) = std::numeric_limits<Feature>::quiet_NaN();
+    }
+    finishRows(h, {}, false, op);
+    // The kept mask, from the same op over ones.
+    DenseMatrix kept(rows, cols);
+    kept.fillUniform(1.0f, 1.0f, 0);
+    finishRows(kept, {}, false, op);
+
+    DenseMatrix grad(rows, cols);
+    grad.fillUniform(-3.0f, 3.0f, 19);
+    DenseMatrix oracle = grad;
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            Feature &g = oracle.at(r, c);
+            g = kept.at(r, c) != 0.0f ? g * op.scale : 0.0f;
+            g = h.at(r, c) > 0.0f ? g : 0.0f;
         }
+    }
+    reluBackward(h, grad, op.scale);
+    for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(std::memcmp(grad.row(r), oracle.row(r),
+                              cols * sizeof(Feature)),
+                  0)
+            << "row " << r;
     }
 }
 
@@ -553,6 +583,52 @@ TEST(RowOps, SoftmaxCrossEntropyMaskedParallelReductionMatchesSerial)
             ASSERT_EQ(grad.at(r, c), 0.0f);
     }
     EXPECT_EQ(accuracy(logits, labels, none), 1.0);
+}
+
+// softmaxCrossEntropy takes each exp once; the loss and gradient must
+// stay those of the formula that takes it twice (once for the
+// denominator, once for p), bit for bit. 200 rows fit one 256-row
+// chunk, so the loss's partial sums run in the serial order too.
+TEST(RowOps, SoftmaxCrossEntropyMatchesTwoExpFormulaBitwise)
+{
+    const std::size_t rows = 200;
+    const std::size_t classes = 47;
+    DenseMatrix logits(rows, classes);
+    logits.fillUniform(-8.0f, 8.0f, 23);
+    std::vector<std::int32_t> labels(rows);
+    for (std::size_t i = 0; i < rows; ++i)
+        labels[i] = static_cast<std::int32_t>((i * 7) % classes);
+    DenseMatrix grad(rows, classes);
+    const double loss = softmaxCrossEntropy(logits, labels, grad);
+
+    const double invCount = 1.0 / static_cast<double>(rows);
+    double refLoss = 0.0;
+    std::vector<Feature> refGrad(classes);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const Feature *in = logits.row(r);
+        Feature maxLogit = in[0];
+        for (std::size_t c = 1; c < classes; ++c)
+            maxLogit = std::max(maxLogit, in[c]);
+        double denom = 0.0;
+        for (std::size_t c = 0; c < classes; ++c)
+            denom += std::exp(double{in[c]} - double{maxLogit});
+        const auto label = static_cast<std::size_t>(labels[r]);
+        for (std::size_t c = 0; c < classes; ++c) {
+            const double p =
+                std::exp(double{in[c]} - double{maxLogit}) / denom;
+            refGrad[c] = static_cast<Feature>(
+                (p - (c == label ? 1.0 : 0.0)) * invCount);
+            if (c == label)
+                refLoss -= std::log(std::max(p, 1e-30));
+        }
+        ASSERT_EQ(std::memcmp(grad.row(r), refGrad.data(),
+                              classes * sizeof(Feature)),
+                  0)
+            << "row " << r;
+    }
+    refLoss *= invCount;
+    EXPECT_EQ(std::memcmp(&loss, &refLoss, sizeof(double)), 0)
+        << loss << " vs " << refLoss;
 }
 
 TEST(RowOps, PerfectLogitsGiveLowLossAndFullAccuracy)

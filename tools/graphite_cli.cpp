@@ -280,12 +280,15 @@ main(int argc, char **argv)
     options.add("metrics-out", "",
                 "write a metrics-registry JSON on exit");
     options.parse(argc, argv);
-    // Counts are checked before any graph is built (the modes read them
-    // again where they use them).
+    // Counts and the dropout rate are checked before any graph is built
+    // (the modes read them again where they use them).
     for (const char *count : {"scale-shift", "shards", "epochs"})
         (void)options.getCount(count);
     for (const char *width : {"features", "hidden", "classes"})
         (void)options.getCount(width, 1);
+    const double dropout = options.getDouble("dropout");
+    if (!(dropout >= 0.0 && dropout < 1.0))
+        fatal("--dropout must be in [0, 1) (got %g)", dropout);
 
     const std::string traceOut = options.getString("trace-out");
     const std::string metricsOut = options.getString("metrics-out");
