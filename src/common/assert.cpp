@@ -31,7 +31,10 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     reportError("fatal", fmt, args);
     va_end(args);
-    std::exit(1);
+    // No static destructors: the global pool's destructor joins
+    // workers that a forked child (a gtest death test, say) lacks.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

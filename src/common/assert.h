@@ -26,7 +26,9 @@
 namespace graphite {
 
 /**
- * Report an unrecoverable user-caused error and exit(1).
+ * Report an unrecoverable user-caused error, flush stdio and end the
+ * process with status 1 through std::_Exit: no atexit handler or
+ * static destructor runs, so fatal() is safe in a forked child.
  *
  * @param fmt printf-style format string (compile-time checked).
  */

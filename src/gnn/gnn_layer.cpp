@@ -98,32 +98,19 @@ GnnLayer::updateRows(const DenseMatrix &agg, std::size_t rows,
 
 namespace {
 
-/** Whether @p plan switches a layer to shard-major execution. */
-bool
-shardMajor(const PartitionPlan *plan)
-{
-    return plan != nullptr && plan->numShards() >= 2;
-}
-
 /** Shard-major over a plan of >= 2 shards, else flat over @p order. */
 Schedule
 layerSchedule(const CsrGraph &graph, std::span<const VertexId> order,
-              const PartitionPlan *plan, const TechniqueConfig &tech)
+              const PartitionPlan *plan)
 {
-    if (!shardMajor(plan))
+    if (plan == nullptr || plan->numShards() < 2)
         return order;
     GRAPHITE_ASSERT(plan->graph == &graph,
                     "partition plan built for another graph");
-    return Schedule::sharded(*plan, tech.delayedHalo);
+    return Schedule::sharded(*plan);
 }
 
 } // namespace
-
-bool
-runsFusedBlocks(const PartitionPlan *plan, const TechniqueConfig &tech)
-{
-    return tech.fusion && !(tech.delayedHalo && shardMajor(plan));
-}
 
 bool
 GnnLayer::projectsFirst(const AggregationSpec &spec,
@@ -154,9 +141,8 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                   const LayerChain &chain, const DropoutOp &dropout) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
-    const Schedule schedule = layerSchedule(graph, order, plan, tech);
-    const bool fusedBlocks = runsFusedBlocks(plan, tech);
-    GRAPHITE_ASSERT(chain.next == nullptr || fusedBlocks,
+    const Schedule schedule = layerSchedule(graph, order, plan);
+    GRAPHITE_ASSERT(chain.next == nullptr || tech.fusion,
                     "only a fused block can fold the next projection");
     const GemmPlan *then = chain.next != nullptr
         ? &chain.next->packedWeights(tech.precision) : nullptr;
@@ -167,41 +153,34 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
         MutexLock lock(projectMutex_);
         const DenseMatrix &z =
             chain.inProjected ? dense : project(dense, tech.precision);
-        if (fusedBlocks) {
-            fusedLayer(graph, z, spec,
-                       {nullptr, bias_, relu_, nullptr, tech.precision,
-                        then, dropout},
-                       out, {nullptr, outCompressed, outBf16}, schedule);
-            return;
-        }
-        aggregate(graph, z, out, spec, schedule);
-        finishRows(out, bias_, relu_, dropout);
-    } else {
-        GRAPHITE_ASSERT(!chain.inProjected,
-                        "projected input to an aggregate-first layer");
-        FeatureRows in = dense;
-        if (tech.compression && inCompressed != nullptr)
-            in = *inCompressed;
-        else if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
-            in = *inBf16;
-        const UpdateOp update{&weights_, bias_, relu_,
-                              &packedWeights(tech.precision),
-                              tech.precision, then, dropout};
-        // Fusion has no delayed-halo variant (the replica phase breaks
-        // the per-block pipeline); delayed runs take the unfused path.
-        if (fusedBlocks) {
-            fusedLayer(graph, in, spec, update, out,
-                       {agg, outCompressed, outBf16}, schedule);
-            return;
-        }
-        // Unfused path: aggregation materialises a^k, then one big GEMM.
-        DenseMatrix local;
-        if (agg == nullptr) {
-            local = DenseMatrix(graph.numVertices(), inFeatures_);
-            agg = &local;
-        }
-        unfusedLayer(graph, in, spec, update, *agg, out, schedule);
+        fusedLayer(graph, z, spec,
+                   {nullptr, bias_, relu_, nullptr, tech.precision, then,
+                    dropout},
+                   out, {nullptr, outCompressed, outBf16}, schedule);
+        return;
     }
+    GRAPHITE_ASSERT(!chain.inProjected,
+                    "projected input to an aggregate-first layer");
+    FeatureRows in = dense;
+    if (tech.compression && inCompressed != nullptr)
+        in = *inCompressed;
+    else if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
+        in = *inBf16;
+    const UpdateOp update{&weights_, bias_, relu_,
+                          &packedWeights(tech.precision), tech.precision,
+                          then, dropout};
+    if (tech.fusion) {
+        fusedLayer(graph, in, spec, update, out,
+                   {agg, outCompressed, outBf16}, schedule);
+        return;
+    }
+    // Unfused path: aggregation materialises a^k, then one big GEMM.
+    DenseMatrix local;
+    if (agg == nullptr) {
+        local = DenseMatrix(graph.numVertices(), inFeatures_);
+        agg = &local;
+    }
+    unfusedLayer(graph, in, spec, update, *agg, out, schedule);
     if (outCompressed)
         outCompressed->compressFrom(out);
     if (outBf16)
@@ -283,7 +262,7 @@ GnnLayer::backward(const CsrGraph &transposed,
         reluBackward(ctx.output, gradOut, ctx.dropoutScale);
 
     const Schedule schedule =
-        layerSchedule(transposed, order, transposedPlan, tech);
+        layerSchedule(transposed, order, transposedPlan);
     // Projected forward: G = Aggᵀ(dz) once, F_out wide, over the
     // transposed graph.
     const bool projected = ctx.input != nullptr;
@@ -308,7 +287,7 @@ GnnLayer::backward(const CsrGraph &transposed,
         return;
     }
     // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
-    if (runsFusedBlocks(transposedPlan, tech)) {
+    if (tech.fusion) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
         // kernels/fused_layer.h on the commuted fusion direction).
         FeatureRows dz = gradOut;

@@ -53,13 +53,6 @@ AggregationSpec transposeSpec(const CsrGraph &graph,
                               const AggregationSpec &spec,
                               const CsrGraph &transposed);
 
-/**
- * True when a layer under @p tech runs the fused driver's blocks:
- * fusion on, and not a delayed-halo schedule over @p plan (which has no
- * fused form).
- */
-bool runsFusedBlocks(const PartitionPlan *plan, const TechniqueConfig &tech);
-
 /** Saved forward state one layer needs for its backward pass. */
 struct LayerContext
 {
@@ -101,7 +94,7 @@ struct LayerChain
      * A projecting next layer whose W each finished block is multiplied
      * by while cache-resident: out then receives Z_next
      * (|V| x next->outFeatures()) and h^k is never stored. Needs the
-     * fused block (fusion on, no delayed halo).
+     * fused block (fusion on).
      */
     const GnnLayer *next = nullptr;
 };
@@ -199,10 +192,7 @@ class GnnLayer
      * passes one to fold a projection into the previous layer's block.
      *
      * A non-null @p plan with >= 2 shards switches every source to
-     * shard-major execution (bit-identical to flat); tech.delayedHalo
-     * then selects the replica mode, which has no fused form and runs
-     * as delayed-halo aggregation + one GEMM (projecting: the GEMM,
-     * then delayed-halo aggregation of its rows).
+     * shard-major execution (bit-identical to flat).
      */
     void forwardInference(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
@@ -238,13 +228,12 @@ class GnnLayer
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills
      * weight/bias gradients, and when @p gradIn is non-null computes
      * dL/dh^{k-1} via the transposed aggregation — fused with the
-     * da = dz·Wᵀ GEMM (fusedLayerBackward) when tech.fusion is on and
-     * the schedule is not delayed halo, so dAgg is only materialised on
-     * the unfused path (into a persistent per-layer scratch). A layer
-     * whose forward projected (ctx.input set) aggregates G = Aggᵀ(dz)
-     * once into that scratch instead and runs dW = Xᵀ·G and
-     * dh_prev = G·Wᵀ as two pooled GEMMs. The bias gradient uses the
-     * parallel deterministic columnSum.
+     * da = dz·Wᵀ GEMM (fusedLayerBackward) when tech.fusion is on, so
+     * dAgg is only materialised on the unfused path (into a persistent
+     * per-layer scratch). A layer whose forward projected (ctx.input
+     * set) aggregates G = Aggᵀ(dz) once into that scratch instead and
+     * runs dW = Xᵀ·G and dh_prev = G·Wᵀ as two pooled GEMMs. The bias
+     * gradient uses the parallel deterministic columnSum.
      * Allocation-free once scratch has grown to the steady-state shape.
      *
      * @param transposed     transposed graph.

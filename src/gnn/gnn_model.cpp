@@ -165,8 +165,7 @@ GnnModel::inference(const DenseMatrix &inputFeatures,
         // block: out then holds Z_{k+1} = h^k·W_{k+1}, never h^k.
         LayerChain chain;
         chain.inProjected = inProjected;
-        if (k + 1 < layers_.size() && !gathered &&
-            runsFusedBlocks(plan, tech))
+        if (k + 1 < layers_.size() && !gathered && tech.fusion)
             chain.next = layers_[k + 1].get();
         DenseMatrix &out = inferBufs_[k % 2];
         out.reshape(n, chain.next ? chain.next->outFeatures()

@@ -63,8 +63,6 @@ TechniqueConfig::label() const
         base += "-k" + std::to_string(shards);
         if (partition == PartitionStrategy::Hash)
             base += "-hash";
-        if (delayedHalo)
-            base += "-delayed";
     }
     return base;
 }

@@ -38,20 +38,12 @@ struct TechniqueConfig
      * Cache-slice partitioning: number of shards for shard-major
      * execution. 0 or 1 disables partitioning and runs today's flat
      * kernels; K >= 2 builds a PartitionPlan and carves thread-pool
-     * tasks shard by shard (exact mode is bit-identical to flat
-     * execution for any K).
+     * tasks shard by shard (bit-identical to flat execution for any
+     * K).
      */
     std::size_t shards = 0;
     /** Shard assignment strategy (degree-aware greedy vs hash). */
     PartitionStrategy partition = PartitionStrategy::Greedy;
-    /**
-     * Delayed cross-shard aggregation (DistGNN-style): fold intra-shard
-     * terms first, then gather each halo row once per shard and fold
-     * the cut edges from the replica. Cuts gathered bytes on hub-heavy
-     * cuts; sum reductions become fp-tolerant instead of bit-equal.
-     * Only meaningful with shards >= 2.
-     */
-    bool delayedHalo = false;
 
     /** Named presets from the paper's evaluation. @{ */
     static TechniqueConfig basic();

@@ -50,17 +50,11 @@ PartitionPlan::cutEdgeRatio() const
 }
 
 Bytes
-PartitionPlan::estimatedGatherBytes(Bytes rowBytes, bool delayedHalo) const
+PartitionPlan::estimatedGatherBytes(Bytes rowBytes) const
 {
     if (graph == nullptr)
         return 0;
-    const Bytes selfRows = graph->numVertices();
-    if (!delayedHalo)
-        return (selfRows + graph->numEdges()) * rowBytes;
-    Bytes intra = 0;
-    for (const Shard &shard : shards)
-        intra += shard.intraEdges;
-    return (selfRows + intra + totalHaloVertices()) * rowBytes;
+    return (Bytes{graph->numVertices()} + graph->numEdges()) * rowBytes;
 }
 
 const char *
@@ -71,113 +65,78 @@ PartitionPlan::validate() const
     if (shards.empty())
         return "plan has no shards";
     const VertexId n = graph->numVertices();
-    const EdgeId numEdges = graph->numEdges();
     const std::size_t k = shards.size();
     if (shardOf.size() != n)
         return "shardOf size differs from |V|";
-    if (localIdOf.size() != n)
-        return "localIdOf size differs from |V|";
     if (shardMajorOrder.size() != n)
         return "shardMajorOrder size differs from |V|";
     if (ownedStart.size() != k + 1 || ownedStart.front() != 0)
         return "ownedStart is not a K+1 prefix starting at 0";
 
-    // Owned runs tile the shard-major order.
+    // Owned runs tile the shard-major order, and every vertex is owned
+    // exactly once, by the shard shardOf names.
+    std::vector<std::uint8_t> owned(n, 0);
     for (std::size_t s = 0; s < k; ++s) {
         const Shard &shard = shards[s];
         if (shard.numOwned > shard.vertices.size())
             return "shard owns more vertices than it lists";
         if (ownedStart[s + 1] - ownedStart[s] != shard.numOwned)
             return "ownedStart run length differs from shard numOwned";
+        if (ownedStart[s + 1] > n)
+            return "owned runs overrun the vertex set";
         for (VertexId i = 0; i < shard.numOwned; ++i) {
-            if (shardMajorOrder[ownedStart[s] + i] != shard.vertices[i])
+            const VertexId v = shard.vertices[i];
+            if (shardMajorOrder[ownedStart[s] + i] != v)
                 return "shardMajorOrder diverges from owned lists";
+            if (v >= n)
+                return "shard vertex id out of range";
+            if (owned[v])
+                return "vertex owned twice";
+            owned[v] = 1;
+            if (shardOf[v] != s)
+                return "shardOf disagrees with the owning shard";
         }
     }
     if (ownedStart.back() != n)
         return "owned runs do not cover all vertices";
 
-    // Global→local→global round-trip for every vertex. Combined with
-    // the owned counts summing to |V| this makes ownership a bijection.
-    for (VertexId v = 0; v < n; ++v) {
-        if (shardOf[v] >= k)
-            return "shardOf entry out of range";
-        const Shard &shard = shards[shardOf[v]];
-        if (localIdOf[v] >= shard.numOwned)
-            return "localIdOf entry is not an owned local id";
-        if (shard.vertices[localIdOf[v]] != v)
-            return "global/local id round-trip failed";
-    }
-
-    // Per-shard local structure against the global CSR, plus
-    // exactly-once coverage of the global edge set.
-    std::vector<std::uint8_t> edgeSeen(numEdges, 0);
-    std::vector<std::uint8_t> haloUsed;
+    // Per shard: edge accounting against the global CSR, and the halo
+    // list is exactly the cross-shard fan-in, each vertex listed once.
+    // haloMark[u] is 1 while u is listed in the current shard's halo
+    // and 2 once a cut edge has read it; it is reset after each shard.
+    std::vector<std::uint8_t> haloMark(n, 0);
     for (std::size_t s = 0; s < k; ++s) {
         const Shard &shard = shards[s];
-        if (shard.localCsr.numVertices() != shard.vertices.size())
-            return "local CSR row count differs from shard vertex count";
-        if (const char *error = shard.localCsr.validate())
-            return error;
-        if (shard.globalEdge.size() != shard.localCsr.numEdges())
-            return "globalEdge size differs from local edge count";
-        if (shard.cutStart.size() != shard.numOwned)
-            return "cutStart size differs from owned count";
-        for (VertexId i = 0; i < shard.vertices.size(); ++i) {
-            if (shard.vertices[i] >= n)
+        for (VertexId h : shard.halo()) {
+            if (h >= n)
                 return "shard vertex id out of range";
-        }
-        for (VertexId h = shard.numOwned; h < shard.vertices.size(); ++h) {
-            if (shardOf[shard.vertices[h]] == s)
+            if (shardOf[h] == s)
                 return "halo vertex is owned by its own shard";
-            if (shard.localCsr.degree(h) != 0)
-                return "halo row of the local CSR is not empty";
+            if (haloMark[h] != 0)
+                return "halo vertex listed twice";
+            haloMark[h] = 1;
         }
-        haloUsed.assign(shard.numHalo(), 0);
         EdgeId intra = 0;
         EdgeId cut = 0;
-        for (VertexId r = 0; r < shard.numOwned; ++r) {
-            const VertexId v = shard.vertices[r];
-            if (shard.localCsr.degree(r) != graph->degree(v))
-                return "local row degree differs from global row";
-            const EdgeId rowBegin = shard.localCsr.rowBegin(r);
-            const EdgeId rowEnd = shard.localCsr.rowEnd(r);
-            if (shard.cutStart[r] < rowBegin || shard.cutStart[r] > rowEnd)
-                return "cutStart outside its row";
-            for (EdgeId idx = rowBegin; idx < rowEnd; ++idx) {
-                const VertexId c = shard.localCsr.colIdx()[idx];
-                const EdgeId e = shard.globalEdge[idx];
-                if (e >= numEdges)
-                    return "global edge id out of range";
-                if (e < graph->rowBegin(v) || e >= graph->rowEnd(v))
-                    return "global edge lies outside its owner's row";
-                if (graph->colIdx()[e] != shard.vertices[c])
-                    return "local edge endpoint differs from global";
-                if (edgeSeen[e])
-                    return "global edge assigned to two local edges";
-                edgeSeen[e] = 1;
-                if (idx < shard.cutStart[r]) {
-                    if (c >= shard.numOwned)
-                        return "cut edge before cutStart";
+        for (VertexId v : shard.owned()) {
+            for (VertexId u : graph->neighbors(v)) {
+                if (shardOf[u] == s) {
                     ++intra;
-                } else {
-                    if (c < shard.numOwned)
-                        return "intra edge after cutStart";
-                    haloUsed[c - shard.numOwned] = 1;
-                    ++cut;
+                    continue;
                 }
+                if (haloMark[u] == 0)
+                    return "cut edge reads a vertex missing from the halo";
+                haloMark[u] = 2;
+                ++cut;
             }
         }
         if (intra != shard.intraEdges || cut != shard.cutEdges)
             return "shard edge accounting mismatch";
-        for (std::uint8_t used : haloUsed) {
-            if (!used)
+        for (VertexId h : shard.halo()) {
+            if (haloMark[h] != 2)
                 return "halo vertex referenced by no cut edge";
+            haloMark[h] = 0;
         }
-    }
-    for (std::uint8_t seen : edgeSeen) {
-        if (!seen)
-            return "global edge assigned to no shard";
     }
     return nullptr;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache-slice graph partition: K vertex shards with halo replication.
+ * Cache-slice graph partition: K vertex shards and their halo lists.
  *
  * The paper's locality order (Algorithm 3) shortens reuse distances
  * within one flat processing order, but on graphs whose feature working
@@ -9,10 +9,8 @@
  * shards so each shard's feature slice can stay cache-resident while it
  * is processed (the DistGNN-style scalable form of the same locality
  * idea). Each shard owns a contiguous run of the shard-major processing
- * order, carries a local CSR over shard-local ids, and lists the halo
- * (boundary) vertices other shards own that its cut edges read —
- * exactly what a delayed cross-shard aggregation replicates once per
- * shard instead of once per cut edge.
+ * order and lists the halo (boundary) vertices other shards own that
+ * its cut edges read, which the partition report counts.
  */
 
 #pragma once
@@ -62,31 +60,11 @@ struct Shard
      * Global ids of this shard's vertices: the numOwned owned vertices
      * first (in shard-local processing order), then the halo vertices
      * (owned elsewhere, read by this shard's cut edges) in first-use
-     * order. Local id i refers to vertices[i].
+     * order.
      */
     std::vector<VertexId> vertices;
     /** Owned-vertex count; vertices[i] with i >= numOwned are halo. */
     VertexId numOwned = 0;
-    /**
-     * Local CSR over local ids: vertices.size() rows of which only the
-     * first numOwned (the owned rows) carry edges; halo rows are empty.
-     * Within an owned row, intra-shard edges (col < numOwned) come
-     * first, then cut edges (col >= numOwned) — cutStart marks the
-     * split — so the delayed two-phase aggregation walks each partition
-     * of the row exactly once.
-     */
-    CsrGraph localCsr;
-    /**
-     * Global edge id of each local edge, aligned with localCsr.colIdx()
-     * — per-edge ψ factor maps are consulted through this without any
-     * remapping, and across shards these cover [0, |E|) exactly once.
-     */
-    std::vector<EdgeId> globalEdge;
-    /**
-     * Per owned row, the absolute offset into localCsr.colIdx() where
-     * the row's cut edges begin (== rowEnd for a cut-free row).
-     */
-    std::vector<EdgeId> cutStart;
     /** Edges whose endpoint is owned by this shard. */
     EdgeId intraEdges = 0;
     /** Edges whose endpoint is a halo vertex (owned elsewhere). */
@@ -116,8 +94,8 @@ struct Shard
 
 /**
  * A K-way vertex partition of one CsrGraph with everything shard-major
- * execution needs precomputed: per-shard local CSRs, global↔local id
- * maps, the concatenated shard-major processing order, and cost/volume
+ * execution needs precomputed: the owner map, the concatenated
+ * shard-major processing order with each shard's run, and cut/halo
  * accounting. Built by makePartitionPlan (partitioner.h); immutable in
  * use, like the CsrGraph it slices.
  */
@@ -129,8 +107,6 @@ struct PartitionPlan
     std::vector<Shard> shards;
     /** shardOf[v] = the shard owning global vertex v (|V| entries). */
     std::vector<ShardId> shardOf;
-    /** localIdOf[v] = v's local id within its owning shard. */
-    std::vector<VertexId> localIdOf;
     /**
      * Concatenation of every shard's owned order: the processing order
      * shard-major execution follows, also usable directly as the order
@@ -156,20 +132,17 @@ struct PartitionPlan
 
     /**
      * Estimated bytes one aggregation pass gathers at @p rowBytes per
-     * feature row. Exact shard-major execution pulls a row per edge
-     * plus the self term, same as the global kernel; the delayed-halo
-     * variant replaces the cut-edge pulls with one replica pull per
-     * halo vertex — the hub-deduplication win this plan exists for.
+     * feature row: a row per edge plus the self term, the same under
+     * every schedule.
      */
-    Bytes estimatedGatherBytes(Bytes rowBytes, bool delayedHalo) const;
+    Bytes estimatedGatherBytes(Bytes rowBytes) const;
 
     /**
-     * Structure check of every plan invariant: maps are mutually
-     * consistent bijections, each shard's local CSR mirrors the global
-     * rows of its owned vertices (intra/cut split included), halo lists
-     * are exactly the cross-shard fan-in, every global edge appears
-     * exactly once across shards, and shardMajorOrder is the owned
-     * concatenation. O(|V| + |E|) time and scratch.
+     * Structure check of every plan invariant: the owned runs partition
+     * the vertex set and agree with shardOf, shardMajorOrder is the owned
+     * concatenation, each shard's intra/cut edge counts match its owned
+     * rows, and its halo list is exactly its cross-shard fan-in, each
+     * vertex listed once. O(|V| + |E|) time and scratch.
      *
      * @return nullptr when valid, else a static message naming the
      *         violated invariant (the validateDescriptor() convention).

@@ -35,13 +35,6 @@ computePartitionStats(const PartitionPlan &plan)
                             static_cast<double>(stats.numShards);
         stats.loadImbalance = static_cast<double>(maxLoad) / mean;
     }
-    // Row width cancels in the ratio, so pass 1 byte per row.
-    const Bytes global = plan.estimatedGatherBytes(1, false);
-    if (global > 0) {
-        stats.gatherByteRatio =
-            static_cast<double>(plan.estimatedGatherBytes(1, true)) /
-            static_cast<double>(global);
-    }
     return stats;
 }
 
@@ -53,12 +46,11 @@ formatPartitionStats(const PartitionStats &stats,
     std::snprintf(line, sizeof(line),
                   "partition  K=%-3zu strat=%-6s cut=%-11llu "
                   "cutRatio=%-6.3f halo=%-9u haloRatio=%-6.3f "
-                  "owned=[%u,%u] imbalance=%-5.2f gatherRatio=%.3f",
+                  "owned=[%u,%u] imbalance=%.2f",
                   stats.numShards, partitionStrategyName(strategy),
                   static_cast<unsigned long long>(stats.cutEdges),
                   stats.cutEdgeRatio, stats.haloVertices, stats.haloRatio,
-                  stats.minOwned, stats.maxOwned, stats.loadImbalance,
-                  stats.gatherByteRatio);
+                  stats.minOwned, stats.maxOwned, stats.loadImbalance);
     return line;
 }
 

@@ -33,10 +33,6 @@ struct PartitionStats
      * over the mean shard work. 1.0 is perfect balance.
      */
     double loadImbalance = 0.0;
-    /** Gather bytes of one delayed-halo aggregation pass relative to
-     *  the global kernel's, at any fixed row width (< 1 means the halo
-     *  replicas deduplicate cross-shard hub pulls). */
-    double gatherByteRatio = 1.0;
 };
 
 /** Compute PartitionStats for @p plan in one pass over its shards. */

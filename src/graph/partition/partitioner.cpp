@@ -82,9 +82,9 @@ assignGreedy(const CsrGraph &graph, std::vector<Shard> &shards)
 }
 
 /**
- * From prefilled owned lists, build the maps, the shard-major order,
- * and each shard's local CSR (intra edges first per row, then cut
- * edges with halo ids allocated in first-use order).
+ * From prefilled owned lists, build the owner map, the shard-major
+ * order, and each shard's edge counts and halo list (in first-use
+ * order).
  */
 void
 finalisePlan(const CsrGraph &graph, PartitionPlan &plan)
@@ -92,7 +92,6 @@ finalisePlan(const CsrGraph &graph, PartitionPlan &plan)
     const VertexId n = graph.numVertices();
     const std::size_t k = plan.shards.size();
     plan.shardOf.assign(n, 0);
-    plan.localIdOf.assign(n, 0);
     plan.shardMajorOrder.clear();
     plan.shardMajorOrder.reserve(n);
     plan.ownedStart.assign(k + 1, 0);
@@ -100,62 +99,35 @@ finalisePlan(const CsrGraph &graph, PartitionPlan &plan)
         Shard &shard = plan.shards[s];
         shard.numOwned = static_cast<VertexId>(shard.vertices.size());
         plan.ownedStart[s + 1] = plan.ownedStart[s] + shard.numOwned;
-        for (VertexId i = 0; i < shard.numOwned; ++i) {
-            const VertexId v = shard.vertices[i];
+        for (VertexId v : shard.vertices) {
             plan.shardOf[v] = static_cast<ShardId>(s);
-            plan.localIdOf[v] = i;
             plan.shardMajorOrder.push_back(v);
         }
     }
     GRAPHITE_ASSERT(plan.shardMajorOrder.size() == n,
                     "owned lists must cover every vertex exactly once");
 
-    // The stamp pair resolves repeat halo references in O(1) without
-    // per-shard clearing: an entry is only trusted when stampShard
-    // matches the shard being built.
-    std::vector<ShardId> stampShard(n, kNoShard);
-    std::vector<VertexId> stampLocal(n, 0);
+    // A vertex joins shard s's halo on its first cut edge there:
+    // haloOf[u] == s marks it listed, without per-shard clearing.
+    std::vector<ShardId> haloOf(n, kNoShard);
     for (std::size_t s = 0; s < k; ++s) {
         Shard &shard = plan.shards[s];
         const ShardId sid = static_cast<ShardId>(s);
-        std::vector<EdgeId> rowPtr;
-        std::vector<VertexId> colIdx;
-        rowPtr.reserve(shard.numOwned + 1);
-        rowPtr.push_back(0);
-        shard.globalEdge.clear();
-        shard.cutStart.assign(shard.numOwned, 0);
         shard.intraEdges = 0;
         shard.cutEdges = 0;
         for (VertexId r = 0; r < shard.numOwned; ++r) {
-            const VertexId v = shard.vertices[r];
-            for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-                const VertexId u = graph.colIdx()[e];
-                if (plan.shardOf[u] != sid)
+            for (VertexId u : graph.neighbors(shard.vertices[r])) {
+                if (plan.shardOf[u] == sid) {
+                    ++shard.intraEdges;
                     continue;
-                colIdx.push_back(plan.localIdOf[u]);
-                shard.globalEdge.push_back(e);
-                ++shard.intraEdges;
-            }
-            shard.cutStart[r] = colIdx.size();
-            for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-                const VertexId u = graph.colIdx()[e];
-                if (plan.shardOf[u] == sid)
-                    continue;
-                if (stampShard[u] != sid) {
-                    stampShard[u] = sid;
-                    stampLocal[u] =
-                        static_cast<VertexId>(shard.vertices.size());
+                }
+                ++shard.cutEdges;
+                if (haloOf[u] != sid) {
+                    haloOf[u] = sid;
                     shard.vertices.push_back(u);
                 }
-                colIdx.push_back(stampLocal[u]);
-                shard.globalEdge.push_back(e);
-                ++shard.cutEdges;
             }
-            rowPtr.push_back(colIdx.size());
         }
-        // Empty halo rows make every local id a valid CSR row.
-        rowPtr.resize(shard.vertices.size() + 1, colIdx.size());
-        shard.localCsr = CsrGraph(std::move(rowPtr), std::move(colIdx));
     }
 }
 

@@ -34,10 +34,9 @@ struct PartitionConfig
  * Hash: splitmix-style hash of the vertex id modulo K, owned order
  * ascending by id — the locality-oblivious baseline.
  *
- * The plan's shards carry local CSRs whose rows mirror the global edge
- * set (intra-shard edges first within each row, then cut edges), halo
- * lists in first-use order, and the global↔local maps; the graph
- * pointer is retained and must outlive the plan. Shards may own no
+ * The plan's shards carry their owned vertices, intra/cut edge counts
+ * and halo lists in first-use order; the graph pointer is retained and
+ * must outlive the plan. Shards may own no
  * vertices when K exceeds the bucket (or vertex) count. Publishes the
  * partition.shards / partition.cut_edges / partition.halo_vertices
  * gauges and runs under a "partition.plan" trace span.

@@ -167,107 +167,24 @@ namespace {
 
 /**
  * The aggregate driver's gather accounting, in one place for every
- * source and schedule: @p rowsPulled gathered rows of @p rowBytes
- * stored bytes each feed agg.bytes_gathered — and, under a sharded
- * schedule, partition.bytes_gathered (delayed-halo replica fills:
- * partition.halo_bytes too) — and @p rowsFolded row folds of @p cols
+ * source and schedule: @p rows gathered rows of @p rowBytes stored
+ * bytes each feed agg.bytes_gathered — and, under a sharded schedule,
+ * partition.bytes_gathered — and as many row folds of @p cols
  * multiply-adds feed agg.flops.
  */
 void
-countGather(std::uint64_t rowsPulled, std::uint64_t rowBytes,
-            std::uint64_t rowsFolded, std::size_t cols, bool sharded,
-            bool halo = false)
+countGather(std::uint64_t rows, std::uint64_t rowBytes, std::size_t cols,
+            bool sharded)
 {
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     static obs::Counter &bytes = metrics.counter("agg.bytes_gathered");
     static obs::Counter &flops = metrics.counter("agg.flops");
     static obs::Counter &shardBytes =
         metrics.counter("partition.bytes_gathered");
-    static obs::Counter &haloBytes = metrics.counter("partition.halo_bytes");
-    bytes.add(rowsPulled * rowBytes);
-    flops.add(2 * rowsFolded * cols);
+    bytes.add(rows * rowBytes);
+    flops.add(2 * rows * cols);
     if (sharded)
-        shardBytes.add(rowsPulled * rowBytes);
-    if (halo)
-        haloBytes.add(rowsPulled * rowBytes);
-}
-
-/**
- * Delayed-halo aggregation. Phase A folds self + intra-shard terms
- * from the local CSR (shard-aligned tasks); phase B gathers each halo
- * row once into a shard-local replica and folds the cut-edge terms
- * from the cache-resident replica. Owned rows are written only by
- * their own shard in both phases, so no synchronisation is needed.
- */
-template <typename Rows>
-void
-aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
-                     DenseMatrix &out, const AggregationSpec &spec)
-{
-    const obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    const std::size_t width = rows.width();
-
-    forEachTask(Schedule::sharded(plan), plan.graph->numVertices(),
-                kAggTaskVertices, "agg.block",
-                [&](std::size_t begin, std::size_t end) {
-        const ShardId s = plan.shardOf[plan.shardMajorOrder[begin]];
-        const Shard &shard = plan.shards[s];
-        std::uint64_t rowsPulled = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v = plan.shardMajorOrder[i];
-            const VertexId local =
-                static_cast<VertexId>(i - plan.ownedStart[s]);
-            Feature *dst = out.row(v);
-            seedSelf(rows, v, dst);
-            const EdgeId intraBegin = shard.localCsr.rowBegin(local);
-            const EdgeId intraEnd = shard.cutStart[local];
-            for (EdgeId idx = intraBegin; idx < intraEnd; ++idx) {
-                rows.accumulate(shard.vertices[shard.localCsr.colIdx()[idx]],
-                                spec.edgeFactor(shard.globalEdge[idx]), dst,
-                                spec.reduce);
-            }
-            rowsPulled += 1 + (intraEnd - intraBegin);
-        }
-        if (metrics.enabled())
-            countGather(rowsPulled, rows.rowBytes(), rowsPulled,
-                        rows.in.cols(), true);
-    });
-
-    // Every worker sizes its replica for the widest halo, whichever
-    // shards it draws.
-    VertexId maxHalo = 0;
-    for (const Shard &shard : plan.shards)
-        maxHalo = std::max(maxHalo, shard.numHalo());
-    const auto reserveReplica = [&] { blockScratch<2>(maxHalo * width); };
-    parallelFor(0, plan.numShards(), 1,
-                [&](std::size_t shardBegin, std::size_t shardEnd,
-                    std::size_t) {
-        for (std::size_t s = shardBegin; s < shardEnd; ++s) {
-            const Shard &shard = plan.shards[s];
-            const VertexId numHalo = shard.numHalo();
-            if (numHalo == 0)
-                continue;
-            GRAPHITE_TRACE_SPAN("partition.shard");
-            Feature *replica = blockScratch<2>(numHalo * width);
-            for (VertexId h = 0; h < numHalo; ++h)
-                rows.expand(shard.vertices[shard.numOwned + h],
-                            replica + h * width);
-            for (VertexId r = 0; r < shard.numOwned; ++r) {
-                const EdgeId rowEnd = shard.localCsr.rowEnd(r);
-                Feature *dst = out.row(shard.vertices[r]);
-                for (EdgeId idx = shard.cutStart[r]; idx < rowEnd; ++idx) {
-                    const VertexId h =
-                        shard.localCsr.colIdx()[idx] - shard.numOwned;
-                    combineRow(dst, replica + h * width,
-                               spec.edgeFactor(shard.globalEdge[idx]),
-                               width, spec.reduce);
-                }
-            }
-            if (metrics.enabled())
-                countGather(numHalo, rows.rowBytes(), shard.cutEdges,
-                            rows.in.cols(), true, true);
-        }
-    }, reserveReplica);
+        shardBytes.add(rows * rowBytes);
 }
 
 /**
@@ -278,17 +195,13 @@ aggregateDelayedHalo(const PartitionPlan &plan, const Rows &rows,
 template <typename Rows>
 void
 aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
-              const AggregationSpec &spec, const Schedule &schedule)
+              const Schedule &schedule)
 {
     GRAPHITE_TRACE_SPAN(schedule.plan != nullptr ? "agg.sharded"
                                                  : Rows::kAggSpan);
     GRAPHITE_ASSERT(out.rows() == graph.numVertices() &&
                         out.cols() == rows.in.cols(),
                     "out shape mismatch");
-    if (schedule.delayedHalo) {
-        aggregateDelayedHalo(*schedule.plan, rows, out, spec);
-        return;
-    }
     const std::span<const VertexId> order = visitOrder(schedule);
 
     forEachTask(schedule, graph.numVertices(), kAggTaskVertices, "agg.block",
@@ -300,9 +213,8 @@ aggregateRows(const CsrGraph &graph, const Rows &rows, DenseMatrix &out,
                 rows.prefetch(vertexAt(order, i + kPrefetchDistance));
         }
         if (obs::MetricsRegistry::global().enabled()) {
-            const std::uint64_t pulled =
-                rowsGathered(graph, order, begin, end);
-            countGather(pulled, rows.rowBytes(), pulled, rows.in.cols(),
+            countGather(rowsGathered(graph, order, begin, end),
+                        rows.rowBytes(), rows.in.cols(),
                         schedule.plan != nullptr);
         }
     });
@@ -316,7 +228,7 @@ aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
 {
     withRowSource(graph, in, spec, schedule, "aggregate",
                   [&](const auto &rows) {
-        aggregateRows(graph, rows, out, spec, schedule);
+        aggregateRows(graph, rows, out, schedule);
     });
 }
 

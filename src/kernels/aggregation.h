@@ -134,16 +134,9 @@ struct FeatureRows
  *    cache-resident. Every vertex still aggregates from the global CSR
  *    with the same per-vertex code, so results are bit-identical to
  *    flat for any shard count; the win is locality, not gathered bytes.
- *  - **Delayed halo** (sharded, aggregation only; DistGNN-style): each
- *    shard first folds its self + intra-shard terms from the local
- *    CSR, then gathers every halo row exactly once into a shard-local
- *    replica and folds the cut-edge terms from it. Cross-shard hub rows
- *    are pulled once per shard instead of once per cut edge, so
- *    gathered bytes drop; the changed summation order makes Sum results
- *    fp-tolerant rather than bit-equal (Max stays exact).
  *
  * Sharded tasks run under "partition.shard" trace spans and also feed
- * partition.bytes_gathered (delayed halo: partition.halo_bytes too).
+ * partition.bytes_gathered.
  */
 struct Schedule
 {
@@ -152,11 +145,10 @@ struct Schedule
     Schedule(const ProcessingOrder &visit) : order(visit) {}
 
     static Schedule
-    sharded(const PartitionPlan &partition, bool delayed = false)
+    sharded(const PartitionPlan &partition)
     {
         Schedule schedule;
         schedule.plan = &partition;
-        schedule.delayedHalo = delayed;
         return schedule;
     }
 
@@ -164,8 +156,6 @@ struct Schedule
     std::span<const VertexId> order;
     /** Shard-major execution over this plan when non-null. */
     const PartitionPlan *plan = nullptr;
-    /** Two-phase replica mode (needs a plan; aggregation only). */
-    bool delayedHalo = false;
 };
 
 /**

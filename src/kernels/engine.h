@@ -9,7 +9,7 @@
  *    expanded on the fly). Each holds graph, matrix `in` and spec and
  *    supplies aggregate(v, dst) (Algorithm 1 for one vertex), prefetch,
  *    rowBytes() (stored bytes per gathered row, for the byte counters)
- *    and the accumulate/expand pair the delayed-halo replica needs;
+ *    and accumulate(u, factor, dst, op), which folds one row into dst;
  *  - a **Schedule** (kernels/aggregation.h), run by forEachTask().
  *
  * withRowSource() switches on the FeatureRows form once per kernel
@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -153,33 +152,20 @@ struct DenseRows
     {
         combineRow(dst, in.row(u), factor, width(), op);
     }
-
-    void
-    expand(VertexId u, Feature *dst) const
-    {
-        std::memcpy(dst, in.row(u), width() * sizeof(Feature));
-    }
 };
 
 /**
- * Seed @p dst with vertex @p v's self term through @p rows' accumulate
- * (Sum-combining into zeros yields selfFactor * h_v for either reduce
- * op, and expanded zeros clobber nothing).
+ * Algorithm 1 for one vertex through @p rows' accumulate. The self
+ * term seeds @p dst (Sum-combining into zeros yields selfFactor * h_v
+ * for either reduce op, and expanded zeros clobber nothing), then each
+ * neighbour folds in.
  */
-template <typename Rows>
-void
-seedSelf(const Rows &rows, VertexId v, Feature *dst)
-{
-    std::fill(dst, dst + rows.width(), 0.0f);
-    rows.accumulate(v, rows.spec.selfFactor(v), dst, ReduceOp::Sum);
-}
-
-/** Algorithm 1 for one vertex through @p rows' accumulate. */
 template <typename Rows>
 void
 foldVertex(const Rows &rows, VertexId v, Feature *dst)
 {
-    seedSelf(rows, v, dst);
+    std::fill(dst, dst + rows.width(), 0.0f);
+    rows.accumulate(v, rows.spec.selfFactor(v), dst, ReduceOp::Sum);
     for (EdgeId e = rows.graph.rowBegin(v); e < rows.graph.rowEnd(v); ++e) {
         rows.accumulate(rows.graph.colIdx()[e], rows.spec.edgeFactor(e),
                         dst, rows.spec.reduce);
@@ -221,12 +207,6 @@ struct Bf16Rows
     accumulate(VertexId u, Feature factor, Feature *dst, ReduceOp op) const
     {
         combineBf16Row(in.row(u), fp32Width, factor, dst, op);
-    }
-
-    void
-    expand(VertexId u, Feature *dst) const
-    {
-        convertRowFromBf16(in.row(u), fp32Width, dst);
     }
 };
 
@@ -270,8 +250,6 @@ struct PackedRows
     {
         in.accumulateRow(u, factor, dst);
     }
-
-    void expand(VertexId u, Feature *dst) const { in.decompressRowTo(u, dst); }
 };
 
 /**
@@ -301,8 +279,6 @@ withRowSource(const CsrGraph &graph, const FeatureRows &in,
     }
     GRAPHITE_ASSERT(schedule.order.empty() || schedule.order.size() == n,
                     "order must cover all vertices");
-    GRAPHITE_ASSERT(!schedule.delayedHalo || schedule.plan != nullptr,
-                    "delayed halo needs a partition plan");
     if (const auto *dense = std::get_if<const DenseMatrix *>(&in.matrix)) {
         GRAPHITE_DCHECK(reinterpret_cast<std::uintptr_t>((*dense)->data()) %
                                 kFeatureAlignment == 0,

@@ -48,8 +48,6 @@ fusedRows(const CsrGraph &graph, const Rows &rows,
                         (extra.agg->rows() == out.rows() &&
                          extra.agg->cols() == inCols),
                     "aggOut shape mismatch");
-    GRAPHITE_ASSERT(!schedule.delayedHalo,
-                    "fused kernels have no delayed-halo schedule");
 
     // Padded strides of the block-local buffers match the matrices so
     // rows can be memcpy'd wholesale.

@@ -96,7 +96,7 @@ struct FusedOutputs
  * the identity update), bias, ReLU and dropout — and the chained
  * projection when update.then is set — straight into @p out
  * (|V| x F_out, or |V| x then->n()). Blocks are carved from
- * @p schedule's tasks (flat or shard-major; not delayed halo). Results
+ * @p schedule's tasks (flat or shard-major). Results
  * are bit-identical across schedules: gemmBlockSerial results do not
  * depend on how rows are grouped into blocks, and dropout's keep
  * decisions depend on the vertex, not on its block.

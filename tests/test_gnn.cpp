@@ -225,10 +225,6 @@ TEST(GnnModel, AllTechniquePathsProduceSameLogits)
 // not a silent run without dropout (NaN and negative rates).
 TEST(GnnModel, RejectsDropoutRateOutsideUnitInterval)
 {
-    // fatal() exits through the static destructors, which join the
-    // global pool's workers: a plain fork() child has none to join, so
-    // the death statement runs in a re-executed process instead.
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
     const CsrGraph g = generateErdosRenyi(20, 60, false, 46);
     for (const double rate :
          {1.5, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
@@ -451,7 +447,7 @@ specOf(GnnKind kind, const CsrGraph &g)
     return {};
 }
 
-enum class Direction { Flat, Locality, Sharded, DelayedHalo };
+enum class Direction { Flat, Locality, Sharded, Unfused };
 
 const char *
 directionName(Direction d)
@@ -463,8 +459,8 @@ directionName(Direction d)
         return "locality";
       case Direction::Sharded:
         return "sharded4";
-      case Direction::DelayedHalo:
-        return "delayed";
+      case Direction::Unfused:
+        return "unfused";
     }
     return "?";
 }
@@ -502,7 +498,8 @@ struct LayerRun
 
 /**
  * One training forward and backward of @p layer from @p x with upstream
- * gradient @p dh, under @p tech and direction @p d.
+ * gradient @p dh, under @p tech and direction @p d (Unfused: flat, with
+ * fusion off).
  */
 LayerRun
 runLayer(GnnLayer &layer, const ScheduledGraph &sg, const DenseMatrix &x,
@@ -515,11 +512,12 @@ runLayer(GnnLayer &layer, const ScheduledGraph &sg, const DenseMatrix &x,
     if (d == Direction::Locality) {
         order = sg.order;
         orderT = sg.orderT;
-    } else if (d != Direction::Flat) {
+    } else if (d == Direction::Sharded) {
         tech.shards = 4;
-        tech.delayedHalo = d == Direction::DelayedHalo;
         plan = &sg.plan;
         planT = &sg.planT;
+    } else if (d == Direction::Unfused) {
+        tech.fusion = false;
     }
     LayerContext ctx;
     layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ctx, false,
@@ -548,11 +546,13 @@ class ProjectedLayerParity : public ::testing::TestWithParam<ProjectedParam>
  * against unfusedLayer (1e-5 relative Frobenius in fp32; bf16 at the
  * 2% bound Bf16Model.InferenceTracksFp32AcrossTechniques uses), and
  * dW, db and dh_prev of one step against basic() (1e-4 in fp32; bf16
- * at the 10% bound of Bf16GradientParity). Exact sharding must be
- * bitwise equal to flat. The bf16 layer has no ReLU: bf16's ~0.3%
- * forward error flips the ReLU mask of near-zero outputs, and those
- * flips (which the aggregate-first bf16 path suffers just as much)
- * would swamp the rounding error the gate is meant to bound.
+ * at the 10% bound of Bf16GradientParity). Sharding must be bitwise
+ * equal to flat; the unfused direction turns fusion off, so the same
+ * layer aggregates first against the same oracles. The bf16 layer has
+ * no ReLU: bf16's ~0.3% forward error flips the ReLU mask of near-zero
+ * outputs, and those flips (which the aggregate-first bf16 path
+ * suffers just as much) would swamp the rounding error the gate is
+ * meant to bound.
  */
 TEST_P(ProjectedLayerParity, MatchesAggregateFirstOracles)
 {
@@ -622,7 +622,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Direction::Flat,
                                          Direction::Locality,
                                          Direction::Sharded,
-                                         Direction::DelayedHalo),
+                                         Direction::Unfused),
                        ::testing::Values(std::pair{48, 5},
                                          std::pair{67, 3})),
     projectedName);
@@ -654,26 +654,28 @@ TEST_P(InferenceChain, MatchesLayersDrivenOneByOne)
     TechniqueConfig tech = TechniqueConfig::withFusion();
     tech.precision = precision;
     tech.locality = direction == Direction::Locality;
-    if (direction == Direction::Sharded ||
-        direction == Direction::DelayedHalo) {
+    if (direction == Direction::Sharded)
         tech.shards = 4;
-        tech.delayedHalo = direction == Direction::DelayedHalo;
-    }
+    if (direction == Direction::Unfused)
+        tech.fusion = false;
     const DenseMatrix chained = model.inference(x, tech);
 
     const std::span<const VertexId> order = model.localityOrderFor(tech);
     const PartitionPlan *plan = model.partitionPlanFor(tech);
-    Bf16Matrix xBf16(x.rows(), x.cols());
-    xBf16.fromDense(x);
+    const bool bf16 = precision == Precision::Bf16;
     DenseMatrix in = x;
     for (std::size_t k = 0; k < model.numLayers(); ++k) {
         const GnnLayer &layer = model.layer(k);
         EXPECT_EQ(layer.projectsFirst(model.spec(), tech),
-                  layer.outFeatures() < layer.inFeatures());
+                  tech.fusion && layer.outFeatures() < layer.inFeatures());
+        // Under bf16 the model hands every layer a bf16 copy of its
+        // input; a projecting layer reads neither copy.
+        Bf16Matrix inBf16(in.rows(), in.cols());
+        if (bf16)
+            inBf16.fromDense(in);
         DenseMatrix out(g.numVertices(), layer.outFeatures());
-        const bool bf16In = k == 0 && precision == Precision::Bf16;
         layer.forwardInference(g, model.spec(), in, nullptr,
-                               bf16In ? &xBf16 : nullptr, out, nullptr,
+                               bf16 ? &inBf16 : nullptr, out, nullptr,
                                nullptr, order, plan, tech);
         in = std::move(out);
     }
@@ -703,7 +705,7 @@ INSTANTIATE_TEST_SUITE_P(
                           std::vector<std::size_t>{67, 48, 5}),
         ::testing::Values(Precision::Fp32, Precision::Bf16),
         ::testing::Values(Direction::Flat, Direction::Locality,
-                          Direction::Sharded, Direction::DelayedHalo)),
+                          Direction::Sharded, Direction::Unfused)),
     chainName);
 
 /** Metric deltas of one call, with the registry on for its duration. */
@@ -745,7 +747,7 @@ expectBitwiseEqual(const DenseMatrix &a, const DenseMatrix &b)
 // mask is kept): a layer trained with dropout gets bitwise the output
 // and gradients of the same layer without it whose output and incoming
 // gradient were masked and scaled by hand — aggregating first and
-// projecting first, fused (flat) and unfused (delayed halo).
+// projecting first, fused and unfused.
 TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
 {
     const ScheduledGraph sg(GnnKind::Gcn,
@@ -753,20 +755,13 @@ TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
     const VertexId n = sg.g.numVertices();
     const DropoutOp dropout = DropoutOp::at(0.5, 52);
     for (const auto &[fIn, fOut] : {std::pair{16, 24}, std::pair{24, 16}}) {
-        for (const bool delayed : {false, true}) {
+        for (const bool fused : {true, false}) {
             SCOPED_TRACE(testing::Message() << fIn << "->" << fOut
-                                            << (delayed ? " delayed" : ""));
+                                            << (fused ? "" : " unfused"));
             GnnLayer layer(fIn, fOut, true);
             layer.initWeights(53);
-            TechniqueConfig tech = TechniqueConfig::withFusion();
-            const PartitionPlan *plan = nullptr;
-            const PartitionPlan *planT = nullptr;
-            if (delayed) {
-                tech.shards = 4;
-                tech.delayedHalo = true;
-                plan = &sg.plan;
-                planT = &sg.planT;
-            }
+            TechniqueConfig tech;
+            tech.fusion = fused;
             DenseMatrix x(n, fIn);
             x.fillUniform(-1.0f, 1.0f, 54);
             DenseMatrix dh(n, fOut);
@@ -777,10 +772,10 @@ TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
 
             LayerContext ctx;
             layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ctx,
-                                  false, false, {}, plan, tech, dropout);
+                                  false, false, {}, nullptr, tech, dropout);
             DenseMatrix grad = dh;
             DenseMatrix gradIn(n, fIn);
-            layer.backward(sg.gt, sg.specT, ctx, grad, &gradIn, {}, planT,
+            layer.backward(sg.gt, sg.specT, ctx, grad, &gradIn, {}, nullptr,
                            tech);
             const DenseMatrix weightGrad = layer.weightGrad();
             DenseMatrix biasGrad(1, fOut);
@@ -789,7 +784,7 @@ TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
 
             LayerContext ref;
             layer.forwardTraining(sg.g, sg.spec, x, nullptr, nullptr, ref,
-                                  false, false, {}, plan, tech);
+                                  false, false, {}, nullptr, tech);
             DenseMatrix refGrad = dh;
             for (VertexId v = 0; v < n; ++v) {
                 for (int c = 0; c < fOut; ++c) {
@@ -803,7 +798,7 @@ TEST(GnnLayer, DropoutBackwardIsMaskThenReluBackward)
             expectBitwiseEqual(ctx.output, ref.output);
             DenseMatrix refGradIn(n, fIn);
             layer.backward(sg.gt, sg.specT, ref, refGrad, &refGradIn, {},
-                           planT, tech);
+                           nullptr, tech);
             expectBitwiseEqual(weightGrad, layer.weightGrad());
             DenseMatrix refBiasGrad(1, fOut);
             std::copy(layer.biasGrad().begin(), layer.biasGrad().end(),

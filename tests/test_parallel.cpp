@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "common/assert.h"
 #include "parallel/thread_pool.h"
 
 namespace graphite {
@@ -216,6 +220,26 @@ TEST(GlobalPool, ThreadIdWithinRange)
             ok = false;
     });
     EXPECT_TRUE(ok.load());
+}
+
+// A forked child of a process whose global pool is running has no
+// workers: fatal() there must still end it with status 1 (no static
+// destructor may try to join the parent's workers).
+TEST(GlobalPool, FatalInForkedChildExitsWithStatusOne)
+{
+    std::atomic<int> chunks{0};
+    parallelFor(0, 64, 1,
+                [&](std::size_t, std::size_t, std::size_t) { chunks++; });
+    ASSERT_EQ(chunks.load(), 64);
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        fatal("fatal from a forked child");
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 } // namespace

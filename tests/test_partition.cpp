@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests of the cache-slice partitioner and shard-major execution:
- * PartitionPlan structural invariants (every edge exactly once, halo
- * lists = exact cross-shard fan-in, id round-trips), validate()'s
- * corruption detection, bit-parity of exact shard-major kernels vs the
- * global ones across models x precision x K, delayed-halo tolerance and
- * gather-byte accounting, the simulated DRAM-traffic win of the
- * shard-major order, and end-to-end training parity.
+ * PartitionPlan structural invariants (intra + cut edges tile |E|, halo
+ * lists = exact cross-shard fan-in, ownership agrees with shardOf),
+ * validate()'s corruption detection, bit-parity of shard-major kernels
+ * vs the global ones across models x precision x K, gather-byte
+ * accounting, the simulated DRAM-traffic win of the shard-major order,
+ * and end-to-end training parity.
  */
 
 #include <algorithm>
@@ -78,19 +78,6 @@ expectBitEqual(const DenseMatrix &a, const DenseMatrix &b)
     }
 }
 
-void
-expectNear(const DenseMatrix &a, const DenseMatrix &b, float tol)
-{
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const Feature *ra = a.row(r);
-        const Feature *rb = b.row(r);
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            ASSERT_NEAR(ra[c], rb[c], tol) << "row " << r << " col " << c;
-    }
-}
-
 class PlanOnGraphs
     : public testing::TestWithParam<std::tuple<int, int>>
 {
@@ -129,11 +116,10 @@ TEST_P(PlanOnGraphs, HaloListsAreExactCrossShardFanIn)
     CsrGraph g = makeTestGraph(graphIdx);
     PartitionPlan plan = planFor(g, k);
     ASSERT_EQ(plan.validate(), nullptr) << plan.validate();
-    // Global -> local id round trip.
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        const Shard &shard = plan.shards[plan.shardOf[v]];
-        ASSERT_LT(plan.localIdOf[v], shard.numOwned);
-        EXPECT_EQ(shard.vertices[plan.localIdOf[v]], v);
+    // Every owned vertex is owned by the shard shardOf names.
+    for (std::size_t s = 0; s < plan.numShards(); ++s) {
+        for (VertexId v : plan.shards[s].owned())
+            EXPECT_EQ(plan.shardOf[v], s) << "vertex " << v;
     }
     // Each shard's halo must be exactly the set of cross-shard
     // neighbors its owned vertices pull from.
@@ -184,10 +170,9 @@ TEST(PartitionPlan, ValidateDetectsCorruption)
     }
     {
         PartitionPlan plan = planFor(g, 4);
-        ASSERT_GE(plan.shards[0].numOwned, 2u);
-        // Swap two local ids: the round trip breaks.
-        std::swap(plan.localIdOf[plan.shards[0].vertices[0]],
-                  plan.localIdOf[plan.shards[0].vertices[1]]);
+        ASSERT_GT(plan.shards[0].numHalo(), 0u);
+        // Drop a halo vertex: a cut edge now reads an unlisted row.
+        plan.shards[0].vertices.pop_back();
         EXPECT_NE(plan.validate(), nullptr);
     }
     {
@@ -219,7 +204,7 @@ TEST(PartitionStats, GreedyBeatsHashOnCommunityGraph)
 }
 
 // ---------------------------------------------------------------------
-// Exact shard-major kernels must be bit-identical to the global ones.
+// Shard-major kernels must be bit-identical to the global ones.
 // ---------------------------------------------------------------------
 
 struct ShardedFixture
@@ -404,83 +389,27 @@ INSTANTIATE_TEST_SUITE_P(ModelsAndShards, ShardedParity,
                          testing::Combine(testing::Values(0, 1, 2),
                                           testing::Values(1, 2, 4, 8)));
 
-// ---------------------------------------------------------------------
-// Delayed-halo mode: fp tolerance, exactness for max, byte accounting.
-// ---------------------------------------------------------------------
-
-TEST(DelayedHalo, SumWithinToleranceOfExact)
+// Shard-major aggregation gathers the same rows as flat, one per edge
+// plus the self term, and reports them to both byte counters.
+TEST(ShardedCounters, GatheredBytesMatchEstimate)
 {
     ShardedFixture fx(GnnKind::Gcn);
     PartitionPlan plan = planFor(fx.graph, 4);
-    DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
-    DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule::sharded(plan));
-    aggregate(fx.graph, fx.input, delayed, fx.spec,
-              Schedule::sharded(plan, true));
-    expectNear(exact, delayed, 1e-3f);
-}
-
-TEST(DelayedHalo, CompressedSumWithinToleranceOfExact)
-{
-    ShardedFixture fx(GnnKind::Gcn);
-    fx.input.sparsify(0.5, 36);
-    PartitionPlan plan = planFor(fx.graph, 4);
-    CompressedMatrix packed(fx.graph.numVertices(), fx.input.cols());
-    packed.compressFrom(fx.input);
-    DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
-    DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregate(fx.graph, packed, exact, fx.spec, Schedule::sharded(plan));
-    aggregate(fx.graph, packed, delayed, fx.spec,
-              Schedule::sharded(plan, true));
-    expectNear(exact, delayed, 1e-3f);
-}
-
-TEST(DelayedHalo, MaxReduceStaysExact)
-{
-    // Max is insensitive to fold order, so the delayed split is exact.
-    ShardedFixture fx(GnnKind::Gcn);
-    fx.spec = maxSpec();
-    PartitionPlan plan = planFor(fx.graph, 4);
-    DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
-    DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule::sharded(plan));
-    aggregate(fx.graph, fx.input, delayed, fx.spec,
-              Schedule::sharded(plan, true));
-    expectBitEqual(exact, delayed);
-}
-
-TEST(DelayedHalo, ReducesGatheredBytesAndMatchesEstimate)
-{
-    ShardedFixture fx(GnnKind::Gcn);
-    PartitionPlan plan = planFor(fx.graph, 4);
-    ASSERT_GT(plan.totalCutEdges(), plan.totalHaloVertices())
-        << "fixture must have hub fan-in for delayed mode to win";
     DenseMatrix out(fx.graph.numVertices(), fx.input.cols());
 
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     metrics.setEnabled(true);
     metrics.reset();
     aggregate(fx.graph, fx.input, out, fx.spec, Schedule::sharded(plan));
-    const std::uint64_t exactBytes =
+    const std::uint64_t shardBytes =
         metrics.counter("partition.bytes_gathered").value();
-
-    metrics.reset();
-    aggregate(fx.graph, fx.input, out, fx.spec,
-              Schedule::sharded(plan, true));
-    const std::uint64_t delayedBytes =
-        metrics.counter("partition.bytes_gathered").value();
-    const std::uint64_t haloBytes =
-        metrics.counter("partition.halo_bytes").value();
+    const std::uint64_t aggBytes =
+        metrics.counter("agg.bytes_gathered").value();
     metrics.setEnabled(false);
 
-    EXPECT_LT(delayedBytes, exactBytes);
-    EXPECT_EQ(exactBytes,
-              plan.estimatedGatherBytes(fx.input.rowBytes(), false));
-    EXPECT_EQ(delayedBytes,
-              plan.estimatedGatherBytes(fx.input.rowBytes(), true));
-    EXPECT_EQ(haloBytes, static_cast<std::uint64_t>(
-                             plan.totalHaloVertices()) *
-                             fx.input.rowBytes());
+    EXPECT_EQ(shardBytes,
+              plan.estimatedGatherBytes(fx.input.rowBytes()));
+    EXPECT_EQ(aggBytes, shardBytes);
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +503,7 @@ TEST(PartitionPlan, ModelPlanCacheKeepsEntriesAcrossKeys)
 
 // ---------------------------------------------------------------------
 // End to end: shard-major training must reproduce flat training
-// bit-for-bit (exact mode), for fused and unfused techniques.
+// bit-for-bit, for fused and unfused techniques.
 // ---------------------------------------------------------------------
 
 TEST(ShardedTraining, MatchesFlatTrainingBitwise)

@@ -61,8 +61,12 @@ loadGraph(const Options &options)
     return makeDataset(id, shift).graph;
 }
 
+/**
+ * The technique the flags select for @p graph. A shard count above the
+ * graph's vertex count is refused here, before any plan is built.
+ */
 TechniqueConfig
-techniqueFor(const Options &options)
+techniqueFor(const Options &options, const CsrGraph &graph)
 {
     const std::string name = options.getString("technique");
     TechniqueConfig tech;
@@ -82,10 +86,13 @@ techniqueFor(const Options &options)
     if (!parsePrecision(precisionText, tech.precision))
         fatal("unknown precision '%s'", precisionText.c_str());
     tech.shards = options.getCount("shards");
+    if (tech.shards >= 2 && tech.shards > graph.numVertices()) {
+        fatal("--shards must be at most the graph's %u vertices (got %zu)",
+              graph.numVertices(), tech.shards);
+    }
     const std::string partitionText = options.getString("partition");
     if (!parsePartitionStrategy(partitionText, tech.partition))
         fatal("unknown partition strategy '%s'", partitionText.c_str());
-    tech.delayedHalo = options.getBool("delayed-halo");
     return tech;
 }
 
@@ -125,7 +132,7 @@ runStats(const Options &options)
                   .c_str());
     // With --shards >= 2, additionally report the cache-slice partition:
     // edge cut, halo volume and shard balance for the chosen strategy.
-    const TechniqueConfig tech = techniqueFor(options);
+    const TechniqueConfig tech = techniqueFor(options, graph);
     if (tech.shards >= 2) {
         PartitionConfig config;
         config.numShards = tech.shards;
@@ -188,7 +195,7 @@ runTrain(const Options &options)
     trainerConfig.epochs = options.getCount("epochs");
     trainerConfig.learningRate =
         static_cast<float>(options.getDouble("lr"));
-    trainerConfig.tech = techniqueFor(options);
+    trainerConfig.tech = techniqueFor(options, graph);
     Trainer trainer(model, task.features, task.labels, trainerConfig);
 
     inform("training %zu epochs with technique '%s'",
@@ -233,7 +240,7 @@ runInfer(const Options &options)
                                            0.4, 11);
     Timer timer;
     DenseMatrix logits =
-        model.inference(task.features, techniqueFor(options));
+        model.inference(task.features, techniqueFor(options, graph));
     std::printf("inference over %u vertices in %.3fs, accuracy %.3f\n",
                 graph.numVertices(), timer.seconds(),
                 accuracy(logits, task.labels));
@@ -263,9 +270,6 @@ main(int argc, char **argv)
                 "cache-slice shards for shard-major execution (0/1: off)");
     options.add("partition", "greedy",
                 "shard assignment: greedy (degree-aware) | hash");
-    options.add("delayed-halo", "false",
-                "delayed cross-shard aggregation (halo gathered once "
-                "per shard; fp-tolerant)");
     options.add("model", "gcn", "gcn | sage | gin");
     options.add("features", "64", "input feature width");
     options.add("hidden", "128", "hidden feature width");
