@@ -214,6 +214,31 @@ BM_BiasGradColumnSum(benchmark::State &state)
 }
 BENCHMARK(BM_BiasGradColumnSum)->Arg(64)->Arg(256);
 
+/**
+ * The training backward's ReLU′ with the dropout survivor scale over a
+ * layer-0-sized dz (131072 x 256, 128 MiB): reads the activation and
+ * reads and writes dz, so bytes/s shows a fall back to scalar code.
+ */
+void
+BM_ReluBackward(benchmark::State &state)
+{
+    DenseMatrix activated(131072, 256);
+    activated.fillUniform(-1.0f, 1.0f, 4);
+    DenseMatrix grad(131072, 256);
+    grad.fillUniform(-1.0f, 1.0f, 5);
+    // Alternating 2 and 1/2 keeps the scaled survivors exact and bounded.
+    float scale = 2.0f;
+    for (auto _ : state) {
+        reluBackward(activated, grad, scale);
+        scale = 1.0f / scale;
+        benchmark::DoNotOptimize(grad.data());
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(3 * grad.rows() * grad.rowBytes()));
+}
+BENCHMARK(BM_ReluBackward);
+
 void
 BM_DmaPipelinedLayer(benchmark::State &state)
 {
@@ -433,21 +458,6 @@ BM_SpmmAggregation(benchmark::State &state)
                                   state.iterations()));
 }
 BENCHMARK(BM_SpmmAggregation);
-
-void
-BM_AggregateMaxReduction(benchmark::State &state)
-{
-    AggFixture fx(256);
-    AggregationSpec spec = maxSpec();
-    for (auto _ : state) {
-        aggregate(fx.graph, fx.features, fx.output, spec);
-        benchmark::DoNotOptimize(fx.output.data());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(fx.gatheredBytes() *
-                                  state.iterations()));
-}
-BENCHMARK(BM_AggregateMaxReduction);
 
 void
 BM_FusedLayerCompressed(benchmark::State &state)

@@ -94,8 +94,7 @@ issueVertexAggregation(ThreadEngine &te, const CsrGraph &graph,
     for (std::size_t offset = 0; offset < f; offset += bufferFloats) {
         const std::size_t chunk = std::min(bufferFloats, f - offset);
         AggregationDescriptor desc;
-        desc.redOp = spec.reduce == ReduceOp::Sum ? RedOp::Sum
-                                                  : RedOp::Max;
+        desc.redOp = RedOp::Sum;
         desc.binOp = BinOp::Multiply;
         desc.idxType = IdxType::U32;
         desc.valType = ValType::F32;

@@ -113,11 +113,9 @@ layerSchedule(const CsrGraph &graph, std::span<const VertexId> order,
 } // namespace
 
 bool
-GnnLayer::projectsFirst(const AggregationSpec &spec,
-                        const TechniqueConfig &tech) const
+GnnLayer::projectsFirst(const TechniqueConfig &tech) const
 {
-    return tech.fusion && spec.reduce == ReduceOp::Sum &&
-           outFeatures_ < inFeatures_;
+    return tech.fusion && outFeatures_ < inFeatures_;
 }
 
 const DenseMatrix &
@@ -146,7 +144,7 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                     "only a fused block can fold the next projection");
     const GemmPlan *then = chain.next != nullptr
         ? &chain.next->packedWeights(tech.precision) : nullptr;
-    if (projectsFirst(spec, tech)) {
+    if (projectsFirst(tech)) {
         // Z = X·W once (unless the previous block already produced it),
         // then Z's F_out-wide rows are gathered as fp32 (Z is
         // pre-activation: never compressed) and finished per block.
@@ -219,7 +217,7 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                     "dropout needs the ReLU its backward folds into");
     const VertexId n = graph.numVertices();
     // A projecting layer's backward needs its input, not a^k.
-    const bool projects = projectsFirst(spec, tech);
+    const bool projects = projectsFirst(tech);
     ctx.input = projects ? &in : nullptr;
     if (!projects && (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_))
         ctx.agg.resize(n, inFeatures_);

@@ -6,10 +6,10 @@
  *
  * A layer runs in one of two directions (DESIGN.md, "Layer direction").
  * Aggregate first, h = ReLU(Agg(h_prev)·W + b), is the paper's order and
- * the oracle. A fused, Sum-reduce, narrowing layer (F_out < F_in)
- * projects first instead, h = ReLU(Agg(h_prev·W) + b): aggregation is
- * linear, so the two agree up to rounding, and the gather reads F_out-
- * wide rows instead of F_in-wide ones.
+ * the oracle. A fused, narrowing layer (F_out < F_in) projects first
+ * instead, h = ReLU(Agg(h_prev·W) + b): aggregation is linear, so the
+ * two agree up to rounding, and the gather reads F_out-wide rows
+ * instead of F_in-wide ones.
  *
  * Backward math, aggregate first (a = Agg(h_prev) saved by the forward;
  * s the survivor scale of the layer's dropout, 1 without one):
@@ -167,12 +167,11 @@ class GnnLayer
                     DenseMatrix &out, Precision precision) const;
 
     /**
-     * True when this layer projects first under @p tech: fusion on, a
-     * Sum reduce and F_out < F_in. Fixed by those three; no option
-     * selects it, and basic or any unfused run aggregates first.
+     * True when this layer projects first under @p tech: fusion on and
+     * F_out < F_in. Fixed by those two; no option selects it, and basic
+     * or any unfused run aggregates first.
      */
-    bool projectsFirst(const AggregationSpec &spec,
-                       const TechniqueConfig &tech) const;
+    bool projectsFirst(const TechniqueConfig &tech) const;
 
     /**
      * Inference forward: writes h^k into @p out; a^k is only

@@ -115,7 +115,7 @@ bool
 GnnModel::nextGathers(std::size_t k, const TechniqueConfig &tech) const
 {
     return k + 1 < layers_.size() &&
-           !layers_[k + 1]->projectsFirst(spec_, tech);
+           !layers_[k + 1]->projectsFirst(tech);
 }
 
 const Bf16Matrix &

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "common/assert.h"
@@ -60,6 +61,28 @@ loadCsr(const std::string &path)
     in.read(reinterpret_cast<char *>(&numEdges), sizeof(numEdges));
     if (!in)
         fatal("truncated CSR header in '%s'", path.c_str());
+    // Check the header against the file before sizing anything from it,
+    // so a corrupt count is refused instead of wrapping or allocating.
+    if (numVertices > std::numeric_limits<VertexId>::max()) {
+        fatal("'%s' claims %llu vertices, more than a 32-bit vertex id "
+              "can name", path.c_str(),
+              static_cast<unsigned long long>(numVertices));
+    }
+    const std::streamoff arraysAt = in.tellg();
+    in.seekg(0, std::ios::end);
+    const auto bytesLeft =
+        static_cast<std::uint64_t>(in.tellg() - arraysAt);
+    in.seekg(arraysAt);
+    // numEdges is bounded first, so the byte count cannot wrap.
+    if (numEdges > bytesLeft / sizeof(VertexId) ||
+        (numVertices + 1) * sizeof(EdgeId) +
+                numEdges * sizeof(VertexId) != bytesLeft) {
+        fatal("'%s' claims %llu vertices and %llu edges, which do not fit "
+              "the %llu bytes after its header", path.c_str(),
+              static_cast<unsigned long long>(numVertices),
+              static_cast<unsigned long long>(numEdges),
+              static_cast<unsigned long long>(bytesLeft));
+    }
 
     std::vector<EdgeId> rowPtr(numVertices + 1);
     std::vector<VertexId> colIdx(numEdges);

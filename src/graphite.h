@@ -39,10 +39,8 @@
 #include "tensor/spmm.h"
 
 // Models and training.
-#include "gnn/gat_layer.h"
 #include "gnn/gnn_model.h"
 #include "gnn/minibatch_trainer.h"
-#include "gnn/optimizer.h"
 #include "gnn/serialization.h"
 #include "gnn/trainer.h"
 #include "sampling/neighbor_sampler.h"

@@ -1,6 +1,5 @@
 #include "kernels/aggregation.h"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -64,14 +63,6 @@ sumSpec()
     return {};
 }
 
-AggregationSpec
-maxSpec()
-{
-    AggregationSpec spec;
-    spec.reduce = ReduceOp::Max;
-    return spec;
-}
-
 const char *
 validateSpec(const AggregationSpec &spec, const CsrGraph &graph)
 {
@@ -92,11 +83,11 @@ namespace {
  * Register-resident aggregation for feature vectors of Groups x 16
  * floats: the accumulator a_v lives entirely in zmm registers across all
  * neighbours, exactly what the paper's JIT-specialised kernels achieve
- * with layer-constant code generation. The reduction operator is a
- * template parameter so each (width, op) pair gets its own straight-line
- * kernel, like per-layer JIT output.
+ * with layer-constant code generation. The width is a template
+ * parameter so each one gets its own straight-line kernel, like
+ * per-layer JIT output.
  */
-template <int Groups, ReduceOp Op>
+template <int Groups>
 void
 aggregateVertexZmm(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
                    const AggregationSpec &spec, Feature *dst)
@@ -111,13 +102,8 @@ aggregateVertexZmm(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
         const Feature *src = in.row(graph.colIdx()[e]);
         const __m512 factor = _mm512_set1_ps(spec.edgeFactor(e));
         for (int g = 0; g < Groups; ++g) {
-            const __m512 value = _mm512_loadu_ps(src + g * 16);
-            if constexpr (Op == ReduceOp::Sum) {
-                acc[g] = _mm512_fmadd_ps(value, factor, acc[g]);
-            } else {
-                acc[g] = _mm512_max_ps(
-                    acc[g], _mm512_mul_ps(value, factor));
-            }
+            acc[g] = _mm512_fmadd_ps(_mm512_loadu_ps(src + g * 16), factor,
+                                     acc[g]);
         }
     }
     for (int g = 0; g < Groups; ++g)
@@ -127,19 +113,17 @@ aggregateVertexZmm(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
 using VertexKernel = void (*)(const CsrGraph &, const DenseMatrix &,
                               VertexId, const AggregationSpec &, Feature *);
 
-/** Kernel tables indexed by Groups - 1; the JIT-dispatch analogue. */
-template <ReduceOp Op, int... G>
+/** Kernel table indexed by Groups - 1; the JIT-dispatch analogue. */
+template <int... G>
 constexpr std::array<VertexKernel, sizeof...(G)>
 zmmKernels(std::integer_sequence<int, G...>)
 {
-    return {aggregateVertexZmm<G + 1, Op>...};
+    return {aggregateVertexZmm<G + 1>...};
 }
 
 constexpr std::size_t kMaxZmmGroups = 16;
-constexpr auto kZmmSumKernels = zmmKernels<ReduceOp::Sum>(
-    std::make_integer_sequence<int, kMaxZmmGroups>());
-constexpr auto kZmmMaxKernels = zmmKernels<ReduceOp::Max>(
-    std::make_integer_sequence<int, kMaxZmmGroups>());
+constexpr auto kZmmKernels =
+    zmmKernels(std::make_integer_sequence<int, kMaxZmmGroups>());
 
 } // namespace
 
@@ -153,9 +137,7 @@ aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
     const std::size_t stride = in.rowStride();
     const std::size_t groups = stride / 16;
     if (groups >= 1 && groups <= kMaxZmmGroups && stride % 16 == 0) {
-        const auto &table = spec.reduce == ReduceOp::Sum
-            ? kZmmSumKernels : kZmmMaxKernels;
-        table[groups - 1](graph, in, v, spec, dst);
+        kZmmKernels[groups - 1](graph, in, v, spec, dst);
         return;
     }
 #endif
@@ -252,11 +234,8 @@ aggregateReference(const CsrGraph &graph, const DenseMatrix &in,
             dst[c] = spec.selfFactor(v) * self[c];
         for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
             const Feature *src = in.row(graph.colIdx()[e]);
-            for (std::size_t c = 0; c < in.cols(); ++c) {
-                const Feature value = spec.edgeFactor(e) * src[c];
-                dst[c] = spec.reduce == ReduceOp::Sum
-                    ? dst[c] + value : std::max(dst[c], value);
-            }
+            for (std::size_t c = 0; c < in.cols(); ++c)
+                dst[c] += spec.edgeFactor(e) * src[c];
         }
     }
 }
@@ -265,8 +244,6 @@ void
 aggregateTransposedPush(const CsrGraph &graph, const DenseMatrix &in,
                         DenseMatrix &out, const AggregationSpec &spec)
 {
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "push-style transposed aggregation requires sum");
     if (const char *error = validateSpec(spec, graph))
         panic("aggregateTransposedPush: %s", error);
     const VertexId n = graph.numVertices();

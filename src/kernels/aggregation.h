@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <variant>
 #include <vector>
@@ -31,21 +30,10 @@
 namespace graphite {
 
 /**
- * The element-wise reduction operator ⊕ of Algorithm 1. Sum covers GCN
- * and GraphSAGE-mean (Table 2); Max covers pooling-style aggregators.
- * Both initialise the accumulator with the (ψ-processed) self term and
- * fold neighbors in, so no explicit identity element is needed.
- */
-enum class ReduceOp : std::uint8_t
-{
-    Sum,
-    Max,
-};
-
-/**
  * The feature-processing function ψ as multiplicative factors: one per
  * edge (aligned with the CSR colIdx array) and one per vertex for the
- * self term, plus the reduction operator.
+ * self term. The reduction ⊕ of Algorithm 1 is the element-wise sum,
+ * which covers GCN, GraphSAGE-mean (Table 2) and GIN.
  */
 struct AggregationSpec
 {
@@ -53,8 +41,6 @@ struct AggregationSpec
     std::vector<Feature> edgeFactors;
     /** Per-vertex self-term factor, or empty for 1.0. */
     std::vector<Feature> selfFactors;
-    /** Element-wise reduction combining the processed inputs. */
-    ReduceOp reduce = ReduceOp::Sum;
 
     Feature
     edgeFactor(EdgeId e) const
@@ -99,14 +85,11 @@ const char *validateSpec(const AggregationSpec &spec, const CsrGraph &graph);
 /** Unweighted sum aggregation (all factors 1). */
 AggregationSpec sumSpec();
 
-/** Unweighted element-wise max over N(v) ∪ {v} (pooling aggregator). */
-AggregationSpec maxSpec();
-
 /**
  * The feature rows a kernel gathers, in one of their stored forms: fp32
  * rows, bf16 rows widened to fp32 in registers (half the traffic at
  * reduced precision, see tensor/bf16_matrix.h), or mask-compressed rows
- * expanded on the fly (Section 4.3; sum reduction only). Built
+ * expanded on the fly (Section 4.3). Built
  * implicitly from any of the three matrices. A kernel entry switches on
  * the form once per call, so every form runs its own compiled
  * per-vertex loop; accumulation is fp32 throughout.
@@ -194,8 +177,7 @@ void aggregateReference(const CsrGraph &graph, const DenseMatrix &in,
  * write synchronisation to parallelise on a CPU, so the production
  * fused backward commutes the GEMM past the aggregation and stays
  * pull-based instead (see kernels/fused_layer.h); this entry is the
- * oracle the fused path is validated against. Sum reduction only — the
- * backward of a linear aggregation is linear.
+ * oracle the fused path is validated against.
  */
 void aggregateTransposedPush(const CsrGraph &graph, const DenseMatrix &in,
                              DenseMatrix &out, const AggregationSpec &spec);

@@ -9,7 +9,8 @@
  *    expanded on the fly). Each holds graph, matrix `in` and spec and
  *    supplies aggregate(v, dst) (Algorithm 1 for one vertex), prefetch,
  *    rowBytes() (stored bytes per gathered row, for the byte counters)
- *    and accumulate(u, factor, dst, op), which folds one row into dst;
+ *    and accumulate(u, factor, dst), which adds factor times one row
+ *    into dst;
  *  - a **Schedule** (kernels/aggregation.h), run by forEachTask().
  *
  * withRowSource() switches on the FeatureRows form once per kernel
@@ -60,30 +61,24 @@ inline constexpr std::size_t kFusedBlockSize = 16;
 inline constexpr std::size_t kFusedBlocksPerTask = 4;
 /** @} */
 
-/** dst = op(dst, factor * src) over @p width fp32 lanes. */
+/** dst += factor * src over @p width fp32 lanes. */
 inline void
 combineRow(Feature *dst, const Feature *src, Feature factor,
-           std::size_t width, ReduceOp op)
+           std::size_t width)
 {
-    if (op == ReduceOp::Sum) {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] += factor * src[c];
-    } else {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] = std::max(dst[c], factor * src[c]);
-    }
+    #pragma omp simd
+    for (std::size_t c = 0; c < width; ++c)
+        dst[c] += factor * src[c];
 }
 
 /**
- * dst[0..f) ⊕= factor * bf16row (expanded to fp32). AVX-512 path
+ * dst[0..f) += factor * bf16row (expanded to fp32). AVX-512 path
  * expands 16 bf16 lanes per step by a 16-bit shift into the float's
  * high half; accumulation is full fp32.
  */
 inline void
 combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
-               Feature *dst, ReduceOp reduce)
+               Feature *dst)
 {
 #if GRAPHITE_AGG_AVX512
     if (f % 16 == 0) {
@@ -93,26 +88,15 @@ combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
                 reinterpret_cast<const __m256i *>(src + g));
             const __m512 values = _mm512_castsi512_ps(
                 _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
-            const __m512 acc = _mm512_loadu_ps(dst + g);
-            if (reduce == ReduceOp::Sum) {
-                _mm512_storeu_ps(dst + g,
-                                 _mm512_fmadd_ps(values, factorVec,
-                                                 acc));
-            } else {
-                _mm512_storeu_ps(
-                    dst + g,
-                    _mm512_max_ps(acc,
-                                  _mm512_mul_ps(values, factorVec)));
-            }
+            _mm512_storeu_ps(dst + g,
+                             _mm512_fmadd_ps(values, factorVec,
+                                             _mm512_loadu_ps(dst + g)));
         }
         return;
     }
 #endif
-    for (std::size_t c = 0; c < f; ++c) {
-        const Feature value = bf16ToFloat(src[c]) * factor;
-        dst[c] = reduce == ReduceOp::Sum ? dst[c] + value
-                                         : std::max(dst[c], value);
-    }
+    for (std::size_t c = 0; c < f; ++c)
+        dst[c] += bf16ToFloat(src[c]) * factor;
 }
 
 /** RowSource over fp32 rows (the zmm/generic kernels of aggregateVertex). */
@@ -148,28 +132,25 @@ struct DenseRows
     }
 
     void
-    accumulate(VertexId u, Feature factor, Feature *dst, ReduceOp op) const
+    accumulate(VertexId u, Feature factor, Feature *dst) const
     {
-        combineRow(dst, in.row(u), factor, width(), op);
+        combineRow(dst, in.row(u), factor, width());
     }
 };
 
 /**
  * Algorithm 1 for one vertex through @p rows' accumulate. The self
- * term seeds @p dst (Sum-combining into zeros yields selfFactor * h_v
- * for either reduce op, and expanded zeros clobber nothing), then each
- * neighbour folds in.
+ * term seeds @p dst (accumulating into zeros yields selfFactor * h_v,
+ * and expanded zeros clobber nothing), then each neighbour folds in.
  */
 template <typename Rows>
 void
 foldVertex(const Rows &rows, VertexId v, Feature *dst)
 {
     std::fill(dst, dst + rows.width(), 0.0f);
-    rows.accumulate(v, rows.spec.selfFactor(v), dst, ReduceOp::Sum);
-    for (EdgeId e = rows.graph.rowBegin(v); e < rows.graph.rowEnd(v); ++e) {
-        rows.accumulate(rows.graph.colIdx()[e], rows.spec.edgeFactor(e),
-                        dst, rows.spec.reduce);
-    }
+    rows.accumulate(v, rows.spec.selfFactor(v), dst);
+    for (EdgeId e = rows.graph.rowBegin(v); e < rows.graph.rowEnd(v); ++e)
+        rows.accumulate(rows.graph.colIdx()[e], rows.spec.edgeFactor(e), dst);
 }
 
 /**
@@ -204,15 +185,15 @@ struct Bf16Rows
     }
 
     void
-    accumulate(VertexId u, Feature factor, Feature *dst, ReduceOp op) const
+    accumulate(VertexId u, Feature factor, Feature *dst) const
     {
-        combineBf16Row(in.row(u), fp32Width, factor, dst, op);
+        combineBf16Row(in.row(u), fp32Width, factor, dst);
     }
 };
 
 /**
  * RowSource over mask-compressed rows (Section 4.3): each gathered row
- * is expanded on the fly from its packed form. Sum reduction only.
+ * is expanded on the fly from its packed form.
  */
 struct PackedRows
 {
@@ -246,7 +227,7 @@ struct PackedRows
     }
 
     void
-    accumulate(VertexId u, Feature factor, Feature *dst, ReduceOp) const
+    accumulate(VertexId u, Feature factor, Feature *dst) const
     {
         in.accumulateRow(u, factor, dst);
     }
@@ -293,8 +274,6 @@ withRowSource(const CsrGraph &graph, const FeatureRows &in,
     } else {
         const CompressedMatrix &packed =
             *std::get<const CompressedMatrix *>(in.matrix);
-        GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                        "compressed aggregation supports sum reduction");
         fn(PackedRows{graph, packed, spec,
                       packed.rows() > 0
                           ? packed.compressedTrafficBytes() / packed.rows()

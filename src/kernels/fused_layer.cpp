@@ -201,10 +201,6 @@ fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                    const Schedule &schedule)
 {
     GRAPHITE_TRACE_SPAN("fused.backward");
-    // The commutation is only valid for a linear aggregation; Max-reduce
-    // backward needs argmax state the forward never saves.
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
     withRowSource(transposed, dz, transposedSpec, schedule,
                   "fusedLayerBackward", [&](const auto &rows) {
         fusedRows(transposed, rows, &weightsNT, {.relu = false}, gradIn, {},

@@ -137,7 +137,7 @@ void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
  *
  * @param transposed     transposed graph.
  * @param dz             dL/d(pre-activation), |V| x F_out.
- * @param transposedSpec factors remapped by transposeSpec(); Sum only.
+ * @param transposedSpec factors remapped by transposeSpec().
  * @param weightsNT      W packed in NT mode (K=F_out, N=F_in).
  * @param gradIn         dL/dh_prev output, |V| x F_in.
  * @param schedule       visit order over the transposed graph (a

@@ -40,12 +40,16 @@ reluBackward(const DenseMatrix &activated, DenseMatrix &grad, float scale)
                     "relu backward shape mismatch");
     parallelFor(0, grad.rows(), 256,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
+        // Locals, not the by-reference captures: a stored g[c] could
+        // alias the captured scale, and that reload keeps the loop scalar.
+        const float s = scale;
+        const std::size_t cols = grad.cols();
         for (std::size_t r = begin; r < end; ++r) {
             const Feature *act = activated.row(r);
             Feature *g = grad.row(r);
             #pragma omp simd
-            for (std::size_t c = 0; c < grad.cols(); ++c)
-                g[c] = act[c] > 0.0f ? g[c] * scale : 0.0f;
+            for (std::size_t c = 0; c < cols; ++c)
+                g[c] = act[c] > 0.0f ? g[c] * s : 0.0f;
         }
     });
 }

@@ -576,8 +576,8 @@ TEST_P(ProjectedLayerParity, MatchesAggregateFirstOracles)
 
     TechniqueConfig tech = TechniqueConfig::withFusion();
     tech.precision = precision;
-    ASSERT_TRUE(layer.projectsFirst(sg.spec, tech));
-    ASSERT_FALSE(layer.projectsFirst(sg.spec, TechniqueConfig::basic()));
+    ASSERT_TRUE(layer.projectsFirst(tech));
+    ASSERT_FALSE(layer.projectsFirst(TechniqueConfig::basic()));
 
     DenseMatrix agg(n, fin);
     DenseMatrix oracle(n, fout);
@@ -666,7 +666,7 @@ TEST_P(InferenceChain, MatchesLayersDrivenOneByOne)
     DenseMatrix in = x;
     for (std::size_t k = 0; k < model.numLayers(); ++k) {
         const GnnLayer &layer = model.layer(k);
-        EXPECT_EQ(layer.projectsFirst(model.spec(), tech),
+        EXPECT_EQ(layer.projectsFirst(tech),
                   tech.fusion && layer.outFeatures() < layer.inFeatures());
         // Under bf16 the model hands every layer a bf16 copy of its
         // input; a projecting layer reads neither copy.
@@ -854,20 +854,20 @@ TEST(ProjectedLayerCounters, BytesAndFlopsFollowTheDirection)
 }
 
 /**
- * Equal widths and Max reduce keep aggregate-first: the fused driver
+ * Equal and widening widths keep aggregate-first: the fused driver
  * gathers full F_in-wide rows and no projection GEMM runs.
  */
-TEST(ProjectedLayerCounters, EqualWidthsAndMaxReduceAggregateFirst)
+TEST(ProjectedLayerCounters, EqualWidthsAggregateFirst)
 {
     const CsrGraph g = generateBarabasiAlbert(300, 4, 80);
     const VertexId n = g.numVertices();
     const std::uint64_t rows = g.numEdges() + n;
+    const AggregationSpec spec = gcnSpec(g);
     const TechniqueConfig tech = TechniqueConfig::withFusion();
-    const auto gathered = [&](std::size_t fin, std::size_t fout,
-                              const AggregationSpec &spec) {
+    const auto gathered = [&](std::size_t fin, std::size_t fout) {
         GnnLayer layer(fin, fout, true);
         layer.initWeights(81);
-        EXPECT_FALSE(layer.projectsFirst(spec, tech));
+        EXPECT_FALSE(layer.projectsFirst(tech));
         DenseMatrix x(n, fin);
         x.fillUniform(-1.0f, 1.0f, 82);
         DenseMatrix out(n, fout);
@@ -884,8 +884,8 @@ TEST(ProjectedLayerCounters, EqualWidthsAndMaxReduceAggregateFirst)
         return bytes;
     };
     // 24 floats pad to a 32-float row.
-    EXPECT_EQ(gathered(24, 24, gcnSpec(g)), rows * 32 * sizeof(Feature));
-    EXPECT_EQ(gathered(48, 5, maxSpec()), rows * 48 * sizeof(Feature));
+    EXPECT_EQ(gathered(24, 24), rows * 32 * sizeof(Feature));
+    EXPECT_EQ(gathered(48, 64), rows * 48 * sizeof(Feature));
 }
 
 /**

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the graph substrate: CSR structure, builder semantics,
- * transposition, generators, statistics and edge-list I/O.
+ * transposition, generators, statistics, edge-list and binary CSR I/O.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "graph/binary_io.h"
 #include "graph/csr_graph.h"
@@ -208,6 +210,64 @@ TEST(BinaryIo, RejectsForeignFiles)
     std::fputs("definitely not CSR", f);
     std::fclose(f);
     EXPECT_FALSE(isCsrFile(path));
+    std::remove(path.c_str());
+}
+
+/**
+ * Write a GCSR file at @p path whose header claims @p numVertices and
+ * @p numEdges, followed by the arrays of a real one-edge graph (2
+ * vertices: 24 bytes of rowPtr, 4 of colIdx).
+ */
+void
+writeCsrHeader(const std::string &path, std::uint64_t numVertices,
+               std::uint64_t numEdges)
+{
+    const std::uint32_t version = 1;
+    const std::uint64_t rowPtr[3] = {0, 1, 1};
+    const std::uint32_t colIdx[1] = {1};
+    FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite("GCSR", 1, 4, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&numVertices, sizeof(numVertices), 1, f);
+    std::fwrite(&numEdges, sizeof(numEdges), 1, f);
+    std::fwrite(rowPtr, sizeof(rowPtr), 1, f);
+    std::fwrite(colIdx, sizeof(colIdx), 1, f);
+    std::fclose(f);
+}
+
+// A corrupt header is refused by name before any array is sized from
+// it: no bad_alloc, no multi-GiB allocation, no wrap to an empty graph.
+TEST(BinaryIoDeathTest, RefusesEdgeCountBeyondTheFile)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = testing::TempDir() + "graphite_edges.gcsr";
+    writeCsrHeader(path, 2, std::uint64_t{1} << 40);
+    EXPECT_EXIT(loadCsr(path), testing::ExitedWithCode(1),
+                "graphite_edges.gcsr' claims 2 vertices and 1099511627776 "
+                "edges, which do not fit the 28 bytes after its header");
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIoDeathTest, RefusesVertexCountBeyondVertexId)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = testing::TempDir() + "graphite_verts.gcsr";
+    writeCsrHeader(path, std::uint64_t{1} << 33, 1);
+    EXPECT_EXIT(loadCsr(path), testing::ExitedWithCode(1),
+                "graphite_verts.gcsr' claims 8589934592 vertices, more "
+                "than a 32-bit vertex id can name");
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIoDeathTest, RefusesVertexCountThatWrapsToEmpty)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = testing::TempDir() + "graphite_wrap.gcsr";
+    writeCsrHeader(path, ~std::uint64_t{0}, 0);
+    EXPECT_EXIT(loadCsr(path), testing::ExitedWithCode(1),
+                "graphite_wrap.gcsr' claims 18446744073709551615 "
+                "vertices, more than a 32-bit vertex id can name");
     std::remove(path.c_str());
 }
 
