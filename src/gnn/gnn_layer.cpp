@@ -136,7 +136,8 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
                   DenseMatrix &out, CompressedMatrix *outCompressed,
                   Bf16Matrix *outBf16, std::span<const VertexId> order,
                   const PartitionPlan *plan, const TechniqueConfig &tech,
-                  const LayerChain &chain, const DropoutOp &dropout) const
+                  const LayerChain &chain, const DropoutOp &dropout,
+                  bool aggReady) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
     const Schedule schedule = layerSchedule(graph, order, plan);
@@ -167,18 +168,23 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
     const UpdateOp update{&weights_, bias_, relu_,
                           &packedWeights(tech.precision), tech.precision,
                           then, dropout};
-    if (tech.fusion) {
+    if (aggReady) {
+        // a^k is already in *agg: only the unfused path's update half.
+        GRAPHITE_TRACE_SPAN("layer.update_stored_agg");
+        unfusedUpdate(*agg, update, out);
+    } else if (tech.fusion) {
         fusedLayer(graph, in, spec, update, out,
                    {agg, outCompressed, outBf16}, schedule);
         return;
+    } else {
+        // Unfused path: aggregation materialises a^k, then one big GEMM.
+        DenseMatrix local;
+        if (agg == nullptr) {
+            local = DenseMatrix(graph.numVertices(), inFeatures_);
+            agg = &local;
+        }
+        unfusedLayer(graph, in, spec, update, *agg, out, schedule);
     }
-    // Unfused path: aggregation materialises a^k, then one big GEMM.
-    DenseMatrix local;
-    if (agg == nullptr) {
-        local = DenseMatrix(graph.numVertices(), inFeatures_);
-        agg = &local;
-    }
-    unfusedLayer(graph, in, spec, update, *agg, out, schedule);
     if (outCompressed)
         outCompressed->compressFrom(out);
     if (outBf16)
@@ -199,7 +205,7 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const LayerChain &chain) const
 {
     forward(graph, spec, in, inCompressed, inBf16, nullptr, out,
-            outCompressed, outBf16, order, plan, tech, chain, {});
+            outCompressed, outBf16, order, plan, tech, chain, {}, false);
 }
 
 void
@@ -211,13 +217,16 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                           std::span<const VertexId> order,
                           const PartitionPlan *plan,
                           const TechniqueConfig &tech,
-                          const DropoutOp &dropout) const
+                          const DropoutOp &dropout, bool aggReady) const
 {
     GRAPHITE_ASSERT(relu_ || !dropout.on(),
                     "dropout needs the ReLU its backward folds into");
     const VertexId n = graph.numVertices();
     // A projecting layer's backward needs its input, not a^k.
     const bool projects = projectsFirst(tech);
+    GRAPHITE_ASSERT(!aggReady || (!projects && ctx.agg.rows() == n &&
+                                  ctx.agg.cols() == inFeatures_),
+                    "a stored a^k needs an aggregate-first layer of its shape");
     ctx.input = projects ? &in : nullptr;
     if (!projects && (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_))
         ctx.agg.resize(n, inFeatures_);
@@ -239,7 +248,7 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
     forward(graph, spec, in, inCompressed, inBf16,
             projects ? nullptr : &ctx.agg, ctx.output, outCompressed,
             bf16Output ? &ctx.outputBf16 : nullptr, order, plan, tech, {},
-            dropout);
+            dropout, aggReady);
 }
 
 void

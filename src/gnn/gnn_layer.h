@@ -212,6 +212,11 @@ class GnnLayer
      * @p compressOutput / @p bf16Output, written as in
      * forwardInference. @p inBf16, when non-null under the Bf16
      * precision technique, supplies the half-width gather source.
+     *
+     * @p aggReady states that ctx.agg already holds a^k of this input
+     * and row source (an aggregate-first layer only): nothing is
+     * gathered, and h^k and its copies come from unfusedUpdate over
+     * ctx.agg, bitwise what the gathering forward writes.
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
@@ -221,7 +226,8 @@ class GnnLayer
                          std::span<const VertexId> order,
                          const PartitionPlan *plan,
                          const TechniqueConfig &tech,
-                         const DropoutOp &dropout = {}) const;
+                         const DropoutOp &dropout = {},
+                         bool aggReady = false) const;
 
     /**
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills
@@ -274,8 +280,9 @@ class GnnLayer
   private:
     /**
      * The body both forwards share: picks the direction, the gather
-     * source and the schedule once, then runs fused or unfused; @p agg
-     * and @p dropout are training's (a^k kept when aggregating first).
+     * source and the schedule once, then runs fused or unfused; @p agg,
+     * @p dropout and @p aggReady are training's (a^k kept when
+     * aggregating first; read instead of gathered when @p aggReady).
      */
     void forward(const CsrGraph &graph, const AggregationSpec &spec,
                  const DenseMatrix &dense,
@@ -284,7 +291,8 @@ class GnnLayer
                  DenseMatrix &out, CompressedMatrix *outCompressed,
                  Bf16Matrix *outBf16, std::span<const VertexId> order,
                  const PartitionPlan *plan, const TechniqueConfig &tech,
-                 const LayerChain &chain, const DropoutOp &dropout) const;
+                 const LayerChain &chain, const DropoutOp &dropout,
+                 bool aggReady) const;
 
     /** Z = @p in · W through the cached plan, into projected_. */
     const DenseMatrix &project(const DenseMatrix &in,

@@ -1,7 +1,11 @@
 #include "gnn/gnn_model.h"
 
+#include <cstring>
+
 #include "common/assert.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/bf16_matrix.h"
 #include "tensor/row_ops.h"
 
 namespace graphite {
@@ -118,19 +122,60 @@ GnnModel::nextGathers(std::size_t k, const TechniqueConfig &tech) const
            !layers_[k + 1]->projectsFirst(tech);
 }
 
+void
+GnnModel::keyInput(const DenseMatrix &inputFeatures)
+{
+    const InputKey key{inputFeatures.data(), inputFeatures.rows(),
+                       inputFeatures.cols()};
+    if (key == inputKey_)
+        return;
+    inputKey_ = key;
+    inputBf16Fresh_ = false;
+    layer0AggSource_.reset();
+}
+
 const Bf16Matrix &
 GnnModel::inputAsBf16(const DenseMatrix &inputFeatures)
 {
-    if (inputBf16Key_ != inputFeatures.data() ||
-        inputBf16Rows_ != inputFeatures.rows() ||
-        inputBf16Cols_ != inputFeatures.cols()) {
+    keyInput(inputFeatures);
+    if (!inputBf16Fresh_) {
         inputBf16_.reshape(inputFeatures.rows(), inputFeatures.cols());
         inputBf16_.fromDense(inputFeatures);
-        inputBf16Key_ = inputFeatures.data();
-        inputBf16Rows_ = inputFeatures.rows();
-        inputBf16Cols_ = inputFeatures.cols();
+        inputBf16Fresh_ = true;
     }
     return inputBf16_;
+}
+
+void
+GnnModel::checkReusedAggregate(const DenseMatrix &features, Precision source)
+{
+    const auto broken = [](std::size_t v) {
+        fatal("GnnModel::trainForward: the stored layer-0 input differs "
+              "from the features at vertex %zu; they were changed in place "
+              "since the call that gathered them, which the input-key "
+              "contract forbids (pass a different matrix instead)",
+              v);
+    };
+    // The bf16 copy is keyed like a^0, so a stale copy would gather a
+    // stale a^0 again: check the copy against the features first.
+    const bool bf16 = source == Precision::Bf16;
+    for (std::size_t v = 0; bf16 && v < features.rows(); ++v) {
+        for (std::size_t c = 0; c < features.cols(); ++c) {
+            if (inputBf16_.row(v)[c] != bf16FromFloat(features.row(v)[c]))
+                broken(v);
+        }
+    }
+    const DenseMatrix &agg = contexts_[0].agg;
+    aggCheck_.reshape(agg.rows(), agg.cols());
+    const FeatureRows rows =
+        bf16 ? FeatureRows(inputBf16_) : FeatureRows(features);
+    aggregate(*graph_, rows, aggCheck_, spec_);
+    for (std::size_t v = 0; v < agg.rows(); ++v) {
+        if (std::memcmp(agg.row(v), aggCheck_.row(v),
+                        agg.cols() * sizeof(Feature)) != 0) {
+            broken(v);
+        }
+    }
 }
 
 const DenseMatrix &
@@ -205,12 +250,27 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
     GRAPHITE_TRACE_SPAN("model.forward");
     GRAPHITE_ASSERT(inputFeatures.rows() == graph_->numVertices(),
                     "input row count mismatch");
+    GRAPHITE_ASSERT(inputFeatures.cols() == config_.featureWidths.front(),
+                    "input width mismatch");
     const auto order = localityOrderFor(tech);
     const PartitionPlan *plan = partitionPlanFor(tech);
     ++dropoutEpoch_;
 
     const bool bf16Flow =
         tech.precision == Precision::Bf16 && !tech.compression;
+    // a^0 is kept across calls of one input key and row source (see
+    // the header); a projecting layer 0 gathers no a^0 to keep.
+    keyInput(inputFeatures);
+    const Precision source = bf16Flow ? Precision::Bf16 : Precision::Fp32;
+    const bool aggregatesFirst = !layers_.front()->projectsFirst(tech);
+    const bool reuseAgg = aggregatesFirst && layer0AggSource_ == source;
+    layer0AggSource_ =
+        aggregatesFirst ? std::optional(source) : std::nullopt;
+    if (reuseAgg) {
+        static obs::Counter &reuses =
+            obs::MetricsRegistry::global().counter("gnn.input_agg_reuses");
+        reuses.increment();
+    }
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const DenseMatrix &in =
             k == 0 ? inputFeatures : contexts_[k - 1].output;
@@ -234,11 +294,16 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
                             config_.seed * 1315423911ull + dropoutEpoch_ +
                                 k * 2654435761ull)
             : DropoutOp{};
+        const bool aggReady = k == 0 && reuseAgg;
+#ifdef GRAPHITE_ENABLE_DCHECKS
+        if (aggReady)
+            checkReusedAggregate(inputFeatures, source);
+#endif
         layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
                                     contexts_[k],
                                     tech.compression && gathered,
                                     bf16Flow && gathered, order, plan, tech,
-                                    dropout);
+                                    dropout, aggReady);
     }
     return contexts_.back().output;
 }
@@ -287,6 +352,7 @@ GnnModel::workspacePointers() const
     for (const Bf16Matrix &buf : inferBf16_)
         pointers.push_back(buf.data());
     pointers.push_back(inputBf16_.data());
+    pointers.push_back(aggCheck_.data());
     return pointers;
 }
 

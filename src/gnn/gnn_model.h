@@ -9,6 +9,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -76,6 +77,22 @@ class GnnModel
      * applied to hidden activations as their rows are finished; no
      * mask is kept, the backward folds it into the ReLU backward.
      *
+     * Layer 0's aggregate a^0 = Agg(X) depends only on the graph, the
+     * spec and the input, so it is gathered once per input and kept:
+     * when layer 0 aggregates first and the call's input key (the
+     * features' data pointer and shape, and the layer-0 row source:
+     * bf16 when precision is Bf16 without compression, else fp32)
+     * matches the call that gathered a^0, layer 0 runs only its update
+     * over the stored a^0 — bitwise the output of gathering again —
+     * and bumps gnn.input_agg_reuses. A projecting layer 0, or a call
+     * with another key, gathers and records the new key.
+     *
+     * The input-key contract: the features are not changed in place
+     * between calls (pass a different matrix for different values).
+     * The bf16 copy of the input and the projected backward rely on it
+     * too; a GRAPHITE_CHECKS build gathers every reused a^0 again into
+     * a model-owned scratch and fails by name on any difference.
+     *
      * @return reference to the last layer's output (the logits).
      */
     const DenseMatrix &trainForward(const DenseMatrix &inputFeatures,
@@ -91,7 +108,7 @@ class GnnModel
      * locality order) symmetrically with the forward pass. A layer
      * that projected in the forward reads its saved input, so the
      * features passed to trainForward must still be alive and
-     * unchanged.
+     * unchanged: the input-key contract of trainForward.
      */
     void trainBackward(DenseMatrix &lossGrad, const TechniqueConfig &tech);
 
@@ -196,17 +213,33 @@ class GnnModel
     /** Bf16 inter-layer ping-pong of the inference path. */
     std::array<Bf16Matrix, 2> inferBf16_;
     /**
+     * Which input features the buffers derived from them were built
+     * from: data pointer and shape. Every driver here loads its
+     * features once per run and never changes them in place (the
+     * trainForward contract), so an equal key means equal values.
+     */
+    struct InputKey
+    {
+        const void *data = nullptr;
+        std::size_t rows = 0;
+        std::size_t cols = 0;
+
+        bool operator==(const InputKey &) const = default;
+    };
+    InputKey inputKey_;
+    /**
      * Layer 0's gather source under the bf16 technique: a one-time
-     * rounding of the caller's input features, keyed on their data
-     * pointer and shape. Assumes the input matrix is not mutated in
-     * place between calls (true of every driver here — features are
-     * loaded once per run); pass a different matrix object to force a
-     * rebuild.
+     * rounding of inputKey_'s features, valid while inputBf16Fresh_.
      */
     Bf16Matrix inputBf16_;
-    const void *inputBf16Key_ = nullptr;
-    std::size_t inputBf16Rows_ = 0;
-    std::size_t inputBf16Cols_ = 0;
+    bool inputBf16Fresh_ = false;
+    /**
+     * The row source contexts_[0].agg was gathered from when it holds
+     * Agg(X) of inputKey_'s features; empty when it does not.
+     */
+    std::optional<Precision> layer0AggSource_;
+    /** Re-gathered a^0 of a GRAPHITE_CHECKS build's reuse check. */
+    DenseMatrix aggCheck_;
 
     /**
      * Whether layer k+1 gathers h^k, the only case in which h^k is
@@ -215,8 +248,23 @@ class GnnModel
      */
     bool nextGathers(std::size_t k, const TechniqueConfig &tech) const;
 
-    /** Round @p inputFeatures into inputBf16_ if the cache is stale. */
+    /**
+     * Make @p inputFeatures the keyed input; a new key drops every
+     * buffer derived from the old one.
+     */
+    void keyInput(const DenseMatrix &inputFeatures);
+
+    /** Round @p inputFeatures into inputBf16_ if the copy is stale. */
     const Bf16Matrix &inputAsBf16(const DenseMatrix &inputFeatures);
+
+    /**
+     * GRAPHITE_CHECKS builds: fail by name unless the bf16 copy (for a
+     * Bf16 @p source) still rounds @p features, and a^0 gathered again
+     * from @p source's rows into aggCheck_ equals the reused
+     * contexts_[0].agg bit for bit.
+     */
+    void checkReusedAggregate(const DenseMatrix &features,
+                              Precision source);
 };
 
 } // namespace graphite

@@ -33,8 +33,33 @@ Trainer::Trainer(GnnModel &model, const DenseMatrix &inputFeatures,
     : model_(model), inputFeatures_(inputFeatures),
       labels_(std::move(labels)), config_(config)
 {
-    GRAPHITE_ASSERT(labels_.size() == inputFeatures.rows(),
-                    "label count mismatch");
+    const std::size_t n = model.graph().numVertices();
+    const std::size_t width = model.layer(0).inFeatures();
+    const std::size_t classes =
+        model.layer(model.numLayers() - 1).outFeatures();
+    if (inputFeatures.rows() != n || inputFeatures.cols() != width) {
+        fatal("Trainer: features are %zu x %zu, the model needs %zu "
+              "vertices x %zu input features",
+              inputFeatures.rows(), inputFeatures.cols(), n, width);
+    }
+    if (labels_.size() != n)
+        fatal("Trainer: %zu labels for %zu vertices", labels_.size(), n);
+    for (std::size_t v = 0; v < n; ++v) {
+        const std::int32_t label = labels_[v];
+        if (label < 0 || static_cast<std::size_t>(label) >= classes) {
+            fatal("Trainer: label %d of vertex %zu is outside [0, %zu)",
+                  label, v, classes);
+        }
+    }
+    const auto checkMask = [n](const std::vector<std::uint8_t> &mask,
+                               const char *name) {
+        if (!mask.empty() && mask.size() != n) {
+            fatal("Trainer: %s has %zu entries for %zu vertices", name,
+                  mask.size(), n);
+        }
+    };
+    checkMask(config_.trainMask, "trainMask");
+    checkMask(config_.evalMask, "evalMask");
 }
 
 std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>

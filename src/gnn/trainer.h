@@ -67,8 +67,14 @@ class Trainer
 {
   public:
     /**
-     * @param labels one class id per vertex; width of the model's last
-     *        layer must equal the number of classes.
+     * Refuses by name (fatal) features that are not |V| x the model's
+     * input width, a label count other than |V|, a label outside
+     * [0, classes) (classes = the last layer's width), and a non-empty
+     * trainMask or evalMask whose size is not |V|.
+     *
+     * @param inputFeatures borrowed for the trainer's lifetime and not
+     *        changed in place (GnnModel::trainForward's input key).
+     * @param labels one class id per vertex.
      */
     Trainer(GnnModel &model, const DenseMatrix &inputFeatures,
             std::vector<std::int32_t> labels, TrainerConfig config);

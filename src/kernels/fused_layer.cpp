@@ -214,14 +214,21 @@ unfusedLayer(const CsrGraph &graph, FeatureRows in,
              DenseMatrix &aggOut, DenseMatrix &out,
              const Schedule &schedule)
 {
+    aggregate(graph, in, aggOut, spec, schedule);
+    unfusedUpdate(aggOut, update, out);
+}
+
+void
+unfusedUpdate(const DenseMatrix &agg, const UpdateOp &update,
+              DenseMatrix &out)
+{
     GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
     GRAPHITE_ASSERT(update.then == nullptr,
                     "the unfused layer has no chained projection");
-    aggregate(graph, in, aggOut, spec, schedule);
     if (update.packedWeights)
-        gemm(GemmMode::NN, aggOut, *update.packedWeights, out);
+        gemm(GemmMode::NN, agg, *update.packedWeights, out);
     else
-        gemm(GemmMode::NN, aggOut, *update.weights, out);
+        gemm(GemmMode::NN, agg, *update.weights, out);
     finishRows(out, update.bias, update.relu, update.dropout);
 }
 

@@ -150,12 +150,22 @@ void fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
 
 /**
  * Unfused reference layer: aggregation over the full graph into
- * @p aggOut, then a whole-matrix GEMM update. The `basic` configuration
+ * @p aggOut, then unfusedUpdate() of it. The `basic` configuration
  * of Figure 11, and the unfused path of GnnLayer.
  */
 void unfusedLayer(const CsrGraph &graph, FeatureRows in,
                   const AggregationSpec &spec, const UpdateOp &update,
                   DenseMatrix &aggOut, DenseMatrix &out,
                   const Schedule &schedule = {});
+
+/**
+ * The update half of unfusedLayer: out = act(@p agg · W + b), one
+ * pooled GEMM at update.precision, then finishRows (bias, ReLU and the
+ * dropout keyed by vertex). Bitwise equal to fusedLayer's blocks over
+ * the same a^k, which is what lets GnnModel::trainForward run layer 0
+ * from a stored a^0 instead of gathering it again.
+ */
+void unfusedUpdate(const DenseMatrix &agg, const UpdateOp &update,
+                   DenseMatrix &out);
 
 } // namespace graphite

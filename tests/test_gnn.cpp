@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -911,6 +913,379 @@ TEST(Trainer, PacksOnlyActivationsANextLayerGathers)
     EXPECT_FALSE(model.context(1).hasCompressed);
     EXPECT_FALSE(model.context(2).hasCompressed);
     EXPECT_EQ(model.context(2).input, &model.context(1).output);
+}
+
+// ---------------------------------------------------------------------
+// Layer 0's aggregate a^0 = Agg(X) is gathered once per input key and
+// reused by later trainForward calls.
+// ---------------------------------------------------------------------
+
+/** What one full-batch step leaves behind, for bitwise comparison. */
+struct StepRecord
+{
+    double loss = 0.0;
+    DenseMatrix logits;
+    DenseMatrix hidden; // layer 0's output h^0
+    DenseMatrix dzTop;  // the clobbered loss gradient
+    std::vector<DenseMatrix> weights;
+    std::vector<DenseMatrix> weightGrads;
+    std::vector<std::vector<Feature>> biases;
+    std::vector<std::vector<Feature>> biasGrads;
+};
+
+/** One forward, loss, backward and SGD step of @p model on @p x. */
+StepRecord
+trainStep(GnnModel &model, const DenseMatrix &x,
+          const std::vector<std::int32_t> &labels,
+          const TechniqueConfig &tech)
+{
+    StepRecord rec;
+    rec.logits = model.trainForward(x, tech);
+    rec.hidden = model.context(0).output;
+    rec.dzTop = DenseMatrix(rec.logits.rows(), rec.logits.cols());
+    rec.loss = softmaxCrossEntropy(rec.logits, labels, rec.dzTop);
+    model.trainBackward(rec.dzTop, tech);
+    model.sgdStep(0.1f);
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        const GnnLayer &layer = model.layer(k);
+        rec.weights.push_back(layer.weights());
+        rec.weightGrads.push_back(layer.weightGrad());
+        rec.biases.push_back(layer.bias());
+        rec.biasGrads.emplace_back(layer.biasGrad().begin(),
+                                   layer.biasGrad().end());
+    }
+    return rec;
+}
+
+void
+expectSameStep(const StepRecord &got, const StepRecord &ref)
+{
+    EXPECT_EQ(got.loss, ref.loss);
+    expectBitwiseEqual(got.logits, ref.logits);
+    expectBitwiseEqual(got.hidden, ref.hidden);
+    expectBitwiseEqual(got.dzTop, ref.dzTop);
+    ASSERT_EQ(got.weights.size(), ref.weights.size());
+    for (std::size_t k = 0; k < ref.weights.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "layer " << k);
+        expectBitwiseEqual(got.weights[k], ref.weights[k]);
+        expectBitwiseEqual(got.weightGrads[k], ref.weightGrads[k]);
+        EXPECT_EQ(got.biases[k], ref.biases[k]);
+        EXPECT_EQ(got.biasGrads[k], ref.biasGrads[k]);
+    }
+}
+
+/** Reuses of a^0 counted while @p fn runs. */
+template <typename Fn>
+std::uint64_t
+aggReuses(Fn &&fn)
+{
+    return counterDelta("gnn.input_agg_reuses", std::forward<Fn>(fn));
+}
+
+/** (kind, precision, direction, compression, dropout) */
+using ReuseParam = std::tuple<GnnKind, Precision, Direction, bool, bool>;
+
+class InputAggregateReuse : public ::testing::TestWithParam<ReuseParam>
+{
+};
+
+/**
+ * Three epochs on one feature matrix (the last two reuse a^0) against a
+ * twin model that alternates between two equal copies of it, so every
+ * call misses the input key and gathers again: losses, logits, h^0, the
+ * top dz, and every layer's W, b, dW and db agree bit for bit. Layer 1
+ * aggregates first, so layer 0's compressed and bf16 copies are written
+ * (and read) too; layer 2 narrows and projects under fusion.
+ */
+TEST_P(InputAggregateReuse, MatchesGatheringEveryEpochBitwise)
+{
+    const auto [kind, precision, direction, compression, dropout] =
+        GetParam();
+    const CsrGraph g = generateErdosRenyi(300, 2400, false, 131);
+    GnnModelConfig config;
+    config.kind = kind;
+    config.featureWidths = {12, 24, 24, 5};
+    config.dropoutRate = dropout ? 0.5 : 0.0;
+    GnnModel model(g, config);
+    GnnModel twin(g, config);
+
+    DenseMatrix x(g.numVertices(), 12);
+    x.fillUniform(-1.0f, 1.0f, 132);
+    x.sparsify(0.3, 133);
+    const DenseMatrix copy = x;
+    std::vector<std::int32_t> labels(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        labels[v] = static_cast<std::int32_t>(v % 5);
+
+    TechniqueConfig tech;
+    tech.fusion = direction != Direction::Unfused;
+    tech.locality = direction == Direction::Locality;
+    tech.shards = direction == Direction::Sharded ? 4 : 1;
+    tech.compression = compression;
+    tech.precision = precision;
+
+    for (int epoch = 0; epoch < 3; ++epoch) {
+        SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+        StepRecord reused;
+        StepRecord gathered;
+        EXPECT_EQ(aggReuses([&] {
+            reused = trainStep(model, x, labels, tech);
+        }), epoch > 0 ? 1u : 0u);
+        EXPECT_EQ(aggReuses([&] {
+            gathered = trainStep(twin, epoch % 2 ? copy : x, labels, tech);
+        }), 0u);
+        expectSameStep(reused, gathered);
+    }
+}
+
+std::string
+reuseName(const ::testing::TestParamInfo<ReuseParam> &info)
+{
+    const auto [kind, precision, direction, compression, dropout] =
+        info.param;
+    return gnnKindName(kind) + "_" + precisionName(precision) + "_" +
+           directionName(direction) + (compression ? "_packed" : "_dense") +
+           (dropout ? "_drop" : "_nodrop");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, InputAggregateReuse,
+    ::testing::Combine(::testing::Values(GnnKind::Gcn, GnnKind::Sage,
+                                         GnnKind::Gin),
+                       ::testing::Values(Precision::Fp32, Precision::Bf16),
+                       ::testing::Values(Direction::Flat,
+                                         Direction::Locality,
+                                         Direction::Sharded,
+                                         Direction::Unfused),
+                       ::testing::Bool(), ::testing::Bool()),
+    reuseName);
+
+/**
+ * A model with @p model's current parameters and no history: what a
+ * trainForward of @p x must return when it gathers a^0 afresh.
+ */
+DenseMatrix
+freshLogits(const GnnModel &model, const GnnModelConfig &config,
+            const DenseMatrix &x, const TechniqueConfig &tech)
+{
+    GnnModel fresh(model.graph(), config);
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        const GnnLayer &from = model.layer(k);
+        fresh.layer(k).updateParameters(
+            [&](DenseMatrix &w, std::span<Feature> b) {
+                w = from.weights();
+                std::copy(from.bias().begin(), from.bias().end(),
+                          b.begin());
+            });
+    }
+    return fresh.trainForward(x, tech);
+}
+
+/**
+ * A call at bf16, or on another feature matrix, between reused fp32
+ * calls changes the key: it gathers again, and so does the fp32 call
+ * after it. Every call matches a fresh model bitwise, and only calls
+ * that repeat the previous call's key reuse.
+ */
+TEST(InputAggregateReuse, AnotherSourceOrMatrixGathersAgain)
+{
+    const CsrGraph g = generateErdosRenyi(200, 1600, false, 141);
+    GnnModelConfig config;
+    config.featureWidths = {12, 24, 5};
+    config.dropoutRate = 0.0;
+    GnnModel model(g, config);
+    DenseMatrix x(g.numVertices(), 12);
+    x.fillUniform(-1.0f, 1.0f, 142);
+    DenseMatrix y(g.numVertices(), 12);
+    y.fillUniform(-1.0f, 1.0f, 143);
+    std::vector<std::int32_t> labels(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        labels[v] = static_cast<std::int32_t>(v % 5);
+
+    const TechniqueConfig fp32 = TechniqueConfig::withFusion();
+    TechniqueConfig bf16 = fp32;
+    bf16.precision = Precision::Bf16;
+    const struct
+    {
+        const DenseMatrix *x;
+        const TechniqueConfig *tech;
+        std::uint64_t reuses;
+    } calls[] = {{&x, &fp32, 0},  {&x, &fp32, 1}, {&x, &bf16, 0},
+                 {&x, &fp32, 0},  {&y, &fp32, 0}, {&x, &fp32, 0},
+                 {&x, &fp32, 1},  {&x, &bf16, 0}, {&x, &bf16, 1}};
+    for (std::size_t i = 0; i < std::size(calls); ++i) {
+        SCOPED_TRACE(testing::Message() << "call " << i);
+        const DenseMatrix &in = *calls[i].x;
+        const TechniqueConfig &tech = *calls[i].tech;
+        const DenseMatrix expected = freshLogits(model, config, in, tech);
+        StepRecord step;
+        EXPECT_EQ(aggReuses([&] {
+            step = trainStep(model, in, labels, tech);
+        }), calls[i].reuses);
+        expectBitwiseEqual(step.logits, expected);
+    }
+}
+
+/**
+ * A narrowing layer 0 projects under fusion and aggregates first
+ * without it. Switching fusion between calls never reuses: a projecting
+ * call drops the record, so the next unfused call gathers again, and
+ * every call matches a fresh model bitwise.
+ */
+TEST(InputAggregateReuse, SwitchingFusionOnANarrowingLayerGathersAgain)
+{
+    const CsrGraph g = generateErdosRenyi(200, 1600, false, 151);
+    GnnModelConfig config;
+    config.featureWidths = {24, 12, 5};
+    config.dropoutRate = 0.0;
+    GnnModel model(g, config);
+    DenseMatrix x(g.numVertices(), 24);
+    x.fillUniform(-1.0f, 1.0f, 152);
+    std::vector<std::int32_t> labels(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        labels[v] = static_cast<std::int32_t>(v % 5);
+
+    const TechniqueConfig fused = TechniqueConfig::withFusion();
+    const TechniqueConfig basic = TechniqueConfig::basic();
+    ASSERT_TRUE(model.layer(0).projectsFirst(fused));
+    ASSERT_FALSE(model.layer(0).projectsFirst(basic));
+    for (const TechniqueConfig *tech :
+         {&basic, &fused, &basic, &fused, &fused, &basic}) {
+        SCOPED_TRACE(tech->label());
+        const DenseMatrix expected = freshLogits(model, config, x, *tech);
+        StepRecord step;
+        EXPECT_EQ(aggReuses([&] {
+            step = trainStep(model, x, labels, *tech);
+        }), 0u);
+        expectBitwiseEqual(step.logits, expected);
+    }
+}
+
+/**
+ * The counter and the trace pin the reuse: a Trainer gathers a^0 in its
+ * first epoch and reuses it in every later one, each reuse under its
+ * own span; a layer 0 that projects first (narrowing, fused) never does.
+ */
+TEST(InputAggregateReuse, TrainerGathersOncePerRun)
+{
+    const CsrGraph g = generateBarabasiAlbert(300, 4, 161);
+    const auto reusesOver = [&](std::vector<std::size_t> widths,
+                                const TechniqueConfig &tech) {
+        SyntheticTask task = makeSyntheticTask(g, 4, widths.front(), 0.2,
+                                               162);
+        GnnModelConfig config;
+        config.featureWidths = std::move(widths);
+        GnnModel model(g, config);
+        TrainerConfig tc;
+        tc.epochs = 4;
+        tc.tech = tech;
+        Trainer trainer(model, task.features, task.labels, tc);
+        const std::uint64_t reuses = aggReuses([&] { trainer.train(); });
+
+        obs::TraceRecorder &trace = obs::TraceRecorder::global();
+        trace.reset();
+        trace.setEnabled(true);
+        trainer.trainEpoch();
+        trace.setEnabled(false);
+        std::uint64_t spans = 0;
+        for (const obs::TraceEvent &event : trace.collect())
+            spans += std::string(event.name) == "layer.update_stored_agg";
+        trace.reset();
+        EXPECT_EQ(spans, reuses == 0 ? 0u : 1u) << tech.label();
+        return reuses;
+    };
+    EXPECT_EQ(reusesOver({16, 32, 4}, TechniqueConfig::combinedLocality()),
+              3u);
+    EXPECT_EQ(reusesOver({16, 32, 4}, TechniqueConfig::basic()), 3u);
+    EXPECT_EQ(reusesOver({32, 8, 4}, TechniqueConfig::withFusion()), 0u);
+    EXPECT_EQ(reusesOver({32, 8, 4}, TechniqueConfig::basic()), 3u);
+}
+
+/**
+ * Changing the features in place breaks the input-key contract; a
+ * GRAPHITE_CHECKS build checks every reused a^0 (and, at bf16, the
+ * rounded copy it was gathered from) against the features and refuses
+ * the call by name.
+ */
+TEST(InputAggregateReuseDeathTest, ChecksBuildRefusesFeaturesChangedInPlace)
+{
+#ifndef GRAPHITE_ENABLE_DCHECKS
+    GTEST_SKIP() << "the reuse check is compiled out (GRAPHITE_CHECKS off)";
+#endif
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const CsrGraph g = generateErdosRenyi(100, 700, false, 171);
+    GnnModelConfig config;
+    config.featureWidths = {12, 24, 5};
+    for (const Precision precision : {Precision::Fp32, Precision::Bf16}) {
+        GnnModel model(g, config);
+        DenseMatrix x(g.numVertices(), 12);
+        x.fillUniform(-1.0f, 1.0f, 172);
+        TechniqueConfig tech = TechniqueConfig::withFusion();
+        tech.precision = precision;
+        model.trainForward(x, tech);
+        x.at(7, 3) += 1.0f;
+        EXPECT_EXIT(model.trainForward(x, tech), testing::ExitedWithCode(1),
+                    "vertex [0-9]+; .* input-key contract")
+            << precisionName(precision);
+    }
+}
+
+// Inputs that do not fit the model are refused by name when the
+// Trainer is built, not deep inside the first epoch's kernels.
+struct TrainerInputs
+{
+    TrainerInputs()
+        : g(generateErdosRenyi(50, 300, false, 181)),
+          task(makeSyntheticTask(g, 4, 8, 0.2, 182))
+    {
+        config.featureWidths = {8, 16, 4};
+        model = std::make_unique<GnnModel>(g, config);
+    }
+
+    CsrGraph g;
+    SyntheticTask task;
+    GnnModelConfig config;
+    std::unique_ptr<GnnModel> model;
+};
+
+TEST(TrainerDeathTest, RefusesFeaturesOfAnotherWidth)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TrainerInputs in;
+    DenseMatrix narrow(in.g.numVertices(), 6);
+    EXPECT_EXIT(Trainer(*in.model, narrow, in.task.labels, {}),
+                testing::ExitedWithCode(1),
+                "features are 50 x 6, the model needs 50 vertices x 8");
+}
+
+TEST(TrainerDeathTest, RefusesLabelOutsideTheClasses)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TrainerInputs in;
+    for (const std::int32_t bad : {4, -1}) {
+        std::vector<std::int32_t> labels = in.task.labels;
+        labels[9] = bad;
+        EXPECT_EXIT(Trainer(*in.model, in.task.features, labels, {}),
+                    testing::ExitedWithCode(1),
+                    "label -?[0-9]+ of vertex 9 is outside \\[0, 4\\)")
+            << bad;
+    }
+}
+
+TEST(TrainerDeathTest, RefusesMasksOfAnotherSize)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TrainerInputs in;
+    TrainerConfig train;
+    train.trainMask.assign(49, 1);
+    EXPECT_EXIT(Trainer(*in.model, in.task.features, in.task.labels, train),
+                testing::ExitedWithCode(1),
+                "trainMask has 49 entries for 50 vertices");
+    TrainerConfig eval;
+    eval.evalMask.assign(51, 1);
+    EXPECT_EXIT(Trainer(*in.model, in.task.features, in.task.labels, eval),
+                testing::ExitedWithCode(1),
+                "evalMask has 51 entries for 50 vertices");
 }
 
 } // namespace
